@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
@@ -51,13 +51,7 @@ class Caps:
     exact_chromatic_ring_size: int = 64
 
     def to_json(self) -> dict:
-        return {
-            "max_ring_size": self.max_ring_size,
-            "max_exact_vertices": self.max_exact_vertices,
-            "max_ringiso_size": self.max_ringiso_size,
-            "max_graphiso_vertices": self.max_graphiso_vertices,
-            "exact_chromatic_ring_size": self.exact_chromatic_ring_size,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -312,10 +306,7 @@ def _check_clean_decomposition(a: RingAnalysis):
         witness["clique"] = a.core_clique
         if a.core_clique != t:
             return _failed({"kind": "clique_mismatch", "clique": a.core_clique, "expected": t})
-    idems = [e for e in ring.idempotent_elements if e != 0]
-    primitive = [
-        e for e in idems if not any(f != e and ring.mul(e, f) == f for f in idems)
-    ]
+    primitive = ring.primitive_idempotents
     if len(primitive) != t:
         return _failed({"kind": "primitive_count", "count": len(primitive), "expected": t})
     for e in primitive:
@@ -757,6 +748,11 @@ def sweep(
         for text in texts:
             entries.extend(_sweep_one(text, ids, caps))
     entries.sort(key=lambda e: (e["rings"], CLAIM_ORDER[e["claim"]]))
+    return make_report(entries, caps)
+
+
+def make_report(entries: list[dict], caps: Caps) -> dict:
+    """The JSON-ready report envelope: tool version, caps, entries and outcome counts."""
     summary = {"pass": 0, "fail": 0, "skip": 0}
     for e in entries:
         summary[e["outcome"]] += 1
@@ -869,10 +865,7 @@ def _audit_fail_witness(claim: str, witness: dict, analyses: list[RingAnalysis])
             return a.core_clique == witness["clique"] != ring.maximal_ideal_count
         if kind == "local_core_nonempty":
             return ring.maximal_ideal_count == 1 and a.graph("core").n > 0
-        idems = [e for e in ring.idempotent_elements if e != 0]
-        primitive = [
-            e for e in idems if not any(f != e and ring.mul(e, f) == f for f in idems)
-        ]
+        primitive = ring.primitive_idempotents
         if kind == "primitive_count":
             return len(primitive) == witness["count"] != ring.maximal_ideal_count
         if kind == "not_orthogonal":

@@ -23,6 +23,7 @@ from .claims import (
     Caps,
     ClaimReport,
     corpus_family,
+    make_report,
     product_family,
     save_report,
     sweep,
@@ -268,19 +269,6 @@ def _report_table(reports: Sequence[ClaimReport]) -> str:
     return "\n".join(lines)
 
 
-def _aggregate(reports: Sequence[ClaimReport], caps: Caps) -> dict:
-    entries = [r.to_json() for r in reports]
-    summary = {"pass": 0, "fail": 0, "skip": 0}
-    for e in entries:
-        summary[e["outcome"]] += 1
-    return {
-        "tool_version": __version__,
-        "caps": caps.to_json(),
-        "entries": entries,
-        "summary": summary,
-    }
-
-
 def _parse_claim_ids(raw: str | None, registry: dict, what: str) -> list[str] | None:
     if raw is None:
         return None
@@ -301,7 +289,7 @@ def cmd_verify(args: argparse.Namespace, caps: Caps) -> int:
     print(f"ring: {args.spec}")
     print(_report_table(reports))
     if args.out is not None:
-        save_report(_aggregate(reports, caps), args.out)
+        save_report(make_report([r.to_json() for r in reports], caps), args.out)
     failed = any(r.outcome == "fail" for r in reports)
     return EXIT_FAIL if failed else EXIT_OK
 
@@ -316,7 +304,7 @@ def cmd_verify_pair(args: argparse.Namespace, caps: Caps) -> int:
     print(f"rings: {args.spec_a} | {args.spec_b}")
     print(_report_table(reports))
     if args.out is not None:
-        save_report(_aggregate(reports, caps), args.out)
+        save_report(make_report([r.to_json() for r in reports], caps), args.out)
     failed = any(r.outcome == "fail" for r in reports)
     return EXIT_FAIL if failed else EXIT_OK
 

@@ -322,15 +322,11 @@ def _zn_ring(n: int, max_size: int) -> RingTable:
     if n < 2:
         raise ValueError("modulus must be at least 2")
     _check_size(n, max_size)
-    idx = np.arange(n, dtype=np.int64)
     return RingTable(
         n,
-        1 % n if n > 1 else 0,
+        1,
         lambda a, b: (a + b) % n,
         lambda a, b: (a * b) % n,
-        neg=lambda a: (-a) % n,
-        add_row=lambda a: (idx + a) % n,
-        mul_row=lambda a: (idx * a) % n,
         labels=[str(i) for i in range(n)],
         name=f"Z/{n}",
     )
@@ -363,43 +359,25 @@ def _polyquot_ring(p: int, coeffs: tuple[int, ...], max_size: int) -> RingTable:
     digits.setflags(write=False)
     powers = np.array([p**i for i in range(deg)], dtype=np.int64)
 
-    def encode_vec(mat: np.ndarray) -> np.ndarray:
-        return mat @ powers
+    def add(a, b):
+        return ((digits[a] + digits[b]) % p) @ powers
 
-    def add_row(a: int) -> np.ndarray:
-        return encode_vec((digits + digits[a]) % p)
-
-    def mul_row(a: int) -> np.ndarray:
-        da = digits[a]
-        conv = np.zeros((n, 2 * deg - 1), dtype=np.int64)
+    def mul(a, b):
+        da, db = digits[a], digits[b]
+        shape = np.broadcast_shapes(da.shape, db.shape)[:-1]
+        conv = np.zeros(shape + (2 * deg - 1,), dtype=np.int64)
         for i in range(deg):
-            if da[i]:
-                conv[:, i : i + deg] += int(da[i]) * digits
-        conv %= p
-        for j in range(2 * deg - 2, deg - 1, -1):
-            col = conv[:, j]
-            conv[:, :deg] = (conv[:, :deg] + np.outer(col, red[j - deg])) % p
-            conv[:, j] = 0
-        return encode_vec(conv[:, :deg])
+            conv[..., i : i + deg] += da[..., i : i + 1] * db
+        for j in range(deg, 2 * deg - 1):
+            conv[..., :deg] += conv[..., j : j + 1] * red[j - deg]
+        return (conv[..., :deg] % p) @ powers
 
-    def add(a: int, b: int) -> int:
-        return int(encode_vec(((digits[a] + digits[b]) % p)[None, :])[0])
-
-    def mul(a: int, b: int) -> int:
-        return int(mul_row(a)[b])
-
-    def neg(a: int) -> int:
-        return int(encode_vec(((-digits[a]) % p)[None, :])[0])
-
-    labels = [_poly_str(tuple(int(c) for c in digits[a])) for a in range(n)]
+    labels = [_poly_str(tuple(row)) for row in digits.tolist()]
     return RingTable(
         n,
         1,
         add,
         mul,
-        neg=neg,
-        add_row=add_row,
-        mul_row=mul_row,
         labels=labels,
         name=f"Z/{p}[x]/({_poly_str(coeffs)})",
     )
@@ -427,24 +405,14 @@ def _sqz_ring(p: int, k: int, max_size: int) -> RingTable:
     digits.setflags(write=False)
     powers = np.array([p ** (k - i) for i in range(k + 1)], dtype=np.int64)
 
-    def add_row(a: int) -> np.ndarray:
-        return ((digits + digits[a]) % p) @ powers
+    def add(a, b):
+        return ((digits[a] + digits[b]) % p) @ powers
 
-    def mul_row(a: int) -> np.ndarray:
-        da = digits[a]
-        out = np.empty((n, k + 1), dtype=np.int64)
-        out[:, 0] = (da[0] * digits[:, 0]) % p
-        out[:, 1:] = (da[0] * digits[:, 1:] + digits[:, 0, None] * da[1:]) % p
-        return out @ powers
-
-    def add(a: int, b: int) -> int:
-        return int(((digits[a] + digits[b]) % p) @ powers)
-
-    def mul(a: int, b: int) -> int:
-        return int(mul_row(a)[b])
-
-    def neg(a: int) -> int:
-        return int(((-digits[a]) % p) @ powers)
+    def mul(a, b):
+        da, db = digits[a], digits[b]
+        a0, b0 = da[..., :1], db[..., :1]
+        vector = (a0 * db[..., 1:] + b0 * da[..., 1:]) % p
+        return (a0[..., 0] * b0[..., 0]) % p * pk + vector @ powers[1:]
 
     def label(a: int) -> str:
         d = digits[a]
@@ -464,9 +432,6 @@ def _sqz_ring(p: int, k: int, max_size: int) -> RingTable:
         pk,
         add,
         mul,
-        neg=neg,
-        add_row=add_row,
-        mul_row=mul_row,
         labels=[label(a) for a in range(n)],
         name=f"SQZ({p},{k})",
     )

@@ -9,20 +9,13 @@ remember which ring element each vertex came from in `vertex_keys`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError
 from .limits import DEFAULT_EXACT_VERTEX_CAP
-from .rings import RingTable, _mask_from_bool
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .rings import RingTable, _iter_bits, _mask_from_bool
 
 
 class SimpleGraph:

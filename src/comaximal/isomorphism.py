@@ -14,13 +14,7 @@ from typing import Iterator
 from .errors import CapacityError
 from .graphs import SimpleGraph
 from .limits import DEFAULT_CERTIFICATE_CAP, DEFAULT_GRAPH_ISO_CAP
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .rings import _iter_bits
 
 
 def _refine_rounds(

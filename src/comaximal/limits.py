@@ -21,8 +21,8 @@ DEFAULT_GRAPH_ISO_CAP = 2000
 # Largest vertex count for canonical certificates.
 DEFAULT_CERTIFICATE_CAP = 64
 
-# Full Cayley tables are materialised only up to this ring size;
-# larger rings evaluate operations through row functions.
+# Up to this ring size an elementwise ring law is evaluated once into a
+# full Cayley table; larger rings call the elementwise function itself.
 TABLE_LIMIT = 256
 
 # Up to this ring size, maximal-ideal enumeration re-derives the answer

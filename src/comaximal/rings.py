@@ -1,10 +1,11 @@
 """Finite commutative ring kernel.
 
 Elements of a ring of size n are the dense indices 0..n-1 with index 0
-always the additive identity.  Rings up to `TABLE_LIMIT` elements carry
-full numpy Cayley tables; larger rings evaluate operations through
-scalar callables plus vectorised row functions, so bulk scans stay fast
-without quadratic memory.
+always the additive identity.  Each ring law is one elementwise operation
+over index arrays: a Cayley-table lookup for rings up to `TABLE_LIMIT`
+elements, the construction's own broadcasting function above it.
+Scalars, rows and whole-ring scans (in row blocks, so memory stays
+linear in n) are all read from that one operation.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ def _iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# An elementwise ring law: integer index arrays in, broadcast like a numpy operator.
+Op = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+# Whole-ring scans evaluate a law on blocks of rows with about this many entries.
+_BLOCK = 1 << 16
+
 
 
 @dataclass(frozen=True)
@@ -106,11 +115,13 @@ class CleanDecomposition:
 class RingTable:
     """A finite commutative ring with unital multiplication.
 
-    `add` and `mul` may be flat row-major tables (any sequence of length
-    size*size) or scalar callables.  Callable-backed rings should also
-    pass `add_row`/`mul_row` returning the full numpy row for one fixed
-    left operand; the constructor materialises full tables from them
-    whenever size <= TABLE_LIMIT.
+    Each law, `add` and `mul`, is given in exactly one form: a table (flat
+    row-major of length size*size, or size x size), or an elementwise
+    function f(A, B) over integer index arrays that broadcasts like a
+    numpy operator.  Up to TABLE_LIMIT elements a function is evaluated
+    once, as f(idx[:, None], idx), into a table.  Either way the law ends
+    up as one elementwise operation, `add_op` / `mul_op`, and scalars
+    (int(f(a, b))), rows (f(a, idx)) and whole-ring scans all read it.
     """
 
     def __init__(
@@ -120,9 +131,6 @@ class RingTable:
         add,
         mul,
         *,
-        neg: Callable[[int], int] | None = None,
-        add_row: Callable[[int], np.ndarray] | None = None,
-        mul_row: Callable[[int], np.ndarray] | None = None,
         labels: Sequence[str] | None = None,
         name: str | None = None,
     ):
@@ -144,53 +152,34 @@ class RingTable:
                 raise ValueError("label count does not match ring size")
             self.labels = tuple(str(x) for x in labels)
 
-        self._add_np: np.ndarray | None = None
-        self._mul_np: np.ndarray | None = None
-        self._add_fn: Callable[[int, int], int] | None = None
-        self._mul_fn: Callable[[int, int], int] | None = None
-        self._add_row_fn = add_row
-        self._mul_row_fn = mul_row
-        self._neg_fn = neg
+        self._idx = np.arange(size)
+        self.add_op: Op = self._elementwise(add, "add")
+        self.mul_op: Op = self._elementwise(mul, "mul")
 
-        if callable(add):
-            self._add_fn = add
-            self._mul_fn = mul
-            if size <= TABLE_LIMIT:
-                self._add_np = self._materialise(add, add_row)
-                self._mul_np = self._materialise(mul, mul_row)
-        else:
-            self._add_np = self._as_table(add, "add")
-            self._mul_np = self._as_table(mul, "mul")
-
-    def _as_table(self, flat, which: str) -> np.ndarray:
-        arr = np.asarray(flat, dtype=np.int32)
-        if arr.shape == (self.size, self.size):
-            pass
-        elif arr.shape == (self.size * self.size,):
+    def _elementwise(self, law, which: str) -> Op:
+        if callable(law):
+            if self.size > TABLE_LIMIT:
+                return law
+            law = law(self._idx[:, None], self._idx)
+        arr = np.asarray(law, dtype=np.int32)
+        if arr.shape == (self.size * self.size,):
             arr = arr.reshape(self.size, self.size)
-        else:
+        elif arr.shape != (self.size, self.size):
             raise ValueError(f"{which} table must hold size*size entries")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.size):
+        if arr.min() < 0 or arr.max() >= self.size:
             raise ValueError(f"{which} table entry out of range")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        return arr
-
-    def _materialise(self, fn, row_fn) -> np.ndarray:
-        n = self.size
-        if row_fn is not None:
-            arr = np.stack([np.asarray(row_fn(a), dtype=np.int32) for a in range(n)])
-        else:
-            arr = np.empty((n, n), dtype=np.int32)
-            for a in range(n):
-                for b in range(n):
-                    arr[a, b] = fn(a, b)
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        return arr
+        table = np.ascontiguousarray(arr)
+        table.setflags(write=False)
+        return lambda a, b: table[a, b]
 
     def __repr__(self) -> str:
         return f"RingTable({self.name!r}, size={self.size})"
+
+    def _row_blocks(self, rows: np.ndarray) -> Iterator[np.ndarray]:
+        """`rows` in consecutive slices, each a column to broadcast against all elements."""
+        step = max(1, _BLOCK // self.size)
+        for lo in range(0, len(rows), step):
+            yield rows[lo : lo + step, None]
 
     def _check_index(self, a: int) -> None:
         if not 0 <= a < self.size:
@@ -201,16 +190,12 @@ class RingTable:
     def add(self, a: int, b: int) -> int:
         self._check_index(a)
         self._check_index(b)
-        if self._add_np is not None:
-            return int(self._add_np[a, b])
-        return self._add_fn(a, b)
+        return int(self.add_op(a, b))
 
     def mul(self, a: int, b: int) -> int:
         self._check_index(a)
         self._check_index(b)
-        if self._mul_np is not None:
-            return int(self._mul_np[a, b])
-        return self._mul_fn(a, b)
+        return int(self.mul_op(a, b))
 
     def neg(self, a: int) -> int:
         self._check_index(a)
@@ -224,51 +209,28 @@ class RingTable:
     def add_row(self, a: int) -> np.ndarray:
         """Row vector r with r[b] = a + b."""
         self._check_index(a)
-        if self._add_np is not None:
-            return self._add_np[a]
-        if self._add_row_fn is not None:
-            return np.asarray(self._add_row_fn(a))
-        fn = self._add_fn
-        return np.fromiter((fn(a, b) for b in range(self.size)), dtype=np.int64, count=self.size)
+        return self.add_op(a, self._idx)
 
     def mul_row(self, a: int) -> np.ndarray:
         """Row vector r with r[b] = a * b."""
         self._check_index(a)
-        if self._mul_np is not None:
-            return self._mul_np[a]
-        if self._mul_row_fn is not None:
-            return np.asarray(self._mul_row_fn(a))
-        fn = self._mul_fn
-        return np.fromiter((fn(a, b) for b in range(self.size)), dtype=np.int64, count=self.size)
+        return self.mul_op(a, self._idx)
 
     # -- cached structure --------------------------------------------------
 
     @cached_property
     def negatives(self) -> np.ndarray:
-        if self._neg_fn is not None:
-            arr = np.fromiter((self._neg_fn(a) for a in range(self.size)), dtype=np.int64, count=self.size)
-        elif self._add_np is not None:
-            arr = (self._add_np == 0).argmax(axis=1)
-        else:
-            arr = np.fromiter(
-                (int((self.add_row(a) == 0).argmax()) for a in range(self.size)),
-                dtype=np.int64,
-                count=self.size,
-            )
+        """negatives[a] = -a, read off as (-1) * a."""
+        minus_one = int((self.add_row(self.one) == 0).argmax())
+        arr = self.mul_row(minus_one)
         arr.setflags(write=False)
         return arr
 
     @cached_property
     def unit_flags(self) -> np.ndarray:
         """Boolean vector marking invertible elements."""
-        if self._mul_np is not None:
-            flags = (self._mul_np == self.one).any(axis=1)
-        else:
-            flags = np.fromiter(
-                ((self.mul_row(a) == self.one).any() for a in range(self.size)),
-                dtype=bool,
-                count=self.size,
-            )
+        blocks = self._row_blocks(self._idx)
+        flags = np.concatenate([(self.mul_op(a, self._idx) == self.one).any(axis=1) for a in blocks])
         flags.setflags(write=False)
         return flags
 
@@ -291,32 +253,32 @@ class RingTable:
         units = self.unit_flags
         one_minus = self.add_row(self.one)[self.negatives]
         member = np.zeros(n, dtype=bool)
-        for x in range(n):
-            if units[x]:
-                continue
-            if units[one_minus[self.mul_row(x)]].all():
-                member[x] = True
+        for x in self._row_blocks(np.flatnonzero(~units)):
+            member[x[:, 0]] = units[one_minus[self.mul_op(x, self._idx)]].all(axis=1)
         ideal = IdealSet(n, _mask_from_bool(member))
         assert self.is_ideal(ideal), "radical is not an ideal; operations are inconsistent"
         return ideal
 
     @cached_property
     def idempotent_elements(self) -> tuple[int, ...]:
-        return tuple(a for a in range(self.size) if self.mul(a, a) == a)
+        idx = self._idx
+        return tuple(np.flatnonzero(self.mul_op(idx, idx) == idx).tolist())
 
     @cached_property
     def nilpotent_elements(self) -> tuple[int, ...]:
-        out = []
-        for a in range(self.size):
-            seen = set()
-            x = a
-            while x not in seen:
-                seen.add(x)
-                if x == 0:
-                    out.append(a)
-                    break
-                x = self.mul(x, a)
-        return tuple(out)
+        """Elements with a^size == 0, by square-and-multiply over the whole ring.
+
+        The powers of a nilpotent a are distinct until they reach 0, so
+        a^size == 0 exactly when a is nilpotent.
+        """
+        power, base, e = np.full(self.size, self.one), self._idx, self.size
+        while e:
+            if e & 1:
+                power = self.mul_op(power, base)
+            e >>= 1
+            if e:
+                base = self.mul_op(base, base)
+        return tuple(np.flatnonzero(power == 0).tolist())
 
     @property
     def is_reduced(self) -> bool:
@@ -324,9 +286,10 @@ class RingTable:
 
     @cached_property
     def characteristic(self) -> int:
+        succ = self.add_row(self.one).tolist()
         k, x = 1, self.one
         while x != 0:
-            x = self.add(x, self.one)
+            x = succ[x]
             k += 1
         return k
 
@@ -337,10 +300,10 @@ class RingTable:
             return False
         flags = ideal.member_flags()
         members = np.flatnonzero(flags)
-        for a in map(int, members):
-            if not flags[self.add_row(a)[members]].all():
+        for a in self._row_blocks(members):
+            if not flags[self.add_op(a, members)].all():
                 return False
-            if not flags[self.mul_row(a)].all():
+            if not flags[self.mul_op(a, self._idx)].all():
                 return False
         return True
 
@@ -361,9 +324,9 @@ class RingTable:
         while True:
             current = np.flatnonzero(member)
             grown = member.copy()
-            for a in map(int, current):
-                grown[self.mul_row(a)] = True
-                grown[self.add_row(a)[current]] = True
+            for a in self._row_blocks(current):
+                grown[self.mul_op(a, self._idx)] = True
+                grown[self.add_op(a, current)] = True
             if (grown == member).all():
                 break
             member = grown
@@ -376,6 +339,13 @@ class RingTable:
         return IdealSet(self.size, _mask_from_bool(member))
 
     @cached_property
+    def primitive_idempotents(self) -> tuple[int, ...]:
+        """Nonzero idempotents e with no other nonzero idempotent f = e*f below them."""
+        idems = np.array([e for e in self.idempotent_elements if e != 0])
+        below = (self.mul_op(idems[:, None], idems) == idems) & (idems[:, None] != idems)
+        return tuple(idems[~below.any(axis=1)].tolist())
+
+    @cached_property
     def maximal_ideals(self) -> tuple[IdealSet, ...]:
         """All maximal ideals, via primitive idempotents of R/J.
 
@@ -384,15 +354,9 @@ class RingTable:
         """
         n = self.size
         quot, proj = self.quotient(self.jacobson_radical)
-        idems = [e for e in quot.idempotent_elements if e != 0]
-        primitive = [
-            e
-            for e in idems
-            if not any(f != e and quot.mul(e, f) == f for f in idems)
-        ]
         proj_arr = np.asarray(proj.mapping)
         ideals: list[IdealSet] = []
-        for e in primitive:
+        for e in quot.primitive_idempotents:
             annihilates = quot.mul_row(e) == 0
             member = annihilates[proj_arr]
             ideals.append(IdealSet(n, _mask_from_bool(member)))
@@ -462,11 +426,8 @@ class RingTable:
         """
         if ideal.ring_size != self.size:
             raise ValueError("ideal belongs to a ring of different size")
-        rep_of: np.ndarray | None = None
-        for j in ideal.members():
-            row = self.add_row(j)
-            rep_of = row.copy() if rep_of is None else np.minimum(rep_of, row)
-        assert rep_of is not None
+        blocks = self._row_blocks(np.flatnonzero(ideal.member_flags()))
+        rep_of = np.min([self.add_op(j, self._idx).min(axis=0) for j in blocks], axis=0)
         reps = np.unique(rep_of)
         return reps, rep_of
 
@@ -488,31 +449,11 @@ class RingTable:
         elem_to_q = position[rep_of]
         labels = [self.labels[int(r)] for r in reps]
         name = f"{self.name}/I{len(ideal)}"
-        reps_list = [int(r) for r in reps]
-
-        def q_add_row(i: int) -> np.ndarray:
-            return elem_to_q[self.add_row(reps_list[i])[reps]]
-
-        def q_mul_row(i: int) -> np.ndarray:
-            return elem_to_q[self.mul_row(reps_list[i])[reps]]
-
-        def q_add(i: int, j: int) -> int:
-            return int(elem_to_q[self.add(reps_list[i], reps_list[j])])
-
-        def q_mul(i: int, j: int) -> int:
-            return int(elem_to_q[self.mul(reps_list[i], reps_list[j])])
-
-        def q_neg(i: int) -> int:
-            return int(elem_to_q[self.neg(reps_list[i])])
-
         ring = RingTable(
             q,
             int(elem_to_q[self.one]),
-            q_add,
-            q_mul,
-            neg=q_neg,
-            add_row=q_add_row,
-            mul_row=q_mul_row,
+            lambda i, j: elem_to_q[self.add_op(reps[i], reps[j])],
+            lambda i, j: elem_to_q[self.mul_op(reps[i], reps[j])],
             labels=labels,
             name=name,
         )
@@ -530,51 +471,32 @@ class RingTable:
         m = len(members)
         position = np.full(self.size, -1, dtype=np.int64)
         position[members] = np.arange(m)
-        members_list = [int(x) for x in members]
-
-        def c_add(i: int, j: int) -> int:
-            return int(position[self.add(members_list[i], members_list[j])])
-
-        def c_mul(i: int, j: int) -> int:
-            return int(position[self.mul(members_list[i], members_list[j])])
-
-        def c_neg(i: int) -> int:
-            return int(position[self.neg(members_list[i])])
-
-        def c_add_row(i: int) -> np.ndarray:
-            return position[self.add_row(members_list[i])[members]]
-
-        def c_mul_row(i: int) -> np.ndarray:
-            return position[self.mul_row(members_list[i])[members]]
-
         return RingTable(
             m,
             int(position[e]),
-            c_add,
-            c_mul,
-            neg=c_neg,
-            add_row=c_add_row,
-            mul_row=c_mul_row,
-            labels=[self.labels[x] for x in members_list],
+            lambda i, j: position[self.add_op(members[i], members[j])],
+            lambda i, j: position[self.mul_op(members[i], members[j])],
+            labels=[self.labels[x] for x in members.tolist()],
             name=f"{self.name}*e{e}",
         )
 
     # -- element-wise structure ----------------------------------------------
 
     def clean_decomposition(self) -> CleanDecomposition:
-        """Try to write every element as idempotent + unit."""
-        idems = self.idempotent_elements
+        """Try to write every element as idempotent + unit (first idempotent that works)."""
+        n = self.size
         units = self.unit_flags
-        witnesses: list[tuple[int, int]] = []
-        for x in range(self.size):
-            for e in idems:
-                u = self.sub(x, e)
-                if units[u]:
-                    witnesses.append((e, u))
-                    break
-            else:
-                return CleanDecomposition(False, None, x)
-        return CleanDecomposition(True, tuple(witnesses), None)
+        idem_of = np.full(n, -1)
+        unit_of = np.full(n, -1)
+        for e in self.idempotent_elements:
+            u = self.add_row(self.neg(e))
+            fresh = (idem_of < 0) & units[u]
+            idem_of[fresh] = e
+            unit_of[fresh] = u[fresh]
+        missing = np.flatnonzero(idem_of < 0)
+        if len(missing):
+            return CleanDecomposition(False, None, int(missing[0]))
+        return CleanDecomposition(True, tuple(zip(idem_of.tolist(), unit_of.tolist())), None)
 
 
 # -- constructions ----------------------------------------------------------
@@ -592,64 +514,36 @@ def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> 
             raise CapacityError(
                 f"product ring would exceed the size cap ({max_size})"
             )
-    k = len(rings)
-    digit_matrix = np.empty((total, k), dtype=np.int64)
+    # digits[i][a] is factor i's component of element a.
+    digits = []
     idx = np.arange(total)
-    for i in range(k - 1, -1, -1):
-        digit_matrix[:, i] = idx % sizes[i]
-        idx //= sizes[i]
-    digit_matrix.setflags(write=False)
+    for s in reversed(sizes):
+        digits.insert(0, idx % s)
+        idx //= s
 
-    def decode(a: int) -> list[int]:
-        return [int(d) for d in digit_matrix[a]]
+    def mixed_radix(ops: list[Op]) -> Op:
+        def op(a, b):
+            out = 0
+            for s, f, d in zip(sizes, ops, digits):
+                out = out * s + f(d[a], d[b])
+            return out
 
-    def encode(parts: Sequence[int]) -> int:
-        out = 0
-        for s, d in zip(sizes, parts):
-            out = out * s + d
-        return out
+        return op
 
-    def p_add(a: int, b: int) -> int:
-        da, db = digit_matrix[a], digit_matrix[b]
-        return encode([r.add(int(x), int(y)) for r, x, y in zip(rings, da, db)])
-
-    def p_mul(a: int, b: int) -> int:
-        da, db = digit_matrix[a], digit_matrix[b]
-        return encode([r.mul(int(x), int(y)) for r, x, y in zip(rings, da, db)])
-
-    def p_neg(a: int) -> int:
-        return encode([r.neg(int(x)) for r, x in zip(rings, digit_matrix[a])])
-
-    def _row(a: int, rows: Callable[[RingTable, int], np.ndarray]) -> np.ndarray:
-        da = digit_matrix[a]
-        acc: np.ndarray | None = None
-        for i, r in enumerate(rings):
-            col = np.asarray(rows(r, int(da[i])), dtype=np.int64)[digit_matrix[:, i]]
-            acc = col if acc is None else acc * r.size + col
-        return acc
-
-    def p_add_row(a: int) -> np.ndarray:
-        return _row(a, lambda r, d: r.add_row(d))
-
-    def p_mul_row(a: int) -> np.ndarray:
-        return _row(a, lambda r, d: r.mul_row(d))
-
-    labels = []
-    for a in range(total):
-        parts = decode(a)
-        labels.append("(" + ",".join(r.labels[d] for r, d in zip(rings, parts)) + ")")
-    one = encode([r.one for r in rings])
-    name = " x ".join(r.name for r in rings)
+    labels = [
+        "(" + ",".join(r.labels[d] for r, d in zip(rings, parts)) + ")"
+        for parts in zip(*(d.tolist() for d in digits))
+    ]
+    one = 0
+    for s, r in zip(sizes, rings):
+        one = one * s + r.one
     return RingTable(
         total,
         one,
-        p_add,
-        p_mul,
-        neg=p_neg,
-        add_row=p_add_row,
-        mul_row=p_mul_row,
+        mixed_radix([r.add_op for r in rings]),
+        mixed_radix([r.mul_op for r in rings]),
         labels=labels,
-        name=name,
+        name=" x ".join(r.name for r in rings),
     )
 
 
@@ -686,73 +580,62 @@ def maximal_ideals_bruteforce(ring: RingTable) -> tuple[IdealSet, ...]:
     return tuple(IdealSet(n, m) for m in sorted(found))
 
 
-def validate_ring_axioms(
-    ring: RingTable,
-    *,
-    exhaustive_limit: int = TABLE_LIMIT,
-    samples: int = 4096,
-    seed: int = 0,
-) -> None:
-    """Check the commutative-ring axioms, raising RingAxiomError on failure.
+def validate_ring_axioms(ring: RingTable) -> None:
+    """Check the commutative-ring axioms exactly, raising RingAxiomError on failure.
 
-    Exhaustive up to `exhaustive_limit` elements, randomised sampling of
-    associativity/distributivity triples above it.  Identity and negation
-    laws are always checked for every element.
+    Identities, additive inverses and both commutative laws are checked on
+    every pair.  The rest is checked against a greedy additive generating
+    set G (|G| <= log2 n), for O(n^2 |G|) work in all:
+
+    - associativity of addition by Light's test, (x+g)+y == x+(g+y) for
+      all x, y and every g in G;
+    - distributivity as a(b+g) == ab+ag for all a, b and every g in G,
+      which makes multiplication additive in each argument;
+    - so associativity of multiplication, additive in all three
+      arguments, only on triples from G.
+
+    Every failure carries a concrete witness tuple of element indices.
     """
-    n = ring.size
-    one = ring.one
-    if not np.array_equal(ring.add_row(0), np.arange(n)):
-        bad = int((ring.add_row(0) != np.arange(n)).argmax())
-        raise RingAxiomError("zero identity", (0, bad))
-    if not np.array_equal(ring.mul_row(one), np.arange(n)):
-        bad = int((ring.mul_row(one) != np.arange(n)).argmax())
-        raise RingAxiomError("one identity", (one, bad))
-    for a in range(n):
-        if not (ring.add_row(a) == 0).any():
-            raise RingAxiomError("additive inverse", (a,))
+    n, one = ring.size, ring.one
+    idx = np.arange(n)
+    add, mul = ring.add_op, ring.mul_op
+    for law, e, row in (("zero identity", 0, ring.add_row(0)), ("one identity", one, ring.mul_row(one))):
+        if not np.array_equal(row, idx):
+            raise RingAxiomError(law, (e, int((row != idx).argmax())))
 
-    if n <= exhaustive_limit and ring._add_np is not None:
-        A, M = ring._add_np, ring._mul_np
-        if not np.array_equal(A, A.T):
-            a, b = map(int, np.argwhere(A != A.T)[0])
-            raise RingAxiomError("commutativity(add)", (a, b))
-        if not np.array_equal(M, M.T):
-            a, b = map(int, np.argwhere(M != M.T)[0])
-            raise RingAxiomError("commutativity(mul)", (a, b))
-        for a in range(n):
-            lhs = A[A[a]]
-            rhs = A[a][A]
-            if not np.array_equal(lhs, rhs):
-                b, c = map(int, np.argwhere(lhs != rhs)[0])
-                raise RingAxiomError("associativity(add)", (a, b, c))
-            lhs = M[M[a]]
-            rhs = M[a][M]
-            if not np.array_equal(lhs, rhs):
-                b, c = map(int, np.argwhere(lhs != rhs)[0])
-                raise RingAxiomError("associativity(mul)", (a, b, c))
-            Ma = M[a]
-            lhs = Ma[A]
-            rhs = A[np.ix_(Ma, Ma)]
-            if not np.array_equal(lhs, rhs):
-                b, c = map(int, np.argwhere(lhs != rhs)[0])
-                raise RingAxiomError("distributivity", (a, b, c))
-        return
+    def check(law: str, lhs: Op, rhs: Op, witness: Callable[[int, int], tuple[int, ...]]) -> None:
+        """lhs(x, y) == rhs(x, y) for every pair, scanned in row blocks."""
+        for x in ring._row_blocks(idx):
+            i, y = np.nonzero(lhs(x, idx) != rhs(x, idx))
+            if len(i):
+                raise RingAxiomError(law, witness(int(x[i[0], 0]), int(y[0])))
 
-    import random
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        a, b, c = (rng.randrange(n) for _ in range(3))
-        if ring.add(a, b) != ring.add(b, a):
-            raise RingAxiomError("commutativity(add)", (a, b))
-        if ring.mul(a, b) != ring.mul(b, a):
-            raise RingAxiomError("commutativity(mul)", (a, b))
-        if ring.add(ring.add(a, b), c) != ring.add(a, ring.add(b, c)):
-            raise RingAxiomError("associativity(add)", (a, b, c))
-        if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
-            raise RingAxiomError("associativity(mul)", (a, b, c))
-        if ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c)):
-            raise RingAxiomError("distributivity", (a, b, c))
+    for x in ring._row_blocks(idx):
+        lacking = np.flatnonzero(~(add(x, idx) == 0).any(axis=1))
+        if len(lacking):
+            raise RingAxiomError("additive inverse", (int(x[lacking[0], 0]),))
+    check("commutativity(add)", add, lambda x, y: add(y, x), lambda x, y: (x, y))
+    check("commutativity(mul)", mul, lambda x, y: mul(y, x), lambda x, y: (x, y))
+    gens = _additive_generators(ring)
+    for g in gens:
+        check(
+            "associativity(add)",
+            lambda x, y: add(add(x, g), y),
+            lambda x, y: add(x, add(g, y)),
+            lambda x, y: (x, g, y),
+        )
+    for g in gens:
+        check(
+            "distributivity",
+            lambda a, b: mul(a, add(b, g)),
+            lambda a, b: add(mul(a, b), mul(a, g)),
+            lambda a, b: (a, b, g),
+        )
+    g = np.array(gens)
+    a, b, c = g[:, None, None], g[None, :, None], g[None, None, :]
+    bad = np.argwhere(mul(mul(a, b), c) != mul(a, mul(b, c)))
+    if len(bad):
+        raise RingAxiomError("associativity(mul)", tuple(int(g[k]) for k in bad[0]))
 
 
 # -- ring isomorphism ---------------------------------------------------------
@@ -760,18 +643,18 @@ def validate_ring_axioms(
 
 def _element_profiles(ring: RingTable) -> list[tuple[int, ...]]:
     n = ring.size
-    nilpotent = set(ring.nilpotent_elements)
-    idem = set(ring.idempotent_elements)
-    units = ring.unit_flags
-    profiles = []
-    for a in range(n):
-        order, x = 1, a
-        while x != 0:
-            x = ring.add(x, a)
-            order += 1
-        ann = int((ring.mul_row(a) == 0).sum())
-        profiles.append((order, int(units[a]), int(a in idem), int(a in nilpotent), ann))
-    return profiles
+    idx = np.arange(n)
+    order = np.ones(n, dtype=np.int64)
+    multiple = idx
+    while (active := multiple != 0).any():
+        order += active
+        multiple = np.where(active, ring.add_op(multiple, idx), 0)
+    ann = np.concatenate([(ring.mul_op(a, idx) == 0).sum(axis=1) for a in ring._row_blocks(idx)])
+    flags = np.zeros((3, n), dtype=np.int64)
+    flags[0] = ring.unit_flags
+    flags[1, list(ring.idempotent_elements)] = 1
+    flags[2, list(ring.nilpotent_elements)] = 1
+    return list(zip(order.tolist(), *flags.tolist(), ann.tolist()))
 
 
 def _additive_generators(ring: RingTable) -> list[int]:
@@ -786,11 +669,10 @@ def _additive_generators(ring: RingTable) -> list[int]:
         span[g] = True
         while frontier:
             x = frontier.pop()
-            row = ring.add_row(x)[np.flatnonzero(span)]
-            fresh = [int(v) for v in row if not span[v]]
-            for v in fresh:
-                span[v] = True
-            frontier.extend(fresh)
+            row = ring.add_row(x)[span]
+            fresh = np.unique(row[~span[row]])
+            span[fresh] = True
+            frontier.extend(fresh.tolist())
 
     grow(ring.one)
     gens.append(ring.one)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from comaximal import (
@@ -241,6 +242,24 @@ class TestTableFiles:
         path.write_text("not json at all")
         with pytest.raises(TableFormatError):
             load_table_ring(str(path))
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["one-sided", "symmetric"])
+    @pytest.mark.parametrize("n", [300, 1024])
+    def test_one_corrupted_mul_entry_rejected(self, tmp_path, n, symmetric):
+        idx = np.arange(n)
+        add = (idx[:, None] + idx) % n
+        mul = (idx[:, None] * idx) % n
+        a, b = 7, 11
+        mul[a, b] = (mul[a, b] + 1) % n
+        if symmetric:
+            mul[b, a] = mul[a, b]
+        path = tmp_path / "corrupted.json"
+        path.write_text(
+            json.dumps({"size": n, "one": 1, "add": add.ravel().tolist(), "mul": mul.ravel().tolist()})
+        )
+        with pytest.raises(RingAxiomError) as err:
+            load_table_ring(str(path))
+        assert all(0 <= w < n for w in err.value.witness)
 
     def test_axiom_violation_rejected_with_witness(self, tmp_path):
         ring = ring_from_text("Z/4")

@@ -13,6 +13,7 @@ from comaximal import (
     ring_isomorphic,
     validate_ring_axioms,
 )
+from comaximal.limits import TABLE_LIMIT
 from comaximal.rings import RingTable
 
 from oracles import zn_comaximal, zn_unit
@@ -384,3 +385,93 @@ class TestCosetRepresentatives:
         reps, rep_of = r.coset_representatives(j)
         assert len(reps) * len(j) == r.size
         assert len(np.unique(rep_of)) == len(reps)
+
+
+def _quotient_by_radical(text: str) -> RingTable:
+    r = ring_from_text(text)
+    return r.quotient(r.jacobson_radical)[0]
+
+
+def _component(text: str, e: int) -> RingTable:
+    return ring_from_text(text).idempotent_component(e)
+
+
+# One ring of each construction on each side of TABLE_LIMIT: the small ones
+# read their laws from a materialised table, the large ones call the
+# construction's elementwise functions directly.
+DERIVED_CASES = {
+    "Z/12": (lambda: zn(12), 12),
+    "Z/300": (lambda: zn(300), 300),
+    "GF(16)": (lambda: ring_from_text("GF(16)"), 16),
+    "GF(2^9)": (lambda: ring_from_text("GF(2^9)"), 512),
+    "SQZ(2,3)": (lambda: ring_from_text("SQZ(2,3)"), 16),
+    "SQZ(2,8)": (lambda: ring_from_text("SQZ(2,8)"), 512),
+    "Z/3 x Z/4": (lambda: ring_from_text("Z/3 x Z/4"), 12),
+    "Z/3 x Z/100": (lambda: ring_from_text("Z/3 x Z/100"), 300),
+    "(Z/4 x Z/9)/J": (lambda: _quotient_by_radical("Z/4 x Z/9"), 6),
+    "(Z/4 x Z/257)/J": (lambda: _quotient_by_radical("Z/4 x Z/257"), 514),
+    "Z/12*e4": (lambda: _component("Z/12", 4), 3),
+    "(Z/2 x Z/300)*e1": (lambda: _component("Z/2 x Z/300", 1), 300),
+}
+
+
+@pytest.fixture(params=list(DERIVED_CASES), scope="module")
+def derived_ring(request):
+    build, size = DERIVED_CASES[request.param]
+    ring = build()
+    assert ring.size == size
+    return ring
+
+
+class TestDerivedForms:
+    """Rows, negation and whole-ring scans agree with scalar operations."""
+
+    def test_both_sides_of_table_limit(self):
+        sizes = [size for _, size in DERIVED_CASES.values()]
+        assert sum(s <= TABLE_LIMIT for s in sizes) == sum(s > TABLE_LIMIT for s in sizes)
+
+    def test_rows_match_scalars(self, derived_ring):
+        r = derived_ring
+        n = r.size
+        for a in sorted({0, 1, r.one, n - 1, *range(0, n, max(1, n // 8))}):
+            assert r.add_row(a).tolist() == [r.add(a, b) for b in range(n)]
+            assert r.mul_row(a).tolist() == [r.mul(a, b) for b in range(n)]
+
+    def test_negation(self, derived_ring):
+        r = derived_ring
+        assert all(r.add(a, r.neg(a)) == 0 for a in range(r.size))
+
+    def test_idempotents(self, derived_ring):
+        r = derived_ring
+        assert r.idempotent_elements == tuple(a for a in range(r.size) if r.mul(a, a) == a)
+
+    def test_nilpotents(self, derived_ring):
+        # a^k R strictly shrinks until it reaches 0, and each step at least
+        # halves it, so a nilpotent a has a^k == 0 for k = n.bit_length().
+        r = derived_ring
+        naive = []
+        for a in range(r.size):
+            x = a
+            for _ in range(r.size.bit_length()):
+                x = r.mul(x, a)
+            if x == 0:
+                naive.append(a)
+        assert r.nilpotent_elements == tuple(naive)
+
+    def test_characteristic(self, derived_ring):
+        r = derived_ring
+        k, x = 1, r.one
+        while x != 0:
+            x = r.add(x, r.one)
+            k += 1
+        assert r.characteristic == k
+
+    def test_clean_witnesses(self, derived_ring):
+        r = derived_ring
+        cd = r.clean_decomposition()
+        assert cd.clean
+        assert len(cd.witnesses) == r.size
+        for x, (e, u) in enumerate(cd.witnesses):
+            assert r.mul(e, e) == e
+            assert r.add(e, u) == x
+            assert (r.mul_row(u) == r.one).any()
