@@ -2,12 +2,17 @@
 
 Each claim has a stable id and a checker that returns pass, fail, or
 skip.  A fail always carries a witness dict of concrete elements or
-counts; `revalidate_report` can later recheck such a witness against
-the ring primitives, so doctored reports do not survive an audit.
+counts.  `revalidate_report` audits a report entry by recomputing it
+from the ring text and the caps and requiring the same JSON, whatever
+the outcome.  Where a fail witness names concrete elements, the claim
+also registers an audit, defined just above its checker, that rechecks
+the witness through the ideal-closure oracle or scalar ring operations,
+independently of the signature path the checkers share.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -18,7 +23,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .construct import expression_size, parse_expression, ring_from_text
-from .errors import CapacityError, ParseError, RingAxiomError, TableFormatError
+from .errors import (
+    CapacityError,
+    InternalConsistencyError,
+    ParseError,
+    RingAxiomError,
+    TableFormatError,
+)
 from .graphs import (
     SimpleGraph,
     build_comaximal_graph,
@@ -26,7 +37,6 @@ from .graphs import (
     clique_number,
     join,
     metrics,
-    distance,
     multipartite_structure,
 )
 from .isomorphism import are_isomorphic
@@ -116,19 +126,27 @@ def _z2xz2() -> RingTable:
 
 @dataclass(frozen=True)
 class ClaimSpec:
+    """A registered claim.
+
+    `audit(witness, ring) -> bool`, when set, rechecks a fail witness that
+    names concrete elements without the signature path, and is true when
+    the witness really contradicts the claim.
+    """
+
     claim_id: str
     summary: str
     arity: int
     check: Callable
+    audit: Callable[[dict, RingTable], bool] | None = None
 
 
 SINGLE_CLAIMS: dict[str, ClaimSpec] = {}
 PAIR_CLAIMS: dict[str, ClaimSpec] = {}
 
 
-def _claim(claim_id: str, summary: str, arity: int = 1):
+def _claim(claim_id: str, summary: str, arity: int = 1, audit: Callable | None = None):
     def register(fn: Callable) -> Callable:
-        spec = ClaimSpec(claim_id, summary, arity, fn)
+        spec = ClaimSpec(claim_id, summary, arity, fn, audit)
         (SINGLE_CLAIMS if arity == 1 else PAIR_CLAIMS)[claim_id] = spec
         return fn
 
@@ -170,7 +188,17 @@ def _is_prime_power(q: int) -> bool:
 # -- single-ring claims -----------------------------------------------------------
 
 
-@_claim("L2.1a", "the subgraph induced by the units is complete")
+def _audit_units_complete(witness: dict, ring: RingTable) -> bool:
+    x, y = witness["non_adjacent_units"]
+    return (
+        ring.is_unit(x)
+        and ring.is_unit(y)
+        and x != y
+        and not ring.is_comaximal_via_closure(x, y)
+    )
+
+
+@_claim("L2.1a", "the subgraph induced by the units is complete", audit=_audit_units_complete)
 def _check_units_complete(a: RingAnalysis):
     g = a.graph("units")
     full = (1 << g.n) - 1
@@ -208,7 +236,16 @@ def _edge_key_set(g: SimpleGraph) -> set[tuple[int, int]]:
     return out
 
 
-@_claim("JOIN", "the full graph is the join of the unit and nonunit subgraphs")
+def _audit_join(witness: dict, ring: RingTable) -> bool:
+    x, y = witness["edge"]
+    full_has = x != y and ring.is_comaximal_via_closure(x, y)
+    join_has = x != y and (ring.is_unit(x) != ring.is_unit(y) or full_has)
+    return full_has != join_has and witness["in_full"] == full_has
+
+
+@_claim(
+    "JOIN", "the full graph is the join of the unit and nonunit subgraphs", audit=_audit_join
+)
 def _check_join(a: RingAnalysis):
     full_edges = _edge_key_set(a.graph("full"))
     joined = join(a.graph("units"), a.graph("nonunits"))
@@ -290,7 +327,20 @@ def _check_universal_vertex(a: RingAnalysis):
     return _passed(witness)
 
 
-@_claim("T2.5", "clean ring whose core clique count matches its local factor count")
+def _audit_clean(witness: dict, ring: RingTable) -> bool:
+    """Only a not_clean witness names an element; the other kinds are counts."""
+    if witness["kind"] != "not_clean":
+        return True
+    x = witness["element"]
+    idempotents = [e for e in range(ring.size) if ring.mul(e, e) == e]
+    return not any(ring.is_unit(ring.sub(x, e)) for e in idempotents)
+
+
+@_claim(
+    "T2.5",
+    "clean ring whose core clique count matches its local factor count",
+    audit=_audit_clean,
+)
 def _check_clean_decomposition(a: RingAnalysis):
     ring = a.ring
     cd = ring.clean_decomposition()
@@ -402,7 +452,19 @@ def _check_zn_pattern(a: RingAnalysis):
     return _passed(witness) if ok else _failed(witness)
 
 
-@_claim("P4.7a", "adjacency is constant across radical cosets")
+def _audit_coset_lifting(witness: dict, ring: RingTable) -> bool:
+    _, rep_of = ring.coset_representatives(ring.jacobson_radical)
+    u, v = witness["adjacent_pair"]
+    p, q = witness["non_adjacent_pair"]
+    return (
+        rep_of[u] == rep_of[p]
+        and rep_of[v] == rep_of[q]
+        and ring.is_comaximal_via_closure(u, v)
+        and not ring.is_comaximal_via_closure(p, q)
+    )
+
+
+@_claim("P4.7a", "adjacency is constant across radical cosets", audit=_audit_coset_lifting)
 def _check_coset_lifting(a: RingAnalysis):
     ring = a.ring
     radical = ring.jacobson_radical
@@ -443,7 +505,26 @@ def _check_coset_lifting(a: RingAnalysis):
     return _passed({"cosets": k})
 
 
-@_claim("P4.7b", "within a radical coset, adjacency happens exactly on unit cosets")
+def _audit_coset_units(witness: dict, ring: RingTable) -> bool:
+    _, rep_of = ring.coset_representatives(ring.jacobson_radical)
+    kind, rep = witness["kind"], witness["coset_rep"]
+    if kind in ("nonunit_in_unit_coset", "unit_in_nonunit_coset"):
+        x = witness["element"]
+        return rep_of[x] == rep and ring.is_unit(x) != ring.is_unit(rep)
+    u, v = witness["pair"]
+    if rep_of[u] != rep or rep_of[v] != rep:
+        return False
+    adjacent = ring.is_comaximal_via_closure(u, v)
+    if kind == "missing_internal_edge":
+        return ring.is_unit(rep) and not adjacent
+    return kind == "unexpected_internal_edge" and not ring.is_unit(rep) and adjacent
+
+
+@_claim(
+    "P4.7b",
+    "within a radical coset, adjacency happens exactly on unit cosets",
+    audit=_audit_coset_units,
+)
 def _check_coset_units(a: RingAnalysis):
     ring = a.ring
     radical = ring.jacobson_radical
@@ -486,7 +567,22 @@ def _check_coset_units(a: RingAnalysis):
     return _passed({"cosets": len(reps), "unit_cosets": unit_cosets})
 
 
-@_claim("P4.7c", "radical-coset representatives induce the quotient ring's graph")
+def _audit_quotient_graph(witness: dict, ring: RingTable) -> bool:
+    quotient, proj = ring.quotient(ring.jacobson_radical)
+    _, rep_of = ring.coset_representatives(ring.jacobson_radical)
+    x, y = witness["rep_pair"]
+    if x == y or rep_of[x] != x or rep_of[y] != y:
+        return False
+    ring_adj = ring.is_comaximal_via_closure(x, y)
+    quot_adj = quotient.is_comaximal_via_closure(proj(x), proj(y))
+    return ring_adj != quot_adj and witness["ring_adjacent"] == ring_adj
+
+
+@_claim(
+    "P4.7c",
+    "radical-coset representatives induce the quotient ring's graph",
+    audit=_audit_quotient_graph,
+)
 def _check_quotient_graph(a: RingAnalysis):
     ring = a.ring
     radical = ring.jacobson_radical
@@ -495,8 +591,8 @@ def _check_quotient_graph(a: RingAnalysis):
         return _passed({"note": "radical is zero; the quotient is the ring itself"})
     reps, _ = ring.coset_representatives(radical)
     reps = [int(r) for r in reps]
-    for i, r in enumerate(reps):
-        assert proj(r) == i, "representative order must match quotient element order"
+    if [proj(r) for r in reps] != list(range(len(reps))):
+        raise InternalConsistencyError("representative order must match quotient element order")
     g_full = a.graph("full")
     g_quot = build_comaximal_graph(quotient, "full")
     for i in range(len(reps)):
@@ -554,7 +650,8 @@ def _check_residue_match(a1: RingAnalysis, a2: RingAnalysis):
                 if jdx != idx:
                     others |= other.mask
             only = ideal.mask & ~others
-            assert only, "a maximal ideal is covered by the others"
+            if not only:
+                raise InternalConsistencyError("a maximal ideal is covered by the others")
             x = (only & -only).bit_length() - 1
             non_neighbours = g.n - 1 - g.rows[x].bit_count()
             if non_neighbours != len(ideal) - 1:
@@ -765,8 +862,6 @@ def make_report(entries: list[dict], caps: Caps) -> dict:
 
 
 def save_report(report: dict, path: str) -> None:
-    import json
-
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -775,263 +870,43 @@ def save_report(report: dict, path: str) -> None:
 # -- report auditing -----------------------------------------------------------------
 
 
-def _audit_fail_witness(claim: str, witness: dict, analyses: list[RingAnalysis]) -> bool:
-    """Does the recorded witness genuinely contradict the claim?"""
-    a = analyses[0]
-    ring = a.ring
-    if claim == "L2.1a":
-        x, y = witness["non_adjacent_units"]
-        return (
-            ring.is_unit(x)
-            and ring.is_unit(y)
-            and x != y
-            and not ring.is_comaximal_via_closure(x, y)
-        )
-    if claim == "L2.1b":
-        x = witness["element"]
-        g = a.graph("nonunits")
-        pos = g.vertex_keys.index(x)
-        deg = g.rows[pos].bit_count()
-        in_rad = x in ring.jacobson_radical
-        return deg == witness["degree"] and in_rad == witness["in_radical"] and (
-            (deg == 0) != in_rad
-        )
-    if claim == "JOIN":
-        x, y = witness["edge"]
-        full_has = x != y and ring.is_comaximal(x, y)
-        ux, uy = ring.is_unit(x), ring.is_unit(y)
-        if ux != uy:
-            join_has = x != y
-        else:
-            join_has = x != y and ring.is_comaximal(x, y)
-        return full_has != join_has and witness["in_full"] == full_has
-    if claim == "T2.2":
-        st = multipartite_structure(a.graph("core"))
-        t = ring.maximal_ideal_count
-        return (
-            witness["core_complete_bipartite"] == st.is_complete_bipartite
-            and witness["max_ideal_count"] == t
-            and st.is_complete_bipartite != (t == 2)
-        )
-    if claim == "P2.3":
-        t = ring.maximal_ideal_count
-        if t < 2:
-            return False
-        return (
-            witness["clique"] == a.core_clique
-            and witness["chromatic"] == a.core_chromatic
-            and witness["max_ideal_count"] == t
-            and not (a.core_clique == t and a.core_chromatic == t)
-        )
-    if claim == "P2.4a":
-        if ring.maximal_ideal_count < 2:
-            return False
-        st = multipartite_structure(a.graph("core"))
-        return (
-            st.multipartite_parts is not None
-            and witness["parts"] == len(st.multipartite_parts)
-            and len(st.multipartite_parts) != 2
-        )
-    if claim == "P2.4b":
-        if ring.maximal_ideal_count < 2:
-            return False
-        g = a.graph("core")
-        if not any(g.rows[i].bit_count() == g.n - 1 for i in range(g.n)):
-            return False
-        kind = witness["kind"]
-        if kind == "radical_nonzero":
-            return len(ring.jacobson_radical) == witness["radical_size"] > 1
-        if kind == "max_ideal_count":
-            return ring.maximal_ideal_count == witness["count"] != 2
-        if kind == "pair_ideal_missing":
-            x = witness["vertex"]
-            mask = 1 | (1 << x)
-            return not any(m.mask == mask for m in ring.maximal_ideals)
-        if kind == "size_not_2q":
-            q, rem = divmod(ring.size, 2)
-            return bool(rem) or not _is_prime_power(q)
-        if kind == "not_isomorphic":
-            target = ring_from_text(witness["target"])
-            return ring_isomorphic(ring, target, cap=max(ring.size, 4)) is None
-        return False
-    if claim == "T2.5":
-        kind = witness["kind"]
-        if kind == "not_clean":
-            x = witness["element"]
-            return not any(
-                ring.is_unit(ring.sub(x, e)) for e in ring.idempotent_elements
-            )
-        if kind == "clique_mismatch":
-            return a.core_clique == witness["clique"] != ring.maximal_ideal_count
-        if kind == "local_core_nonempty":
-            return ring.maximal_ideal_count == 1 and a.graph("core").n > 0
-        primitive = ring.primitive_idempotents
-        if kind == "primitive_count":
-            return len(primitive) == witness["count"] != ring.maximal_ideal_count
-        if kind == "not_orthogonal":
-            e, f = witness["pair"]
-            return e != f and e in primitive and f in primitive and ring.mul(e, f) != 0
-        if kind == "sum_not_one":
-            total = 0
-            for e in primitive:
-                total = ring.add(total, e)
-            return total == witness["sum"] and total != ring.one
-        if kind == "factor_not_local":
-            e = witness["idempotent"]
-            if e not in primitive:
-                return False
-            component = ring.idempotent_component(e)
-            return component.maximal_ideal_count != 1
-        return False
-    if claim == "T3.1":
-        g = a.graph("core")
-        x, y = witness["pair"]
-        u = g.vertex_keys.index(x)
-        v = g.vertex_keys.index(y)
-        d = distance(g, u, v)
-        if witness["kind"] == "disconnected":
-            return d is None
-        return d == witness["distance"] and d is not None and d > 3
-    if claim == "L3.2":
-        lhs = a.core_metrics.diameter == 1
-        rhs = a.is_z2xz2
-        return witness["is_z2xz2"] == rhs and lhs != rhs
-    if claim == "P3.3b":
-        t = ring.maximal_ideal_count
-        lhs = a.core_metrics.diameter == 2
-        rhs = t == 2 and not a.is_z2xz2
-        return witness["max_ideal_count"] == t and lhs != rhs
-    if claim == "E3.4":
-        if ring.characteristic != ring.size:
-            return False
-        r = _distinct_prime_count(ring.size)
-        m = a.core_metrics
-        if witness["distinct_primes"] != r:
-            return False
-        if r == 1:
-            return m.vertex_count != 0
-        if r == 2:
-            return m.diameter != 2
-        return m.diameter != 3
-    if claim == "P4.7a":
-        radical = ring.jacobson_radical
-        _, rep_of = ring.coset_representatives(radical)
-        u, v = witness["adjacent_pair"]
-        p, q = witness["non_adjacent_pair"]
-        same_cosets = rep_of[u] == rep_of[p] and rep_of[v] == rep_of[q]
-        return (
-            bool(same_cosets)
-            and ring.is_comaximal_via_closure(u, v)
-            and not ring.is_comaximal_via_closure(p, q)
-        )
-    if claim == "P4.7b":
-        radical = ring.jacobson_radical
-        _, rep_of = ring.coset_representatives(radical)
-        kind = witness["kind"]
-        rep = witness["coset_rep"]
-        if kind in ("nonunit_in_unit_coset", "unit_in_nonunit_coset"):
-            x = witness["element"]
-            if rep_of[x] != rep:
-                return False
-            return ring.is_unit(x) != ring.is_unit(rep)
-        u, v = witness["pair"]
-        if rep_of[u] != rep or rep_of[v] != rep:
-            return False
-        adjacent = ring.is_comaximal_via_closure(u, v)
-        if kind == "missing_internal_edge":
-            return ring.is_unit(rep) and not adjacent
-        if kind == "unexpected_internal_edge":
-            return not ring.is_unit(rep) and adjacent
-        return False
-    if claim == "P4.7c":
-        quotient, proj = ring.quotient(ring.jacobson_radical)
-        _, rep_of = ring.coset_representatives(ring.jacobson_radical)
-        x, y = witness["rep_pair"]
-        if x == y or rep_of[x] != x or rep_of[y] != y:
-            return False
-        ring_adj = ring.is_comaximal_via_closure(x, y)
-        quot_adj = quotient.is_comaximal(proj(x), proj(y))
-        return ring_adj != quot_adj and witness["ring_adjacent"] == ring_adj
-    if claim == "SB-chi":
-        g = a.graph("full")
-        expected = ring.maximal_ideal_count + ring.unit_count
-        omega = clique_number(g, a.caps.max_exact_vertices)
-        chi = chromatic_number(g, a.caps.max_exact_vertices)
-        return (
-            witness["clique"] == omega
-            and witness["chromatic"] == chi
-            and not (omega == expected and chi == expected)
-        )
-    if claim == "T4.4":
-        a2 = analyses[1]
-        g1, g2 = a.graph("full"), a2.graph("full")
-        if are_isomorphic(g1, g2, a.caps.max_graphiso_vertices) is None:
-            return False
-        if witness["kind"] == "residue_mismatch":
-            res1 = list(a.ring.residue_field_sizes)
-            res2 = list(a2.ring.residue_field_sizes)
-            return witness["residues"] == [res1, res2] and res1 != res2
-        if witness["kind"] == "non_neighbour_count":
-            target = a if witness["ring"] == a.text else a2
-            g = target.graph("full")
-            x = witness["element"]
-            holders = [
-                m for m in target.ring.maximal_ideals if x in m
-            ]
-            if len(holders) != 1:
-                return False
-            count = g.n - 1 - g.rows[x].bit_count()
-            return (
-                count == witness["count"]
-                and len(holders[0]) == witness["ideal_size"]
-                and count != len(holders[0]) - 1
-            )
-        return False
-    if claim == "C4.6":
-        a2 = analyses[1]
-        if not (a.ring.is_reduced or a2.ring.is_reduced):
-            return False
-        giso = are_isomorphic(
-            a.graph("full"), a2.graph("full"), a.caps.max_graphiso_vertices
-        )
-        riso = ring_isomorphic(a.ring, a2.ring, cap=max(a.ring.size, a.caps.max_ringiso_size))
-        return (
-            witness["graphs_isomorphic"] == (giso is not None)
-            and witness["rings_isomorphic"] == (riso is not None)
-            and (giso is None) != (riso is None)
-        )
-    return False
-
-
 def revalidate_report(
     report: ClaimReport | dict,
     rings: Sequence[RingTable] | None = None,
     *,
     caps: Caps | None = None,
 ) -> bool:
-    """Audit a claim report against the ring primitives.
+    """Audit one report entry by recomputing it.
 
-    Pass/skip outcomes carry no counter-witness and validate trivially.
-    A fail outcome validates only when its recorded witness still
-    contradicts the claim when recomputed from scratch; hand-edited
-    reports or graphs are rejected here.
+    The entry's claim is rerun on its rings (built from the entry's texts
+    unless `rings` is given) under `caps`, which must be the caps the
+    report was made with.  The entry validates only when the recomputed
+    entry has the same canonical JSON, so an edit to any field of a pass,
+    fail or skip is rejected.  A fail whose claim registers an audit must
+    in addition survive that independent recheck of its witness.
     """
-    if isinstance(report, ClaimReport):
-        claim, outcome = report.claim, report.outcome
-        witness, texts = report.witness, report.rings
-    else:
-        claim, outcome = report["claim"], report["outcome"]
-        witness, texts = report.get("witness"), report["rings"]
-    if outcome in ("pass", "skip"):
-        return True
-    if witness is None:
-        return False
-    if rings is None:
-        rings = [ring_from_text(t) for t in texts]
-    analyses = [
-        RingAnalysis(r, text=t, caps=caps) for r, t in zip(rings, texts)
-    ]
+    entry = report.to_json() if isinstance(report, ClaimReport) else report
+    caps = caps or Caps()
     try:
-        return _audit_fail_witness(claim, witness, analyses)
+        claim, texts = entry["claim"], list(entry["rings"])
+        spec = {**SINGLE_CLAIMS, **PAIR_CLAIMS}[claim]
+        if len(texts) != spec.arity:
+            return False
+        if spec.arity == 1 and rings is None:
+            (recomputed,) = _sweep_one(texts[0], [claim], caps)
+        else:
+            if rings is None:
+                rings = [ring_from_text(t, max_size=caps.max_ring_size) for t in texts]
+            if spec.arity == 1:
+                (fresh,) = verify_ring(rings[0], [claim], text=texts[0], caps=caps)
+            else:
+                (fresh,) = verify_pair(*rings, [claim], texts=tuple(texts), caps=caps)
+            recomputed = fresh.to_json()
+        if json.dumps(recomputed, sort_keys=True) != json.dumps(entry, sort_keys=True):
+            return False
+        if entry["outcome"] != "fail" or spec.audit is None:
+            return True
+        ring = rings[0] if rings else ring_from_text(texts[0], max_size=caps.max_ring_size)
+        return bool(spec.audit(entry["witness"], ring))
     except (KeyError, TypeError, ValueError, IndexError, CapacityError):
         return False

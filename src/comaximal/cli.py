@@ -6,7 +6,8 @@ isomorphism), ``verify``/``verify-pair`` (claim checks), ``sweep``
 (family-wide claim reports).
 
 Exit codes: 0 success, 1 claim failure or a definite non-isomorphism,
-2 usage or parse error, 3 a configured cap was exceeded.
+2 usage or parse error, 3 a configured cap was exceeded, 4 an internal
+self-check failed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ from .claims import (
     zn_family,
 )
 from .construct import ring_from_text
-from .errors import CapacityError, ParseError, RingAxiomError, TableFormatError
+from .errors import (
+    CapacityError,
+    InternalConsistencyError,
+    ParseError,
+    RingAxiomError,
+    TableFormatError,
+)
 from .graphs import (
     build_comaximal_graph,
     chromatic_number,
@@ -48,6 +55,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 ENV_CAPS = {
     "max_ring_size": "COMAXIMAL_MAX_RING_SIZE",
@@ -441,6 +449,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"capability: {exc}\n")
         return EXIT_CAPACITY
+    except InternalConsistencyError as exc:
+        sys.stderr.write(f"error: internal consistency check failed: {exc}\n")
+        return EXIT_INTERNAL
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

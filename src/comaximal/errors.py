@@ -44,3 +44,10 @@ class CapacityError(Exception):
         self.lower = lower
         self.upper = upper
         super().__init__(message)
+
+
+class InternalConsistencyError(RuntimeError):
+    """Raised when an internal self-check fails: two derivations of the same
+    ring or graph fact disagree, or a search returns a witness that does not
+    verify.  It signals a bug in the package, never bad input.
+    """

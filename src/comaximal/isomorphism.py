@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator
 
-from .errors import CapacityError
+from .errors import CapacityError, InternalConsistencyError
 from .graphs import SimpleGraph
 from .limits import DEFAULT_CERTIFICATE_CAP, DEFAULT_GRAPH_ISO_CAP
 from .rings import _iter_bits
@@ -76,7 +76,8 @@ def _refine_rounds(
 def refined_colors(g: SimpleGraph) -> tuple[int, ...]:
     """Stable vertex colours, canonical across isomorphic graphs."""
     result = _refine_rounds([g.rows])
-    assert result is not None
+    if result is None:
+        raise InternalConsistencyError("refining a single graph cannot split its histogram")
     return tuple(result[0])
 
 
@@ -200,7 +201,8 @@ def are_isomorphic(
         chosen[depth] = w
         if depth + 1 == k:
             mapping = lift()
-            assert verify_isomorphism(g1, g2, mapping), "search returned a bad witness"
+            if not verify_isomorphism(g1, g2, mapping):
+                raise InternalConsistencyError("search returned a bad witness")
             return mapping
         depth += 1
         iters[depth] = make_iter(depth)
@@ -281,7 +283,8 @@ def canonical_certificate(g: SimpleGraph, cap: int = DEFAULT_CERTIFICATE_CAP) ->
             used[v] = False
 
     rec(0, False)
-    assert best_perm is not None
+    if best_perm is None:
+        raise InternalConsistencyError("canonical search placed no permutation")
     bits = []
     for i in range(n):
         for j in range(i + 1, n):

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, RingAxiomError
+from .errors import CapacityError, InternalConsistencyError, RingAxiomError
 from .limits import (
     CROSSCHECK_LIMIT,
     DEFAULT_MAX_RING_SIZE,
@@ -256,7 +256,8 @@ class RingTable:
         for x in self._row_blocks(np.flatnonzero(~units)):
             member[x[:, 0]] = units[one_minus[self.mul_op(x, self._idx)]].all(axis=1)
         ideal = IdealSet(n, _mask_from_bool(member))
-        assert self.is_ideal(ideal), "radical is not an ideal; operations are inconsistent"
+        if not self.is_ideal(ideal):
+            raise InternalConsistencyError("radical is not an ideal; operations are inconsistent")
         return ideal
 
     @cached_property
@@ -360,18 +361,21 @@ class RingTable:
             annihilates = quot.mul_row(e) == 0
             member = annihilates[proj_arr]
             ideals.append(IdealSet(n, _mask_from_bool(member)))
-        assert ideals, "every nonzero finite ring has a maximal ideal"
+        if not ideals:
+            raise InternalConsistencyError("every nonzero finite ring has a maximal ideal")
         meet = ideals[0].mask
         for ideal in ideals[1:]:
             meet &= ideal.mask
-        assert meet == self.jacobson_radical.mask, "maximal ideals do not intersect in the radical"
-        for ideal in ideals:
-            assert self.one not in ideal, "maximal ideal contains the identity"
+        if meet != self.jacobson_radical.mask:
+            raise InternalConsistencyError("maximal ideals do not intersect in the radical")
+        if any(self.one in ideal for ideal in ideals):
+            raise InternalConsistencyError("maximal ideal contains the identity")
         if n <= CROSSCHECK_LIMIT:
             independent = {i.mask for i in maximal_ideals_bruteforce(self)}
-            assert {i.mask for i in ideals} == independent, (
-                "idempotent-based maximal ideals disagree with brute force"
-            )
+            if {i.mask for i in ideals} != independent:
+                raise InternalConsistencyError(
+                    "idempotent-based maximal ideals disagree with brute force"
+                )
         return tuple(ideals)
 
     @property
@@ -390,10 +394,10 @@ class RingTable:
         sig = np.zeros(self.size, dtype=np.int64)
         for i, ideal in enumerate(self.maximal_ideals):
             sig |= ideal.member_flags().astype(np.int64) << i
-        units_by_sig = sig == 0
-        assert (units_by_sig == self.unit_flags).all(), (
-            "elements outside every maximal ideal must be exactly the units"
-        )
+        if not ((sig == 0) == self.unit_flags).all():
+            raise InternalConsistencyError(
+                "elements outside every maximal ideal must be exactly the units"
+            )
         sig.setflags(write=False)
         return sig
 
@@ -443,7 +447,8 @@ class RingTable:
             return self, identity
         reps, rep_of = self.coset_representatives(ideal)
         q = len(reps)
-        assert q * len(ideal) == n, "cosets do not partition the ring evenly"
+        if q * len(ideal) != n:
+            raise InternalConsistencyError("cosets do not partition the ring evenly")
         position = np.full(n, -1, dtype=np.int64)
         position[reps] = np.arange(q)
         elem_to_q = position[rep_of]
@@ -566,7 +571,8 @@ def maximal_ideals_bruteforce(ring: RingTable) -> tuple[IdealSet, ...]:
         if any(mask >> a & 1 for mask in found):
             continue
         current = ring.ideal_closure((a,))
-        assert ring.one not in current
+        if ring.one in current:
+            raise InternalConsistencyError("a nonunit generates the whole ring")
         members = list(current.members())
         mask = current.mask
         for x in range(n):
@@ -727,8 +733,12 @@ def ring_isomorphic(
 
     gens = _additive_generators(r1)
 
-    def propagate(fwd: list[int], rev: list[int], x: int, y: int) -> bool:
-        """Force phi(x)=y and close under both operations."""
+    def propagate(fwd: np.ndarray, rev: np.ndarray, x: int, y: int) -> bool:
+        """Force phi(x)=y and close under both operations.
+
+        The closure does not depend on the order pairs leave the queue, so
+        each newly fixed pair is combined with the whole defined domain at once.
+        """
         queue = [(x, y)]
         while queue:
             u, v = queue.pop()
@@ -742,16 +752,15 @@ def ring_isomorphic(
                 return False
             fwd[u] = v
             rev[v] = u
-            defined = [w for w in range(n) if fwd[w] != -1]
-            for w in defined:
-                fw = fwd[w]
-                queue.append((r1.add(u, w), r2.add(v, fw)))
-                queue.append((r1.mul(u, w), r2.mul(v, fw)))
+            dom = np.flatnonzero(fwd != -1)
+            img = fwd[dom]
+            queue.extend(zip(r1.add_op(u, dom).tolist(), r2.add_op(v, img).tolist()))
+            queue.extend(zip(r1.mul_op(u, dom).tolist(), r2.mul_op(v, img).tolist()))
         return True
 
-    def search(fwd: list[int], rev: list[int], gi: int) -> list[int] | None:
+    def search(fwd: np.ndarray, rev: np.ndarray, gi: int) -> np.ndarray | None:
         if gi == len(gens):
-            if -1 in fwd:
+            if (fwd == -1).any():
                 return None
             return fwd
         g = gens[gi]
@@ -769,13 +778,14 @@ def ring_isomorphic(
                     return result
         return None
 
-    fwd = [-1] * n
-    rev = [-1] * n
+    fwd = np.full(n, -1, dtype=np.int64)
+    rev = np.full(n, -1, dtype=np.int64)
     fwd[0] = 0
     rev[0] = 0
     mapping = search(fwd, rev, 0)
     if mapping is None:
         return None
-    iso = ElementMap(r1, r2, tuple(mapping), isomorphism=True)
-    assert iso.verify(), "search produced a mapping that fails verification"
+    iso = ElementMap(r1, r2, tuple(mapping.tolist()), isomorphism=True)
+    if not iso.verify():
+        raise InternalConsistencyError("search produced a mapping that fails verification")
     return iso

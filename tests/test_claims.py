@@ -1,6 +1,7 @@
 """Claim checker, sweep, and report audit tests."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -19,7 +20,8 @@ from comaximal import (
     verify_ring,
     zn_family,
 )
-from comaximal.claims import CLAIM_ORDER, PAIR_CLAIMS, SINGLE_CLAIMS
+from comaximal.claims import CLAIM_ORDER, PAIR_CLAIMS, SINGLE_CLAIMS, _sweep_one
+from comaximal.rings import RingTable
 
 from oracles import distinct_primes
 
@@ -396,3 +398,116 @@ class TestRevalidation:
             },
         }
         assert revalidate_report(t44) is False
+
+
+def sweep_entry(text: str, claim: str, caps: Caps | None = None) -> dict:
+    (entry,) = sweep([text], [claim], caps=caps)["entries"]
+    return entry
+
+
+def edited(entry: dict, **fields) -> dict:
+    out = copy.deepcopy(entry)
+    out.update(fields)
+    return out
+
+
+def break_graph(monkeypatch, selector: str, victim: int = 0) -> None:
+    """Make every RingAnalysis drop all edges at one vertex of one graph."""
+    original = RingAnalysis.graph
+
+    def graph(self, sel):
+        g = original(self, sel)
+        if sel != selector or g.n < 2:
+            return g
+        rows = [row & ~(1 << victim) for row in g.rows]
+        rows[victim] = 0
+        return type(g)(g.n, rows, labels=g.labels, vertex_keys=g.vertex_keys)
+
+    monkeypatch.setattr(RingAnalysis, "graph", graph)
+
+
+class TestRecomputedAudit:
+    def test_forged_pass_rejected(self):
+        entry = sweep_entry("Z/30", "T3.1")
+        assert entry["outcome"] == "pass" and revalidate_report(entry)
+        assert not revalidate_report(edited(entry, witness={"diameter": 7}))
+
+    def test_pass_to_fail_rejected(self):
+        entry = sweep_entry("Z/30", "T3.1")
+        assert not revalidate_report(edited(entry, outcome="fail"))
+
+    def test_skip_to_pass_rejected(self):
+        entry = sweep_entry("Z/8", "P2.3")
+        assert entry["outcome"] == "skip" and revalidate_report(entry)
+        assert not revalidate_report(edited(entry, outcome="pass"))
+        assert not revalidate_report(edited(entry, outcome="pass", skip_reason=None))
+
+    def test_edited_skip_reason_rejected(self):
+        entry = sweep_entry("Z/8", "P2.3")
+        reason = entry["skip_reason"].replace("two", "three")
+        assert not revalidate_report(edited(entry, skip_reason=reason))
+
+    def test_deleted_witness_key_rejected(self):
+        entry = sweep_entry("Z/30", "P2.3")
+        witness = dict(entry["witness"])
+        del witness["chromatic"]
+        assert not revalidate_report(edited(entry, witness=witness))
+
+    def test_fail_to_skip_rejected(self, monkeypatch):
+        break_graph(monkeypatch, "core")
+        entry = sweep_entry("Z/30", "T3.1")
+        assert entry["outcome"] == "fail"
+        # With the same broken graph recomputation reproduces the fail, and
+        # T3.1 has no element audit, so only the flip is caught.
+        assert revalidate_report(entry)
+        flipped = edited(entry, outcome="skip", witness=None, skip_reason="the core is empty")
+        assert not revalidate_report(flipped)
+
+    def test_construction_failure_skip_round_trips(self):
+        entry = sweep_entry("Z/banana", "L2.1a")
+        assert entry["outcome"] == "skip" and revalidate_report(entry)
+        assert not revalidate_report(edited(entry, skip_reason="construction failed: no"))
+
+    def test_honest_sweep_accepted(self):
+        report = json.loads(json.dumps(sweep(zn_family(12))))
+        assert len(report["entries"]) == 11 * len(SINGLE_CLAIMS)
+        assert all(revalidate_report(e) for e in report["entries"])
+
+    def test_honest_pair_report_accepted(self):
+        rings = [ring_from_text("Z/6"), ring_from_text("Z/10")]
+        reports = verify_pair(*rings, texts=("Z/6", "Z/10"))
+        assert [r.claim for r in reports] == list(PAIR_CLAIMS)
+        for r in reports:
+            assert revalidate_report(r)
+            assert revalidate_report(r.to_json(), rings)
+            assert not revalidate_report(edited(r.to_json(), outcome="fail"))
+
+    def test_caps_must_be_the_reports(self):
+        caps = Caps(max_exact_vertices=2, exact_chromatic_ring_size=4)
+        report = sweep(["Z/6", "Z/30"], ["P2.3", "SB-chi"], caps=caps)
+        assert all(revalidate_report(e, caps=caps) for e in report["entries"])
+        assert all(
+            revalidate_report(e, caps=Caps(**report["caps"])) for e in report["entries"]
+        )
+        capped = [e for e in report["entries"] if e["outcome"] == "skip"]
+        assert capped
+        assert not any(revalidate_report(e) for e in capped)
+
+    def test_closure_audit_rejects_reproducible_fail(self, monkeypatch):
+        break_graph(monkeypatch, "units")
+        (entry,) = _sweep_one("Z/30", ["L2.1a"], Caps())
+        assert entry["outcome"] == "fail"
+        assert _sweep_one("Z/30", ["L2.1a"], Caps()) == [entry]
+        assert revalidate_report(entry) is False
+        # The audit is what rejects it: without the audit, or with an oracle
+        # that agrees with the broken graph, the entry is accepted.
+        with monkeypatch.context() as m:
+            m.setattr(RingTable, "is_comaximal_via_closure", lambda *_: False)
+            assert revalidate_report(entry) is True
+        blind = dataclasses.replace(SINGLE_CLAIMS["L2.1a"], audit=None)
+        monkeypatch.setitem(SINGLE_CLAIMS, "L2.1a", blind)
+        assert revalidate_report(entry) is True
+
+    def test_element_audits_registered_next_to_checkers(self):
+        audited = {cid for cid, spec in {**SINGLE_CLAIMS, **PAIR_CLAIMS}.items() if spec.audit}
+        assert audited == {"L2.1a", "JOIN", "T2.5", "P4.7a", "P4.7b", "P4.7c"}

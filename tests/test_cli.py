@@ -40,6 +40,12 @@ class TestRing:
         assert code == 3
         assert "cap" in err
 
+    def test_internal_error_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr("comaximal.rings.maximal_ideals_bruteforce", lambda ring: ())
+        code, out, err = run_cli(capsys, "ring", "Z/12")
+        assert code == 4
+        assert err.startswith("error: ") and "brute force" in err
+
     def test_cap_flag_override(self, capsys):
         code, out, _ = run_cli(capsys, "ring", "Z/9999", "--max-ring-size", "10000")
         assert code == 0

@@ -1,11 +1,18 @@
 """Ring kernel tests against hand-derived and brute-force values."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import comaximal
 from comaximal import (
     CapacityError,
     IdealSet,
+    InternalConsistencyError,
     RingAxiomError,
     direct_product,
     maximal_ideals_bruteforce,
@@ -475,3 +482,37 @@ class TestDerivedForms:
             assert r.mul(e, e) == e
             assert r.add(e, u) == x
             assert (r.mul_row(u) == r.one).any()
+
+
+class TestSelfChecks:
+    """Internal cross-checks raise InternalConsistencyError, also under -O."""
+
+    def test_crosscheck_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr("comaximal.rings.maximal_ideals_bruteforce", lambda ring: ())
+        with pytest.raises(InternalConsistencyError, match="brute force"):
+            zn(12).maximal_ideals
+
+    def test_crosscheck_survives_python_O(self):
+        script = (
+            "import sys\n"
+            "import comaximal.rings as rings\n"
+            "from comaximal import InternalConsistencyError, ring_from_text\n"
+            "rings.maximal_ideals_bruteforce = lambda ring: ()\n"
+            "try:\n"
+            "    ideals = ring_from_text('Z/12').maximal_ideals\n"
+            "except InternalConsistencyError as exc:\n"
+            "    print('raised', sys.flags.optimize, exc)\n"
+            "else:\n"
+            "    print('returned', len(ideals))\n"
+        )
+        src = str(Path(comaximal.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("raised 1 "), result.stdout
+        assert "brute force" in result.stdout
