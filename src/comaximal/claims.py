@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
@@ -46,7 +45,7 @@ from .limits import (
     DEFAULT_MAX_RING_SIZE,
     DEFAULT_RING_ISO_CAP,
 )
-from .rings import RingTable, ring_isomorphic
+from .rings import _BLOCK, RingTable, ring_isomorphic
 from .version import __version__
 
 
@@ -108,6 +107,25 @@ class RingAnalysis:
     @cached_property
     def core_chromatic(self) -> int:
         return chromatic_number(self.graph("core"), self.caps.max_exact_vertices)
+
+    @cached_property
+    def radical_cosets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(reps, coset, edges) for the cosets of the Jacobson radical.
+
+        `reps` are the sorted coset representatives, `coset[x]` is the
+        index of the coset of element x, and `edges[i, j]` counts the
+        full-graph edges from coset i to coset j (inner edges twice).
+        """
+        reps, rep_of = self.ring.coset_representatives(self.ring.jacobson_radical)
+        coset = np.searchsorted(reps, rep_of)
+        k, n = len(reps), len(coset)
+        adj = self.graph("full").adjacency()
+        edges = np.zeros(k * k, dtype=np.int64)
+        step = max(1, _BLOCK // n)  # rows at a time, so the pair indices stay small
+        for lo in range(0, n, step):
+            pairs = coset[lo : lo + step, None] * k + coset
+            edges += np.bincount(pairs[adj[lo : lo + step]], minlength=k * k)
+        return reps, coset, edges.reshape(k, k)
 
     @cached_property
     def is_z2xz2(self) -> bool:
@@ -228,11 +246,11 @@ def _check_radical_isolated(a: RingAnalysis):
     return _passed({"radical_size": len(radical), "isolated": isolated})
 
 
-def _edge_key_set(g: SimpleGraph) -> set[tuple[int, int]]:
-    out = set()
-    for i, j in g.edges():
-        a, b = g.vertex_keys[i], g.vertex_keys[j]
-        out.add((a, b) if a < b else (b, a))
+def _element_adjacency(g: SimpleGraph, size: int) -> np.ndarray:
+    """`g.adjacency()` placed on ring elements: entry [x, y] for elements x, y."""
+    keys = np.asarray(g.vertex_keys, dtype=np.int64)
+    out = np.zeros((size, size), dtype=bool)
+    out[np.ix_(keys, keys)] = g.adjacency()
     return out
 
 
@@ -247,13 +265,14 @@ def _audit_join(witness: dict, ring: RingTable) -> bool:
     "JOIN", "the full graph is the join of the unit and nonunit subgraphs", audit=_audit_join
 )
 def _check_join(a: RingAnalysis):
-    full_edges = _edge_key_set(a.graph("full"))
-    joined = join(a.graph("units"), a.graph("nonunits"))
-    join_edges = _edge_key_set(joined)
-    if full_edges != join_edges:
-        diff = sorted(full_edges.symmetric_difference(join_edges))[0]
-        return _failed({"edge": list(diff), "in_full": diff in full_edges})
-    return _passed({"edges": len(full_edges)})
+    full = a.graph("full")
+    full_adj = _element_adjacency(full, a.ring.size)
+    joined = _element_adjacency(join(a.graph("units"), a.graph("nonunits")), a.ring.size)
+    diff = np.flatnonzero(np.triu(full_adj != joined, 1))
+    if len(diff):
+        x, y = divmod(int(diff[0]), a.ring.size)
+        return _failed({"edge": [x, y], "in_full": bool(full_adj[x, y])})
+    return _passed({"edges": full.edge_count})
 
 
 @_claim("T2.2", "the core is complete bipartite exactly when there are two maximal ideals")
@@ -467,42 +486,28 @@ def _audit_coset_lifting(witness: dict, ring: RingTable) -> bool:
 @_claim("P4.7a", "adjacency is constant across radical cosets", audit=_audit_coset_lifting)
 def _check_coset_lifting(a: RingAnalysis):
     ring = a.ring
-    radical = ring.jacobson_radical
-    if len(radical) == 1:
+    if len(ring.jacobson_radical) == 1:
         return _passed({"cosets": ring.size, "note": "radical is zero; cosets are singletons"})
+    reps, coset, edges = a.radical_cosets
+    sizes = np.bincount(coset)
+    mixed = (edges != 0) & (edges != np.outer(sizes, sizes))
+    bad = np.flatnonzero(np.triu(mixed, 1))
+    if not len(bad):
+        return _passed({"cosets": len(reps)})
+    i, j = divmod(int(bad[0]), len(reps))
     g = a.graph("full")
-    reps, rep_of = ring.coset_representatives(radical)
-    members: list[list[int]] = []
-    masks: list[int] = []
-    for r in reps:
-        mem = [int(x) for x in np.flatnonzero(rep_of == r)]
-        members.append(mem)
-        mask = 0
-        for x in mem:
-            mask |= 1 << x
-        masks.append(mask)
-    k = len(reps)
-    for i in range(k):
-        for j in range(i + 1, k):
-            count = sum((g.rows[u] & masks[j]).bit_count() for u in members[i])
-            expected_full = len(members[i]) * len(members[j])
-            if count == 0 or count == expected_full:
-                continue
-            good = bad = None
-            for u in members[i]:
-                for v in members[j]:
-                    if g.has_edge(u, v):
-                        good = good or [u, v]
-                    else:
-                        bad = bad or [u, v]
-            return _failed(
-                {
-                    "coset_pair": [int(reps[i]), int(reps[j])],
-                    "adjacent_pair": good,
-                    "non_adjacent_pair": bad,
-                }
-            )
-    return _passed({"cosets": k})
+    pairs = [
+        [u, v]
+        for u in np.flatnonzero(coset == i).tolist()
+        for v in np.flatnonzero(coset == j).tolist()
+    ]
+    return _failed(
+        {
+            "coset_pair": [int(reps[i]), int(reps[j])],
+            "adjacent_pair": next(p for p in pairs if g.has_edge(*p)),
+            "non_adjacent_pair": next(p for p in pairs if not g.has_edge(*p)),
+        }
+    )
 
 
 def _audit_coset_units(witness: dict, ring: RingTable) -> bool:
@@ -527,44 +532,37 @@ def _audit_coset_units(witness: dict, ring: RingTable) -> bool:
 )
 def _check_coset_units(a: RingAnalysis):
     ring = a.ring
-    radical = ring.jacobson_radical
-    if len(radical) == 1:
+    if len(ring.jacobson_radical) == 1:
         return _passed({"cosets": ring.size, "note": "radical is zero; cosets are singletons"})
-    g = a.graph("full")
-    reps, rep_of = ring.coset_representatives(radical)
+    reps, coset, edges = a.radical_cosets
     units = ring.unit_flags
-    unit_cosets = 0
-    for r in reps:
-        mem = [int(x) for x in np.flatnonzero(rep_of == r)]
-        mask = 0
-        for x in mem:
-            mask |= 1 << x
-        internal = sum((g.rows[u] & mask).bit_count() for u in mem) // 2
-        possible = len(mem) * (len(mem) - 1) // 2
-        coset_units = [bool(units[x]) for x in mem]
-        if bool(units[int(r)]):
-            unit_cosets += 1
-            if not all(coset_units):
-                x = mem[coset_units.index(False)]
-                return _failed({"kind": "nonunit_in_unit_coset", "coset_rep": int(r), "element": x})
-            if internal != possible:
-                pair = next(
-                    [u, v]
-                    for u in mem
-                    for v in mem
-                    if u < v and not g.has_edge(u, v)
-                )
-                return _failed({"kind": "missing_internal_edge", "coset_rep": int(r), "pair": pair})
-        else:
-            if any(coset_units):
-                x = mem[coset_units.index(True)]
-                return _failed({"kind": "unit_in_nonunit_coset", "coset_rep": int(r), "element": x})
-            if internal != 0:
-                pair = next(
-                    [u, v] for u in mem for v in mem if u < v and g.has_edge(u, v)
-                )
-                return _failed({"kind": "unexpected_internal_edge", "coset_rep": int(r), "pair": pair})
-    return _passed({"cosets": len(reps), "unit_cosets": unit_cosets})
+    sizes = np.bincount(coset)
+    unit_counts = np.bincount(coset[units], minlength=len(reps))
+    internal = np.diagonal(edges) // 2
+    unit_coset = units[reps]
+    bad = np.where(
+        unit_coset,
+        (unit_counts != sizes) | (internal != sizes * (sizes - 1) // 2),
+        (unit_counts != 0) | (internal != 0),
+    )
+    if not bad.any():
+        return _passed({"cosets": len(reps), "unit_cosets": int(unit_coset.sum())})
+    c = int(np.argmax(bad))
+    r = int(reps[c])
+    mem = np.flatnonzero(coset == c).tolist()
+    g = a.graph("full")
+    pairs = [[u, v] for u in mem for v in mem if u < v]
+    if unit_coset[c]:
+        if unit_counts[c] != sizes[c]:
+            x = next(x for x in mem if not units[x])
+            return _failed({"kind": "nonunit_in_unit_coset", "coset_rep": r, "element": x})
+        pair = next(p for p in pairs if not g.has_edge(*p))
+        return _failed({"kind": "missing_internal_edge", "coset_rep": r, "pair": pair})
+    if unit_counts[c]:
+        x = next(x for x in mem if units[x])
+        return _failed({"kind": "unit_in_nonunit_coset", "coset_rep": r, "element": x})
+    pair = next(p for p in pairs if g.has_edge(*p))
+    return _failed({"kind": "unexpected_internal_edge", "coset_rep": r, "pair": pair})
 
 
 def _audit_quotient_graph(witness: dict, ring: RingTable) -> bool:
@@ -593,20 +591,18 @@ def _check_quotient_graph(a: RingAnalysis):
     reps = [int(r) for r in reps]
     if [proj(r) for r in reps] != list(range(len(reps))):
         raise InternalConsistencyError("representative order must match quotient element order")
-    g_full = a.graph("full")
-    g_quot = build_comaximal_graph(quotient, "full")
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            ring_adj = g_full.has_edge(reps[i], reps[j])
-            quot_adj = g_quot.has_edge(i, j)
-            if ring_adj != quot_adj:
-                return _failed(
-                    {
-                        "rep_pair": [reps[i], reps[j]],
-                        "ring_adjacent": ring_adj,
-                        "quotient_adjacent": quot_adj,
-                    }
-                )
+    ring_adj = a.graph("full").adjacency()[np.ix_(reps, reps)]
+    quot_adj = build_comaximal_graph(quotient, "full").adjacency()
+    diff = np.flatnonzero(np.triu(ring_adj != quot_adj, 1))
+    if len(diff):
+        i, j = divmod(int(diff[0]), len(reps))
+        return _failed(
+            {
+                "rep_pair": [reps[i], reps[j]],
+                "ring_adjacent": bool(ring_adj[i, j]),
+                "quotient_adjacent": bool(quot_adj[i, j]),
+            }
+        )
     return _passed({"quotient_size": quotient.size})
 
 
@@ -838,6 +834,8 @@ def sweep(
             raise ValueError(f"unknown claim id {cid!r}")
     entries: list[dict] = []
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for chunk in pool.map(_sweep_one, texts, [ids] * len(texts), [caps] * len(texts)):
                 entries.extend(chunk)

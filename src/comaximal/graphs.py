@@ -4,6 +4,14 @@ Adjacency rows are arbitrary-precision Python integers used as bitsets,
 which keeps neighbourhood operations cheap without any solver
 dependencies.  Vertices are 0..n-1 in a fixed order; comaximal graphs
 remember which ring element each vertex came from in `vertex_keys`.
+
+`SimpleGraph.adjacency()` unpacks the rows into one n x n boolean matrix.
+Whole-graph comparisons go through it instead of per-edge Python:
+every construction checks symmetry on that matrix in row blocks, and
+claim checkers compare or count edges on it.  A comaximal graph's rows
+depend only on each element's maximal-ideal signature, so
+`build_comaximal_graph` packs one row per distinct signature and its
+members share it.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .limits import DEFAULT_EXACT_VERTEX_CAP
-from .rings import RingTable, _iter_bits, _mask_from_bool
+from .rings import _BLOCK, RingTable, _iter_bits, _mask_from_bool
 
 
 class SimpleGraph:
@@ -44,10 +52,13 @@ class SimpleGraph:
                 raise ValueError(f"vertex {i} has a loop")
             if row & ~full:
                 raise ValueError(f"adjacency row {i} mentions nonexistent vertices")
-        for i, row in enumerate(self.rows):
-            for j in _iter_bits(row):
-                if not self.rows[j] >> i & 1:
-                    raise ValueError(f"edge {i}-{j} is not symmetric")
+        adj = self.adjacency()
+        step = max(1, _BLOCK // max(n, 1))
+        for lo in range(0, n, step):
+            one_way = np.flatnonzero(adj[lo : lo + step] & ~adj[:, lo : lo + step].T)
+            if len(one_way):
+                i, j = divmod(int(one_way[0]), n)
+                raise ValueError(f"edge {lo + i}-{j} is not symmetric")
 
     @classmethod
     def from_edges(
@@ -85,6 +96,13 @@ class SimpleGraph:
             rows.extend([full & ~part] * s)
             start += s
         return cls(n, rows)
+
+    def adjacency(self) -> np.ndarray:
+        """The n x n boolean adjacency matrix; entry [i, j] is bit j of row i."""
+        width = (self.n + 7) // 8
+        raw = b"".join(r.to_bytes(width, "little") for r in self.rows)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width)
+        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -147,16 +165,19 @@ def build_comaximal_graph(ring: RingTable, selector: str = "full") -> SimpleGrap
         raise ValueError(f"unknown selector {selector!r}")
     keys = np.flatnonzero(keep)
     sub = sig[keys]
-    rows = []
-    for i in range(len(keys)):
-        adjacent = (sub & sub[i]) == 0
-        adjacent[i] = False
-        rows.append(_mask_from_bool(adjacent))
+    # Adjacency depends only on the signature: one packed row per class.
+    classes, class_of = np.unique(sub, return_inverse=True)
+    class_rows = [_mask_from_bool((sub & s) == 0) for s in classes]
+    rows = [class_rows[c] for c in class_of.tolist()]
+    # Only units (signature 0) are disjoint from themselves; drop their self-bit.
+    for i in np.flatnonzero(sub == 0).tolist():
+        rows[i] ^= 1 << i
+    keys = keys.tolist()
     return SimpleGraph(
         len(keys),
         rows,
-        labels=[ring.labels[int(k)] for k in keys],
-        vertex_keys=[int(k) for k in keys],
+        labels=[ring.labels[k] for k in keys],
+        vertex_keys=keys,
     )
 
 

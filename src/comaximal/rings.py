@@ -36,6 +36,14 @@ def _bool_from_mask(mask: int, n: int) -> np.ndarray:
     return bits[:n].astype(bool)
 
 
+def _distinct(values: np.ndarray, n: int) -> np.ndarray:
+    """Sorted distinct entries of an array of indices below n.
+
+    Used instead of plain `np.unique`, whose first call imports `numpy.ma`.
+    """
+    return np.flatnonzero(np.bincount(values, minlength=n))
+
+
 def _iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -432,8 +440,7 @@ class RingTable:
             raise ValueError("ideal belongs to a ring of different size")
         blocks = self._row_blocks(np.flatnonzero(ideal.member_flags()))
         rep_of = np.min([self.add_op(j, self._idx).min(axis=0) for j in blocks], axis=0)
-        reps = np.unique(rep_of)
-        return reps, rep_of
+        return np.flatnonzero(rep_of == self._idx), rep_of
 
     def quotient(self, ideal: IdealSet) -> tuple["RingTable", ElementMap]:
         """Quotient ring R/I together with the projection map."""
@@ -470,7 +477,7 @@ class RingTable:
         self._check_index(e)
         if self.mul(e, e) != e or e == 0:
             raise ValueError("component requires a nonzero idempotent")
-        members = np.unique(self.mul_row(e))
+        members = _distinct(self.mul_row(e), self.size)
         if members[0] != 0:
             raise ValueError("component of a non-idempotent")
         m = len(members)
@@ -676,7 +683,7 @@ def _additive_generators(ring: RingTable) -> list[int]:
         while frontier:
             x = frontier.pop()
             row = ring.add_row(x)[span]
-            fresh = np.unique(row[~span[row]])
+            fresh = _distinct(row[~span[row]], n)
             span[fresh] = True
             frontier.extend(fresh.tolist())
 

@@ -1,8 +1,3 @@
-from __future__ import annotations
+"""The package version; `pyproject.toml` reads it from here."""
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("comaximal")
-except PackageNotFoundError:
-    __version__ = "0.1.0"
+__version__ = "0.1.0"

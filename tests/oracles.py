@@ -98,3 +98,108 @@ def distinct_primes(n: int) -> list[int]:
 
 def totient(n: int) -> int:
     return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
+
+
+def validate_rows(n: int, rows: list[int]) -> str | None:
+    """The per-edge check `SimpleGraph` made before it was vectorised.
+
+    Returns the message for the first defect (loop, bit past n, one-way
+    edge, scanned row by row and bit by bit), or None for a valid graph.
+    """
+    full = (1 << n) - 1
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            return f"vertex {i} has a loop"
+        if row & ~full:
+            return f"adjacency row {i} mentions nonexistent vertices"
+    for i, row in enumerate(rows):
+        for j in range(n):
+            if row >> j & 1 and not rows[j] >> i & 1:
+                return f"edge {i}-{j} is not symmetric"
+    return None
+
+
+def comaximal_rows(signatures: list[int], ideal_count: int, selector: str):
+    """(vertex keys, rows) of a comaximal graph, one signature pair at a time."""
+    everything = (1 << ideal_count) - 1
+    keep = {
+        "full": lambda s: True,
+        "units": lambda s: s == 0,
+        "nonunits": lambda s: s != 0,
+        "core": lambda s: s not in (0, everything),
+    }[selector]
+    keys = [x for x, s in enumerate(signatures) if keep(s)]
+    rows = []
+    for i, x in enumerate(keys):
+        row = 0
+        for j, y in enumerate(keys):
+            if i != j and signatures[x] & signatures[y] == 0:
+                row |= 1 << j
+        rows.append(row)
+    return keys, rows
+
+
+def _key_edges(g: SimpleGraph) -> set[tuple[int, int]]:
+    out = set()
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if g.has_edge(i, j):
+                a, b = g.vertex_keys[i], g.vertex_keys[j]
+                out.add((min(a, b), max(a, b)))
+    return out
+
+
+def join_witness(full: SimpleGraph, joined: SimpleGraph) -> tuple[str, dict]:
+    """JOIN by tuple edge sets: the smallest element pair the graphs disagree on."""
+    full_edges, join_edges = _key_edges(full), _key_edges(joined)
+    if full_edges == join_edges:
+        return "pass", {"edges": len(full_edges)}
+    diff = sorted(full_edges ^ join_edges)[0]
+    return "fail", {"edge": list(diff), "in_full": diff in full_edges}
+
+
+def coset_lifting_witness(g: SimpleGraph, rep_of: list[int]) -> dict | None:
+    """P4.7a by member pairs: the first coset pair with mixed adjacency."""
+    reps = sorted(set(rep_of))
+    members = {r: [x for x in range(len(rep_of)) if rep_of[x] == r] for r in reps}
+    for i, r in enumerate(reps):
+        for s in reps[i + 1 :]:
+            pairs = [[u, v] for u in members[r] for v in members[s]]
+            adjacent = [p for p in pairs if g.has_edge(*p)]
+            if 0 < len(adjacent) < len(pairs):
+                return {
+                    "coset_pair": [r, s],
+                    "adjacent_pair": adjacent[0],
+                    "non_adjacent_pair": next(p for p in pairs if not g.has_edge(*p)),
+                }
+    return None
+
+
+def coset_units_witness(g: SimpleGraph, rep_of: list[int], units: list[bool]) -> dict | None:
+    """P4.7b by member pairs: the first coset whose units or inner edges are wrong."""
+    for r in sorted(set(rep_of)):
+        mem = [x for x in range(len(rep_of)) if rep_of[x] == r]
+        pairs = [[u, v] for u in mem for v in mem if u < v]
+        wrong = [x for x in mem if units[x] != units[r]]
+        if wrong:
+            kind = "nonunit_in_unit_coset" if units[r] else "unit_in_nonunit_coset"
+            return {"kind": kind, "coset_rep": r, "element": wrong[0]}
+        odd = [p for p in pairs if g.has_edge(*p) != units[r]]
+        if odd:
+            kind = "missing_internal_edge" if units[r] else "unexpected_internal_edge"
+            return {"kind": kind, "coset_rep": r, "pair": odd[0]}
+    return None
+
+
+def quotient_graph_witness(g: SimpleGraph, reps: list[int], quotient: SimpleGraph) -> dict | None:
+    """P4.7c pair by pair: the first representative pair whose adjacency the quotient changes."""
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            ring_adj, quot_adj = g.has_edge(reps[i], reps[j]), quotient.has_edge(i, j)
+            if ring_adj != quot_adj:
+                return {
+                    "rep_pair": [reps[i], reps[j]],
+                    "ring_adjacent": ring_adj,
+                    "quotient_adjacent": quot_adj,
+                }
+    return None

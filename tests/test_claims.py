@@ -3,14 +3,22 @@
 import copy
 import dataclasses
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import comaximal
 from comaximal import (
     Caps,
     RingAnalysis,
+    build_comaximal_graph,
     claim_catalog,
     corpus_family,
+    join,
     product_family,
     revalidate_report,
     ring_from_text,
@@ -23,7 +31,13 @@ from comaximal import (
 from comaximal.claims import CLAIM_ORDER, PAIR_CLAIMS, SINGLE_CLAIMS, _sweep_one
 from comaximal.rings import RingTable
 
-from oracles import distinct_primes
+from oracles import (
+    coset_lifting_witness,
+    coset_units_witness,
+    distinct_primes,
+    join_witness,
+    quotient_graph_witness,
+)
 
 
 def one_report(text: str, claim: str):
@@ -511,3 +525,115 @@ class TestRecomputedAudit:
     def test_element_audits_registered_next_to_checkers(self):
         audited = {cid for cid, spec in {**SINGLE_CLAIMS, **PAIR_CLAIMS}.items() if spec.audit}
         assert audited == {"L2.1a", "JOIN", "T2.5", "P4.7a", "P4.7b", "P4.7c"}
+
+
+def toggled(g, pairs):
+    """`g` with the edge state of each vertex pair flipped."""
+    rows = list(g.rows)
+    for i, j in pairs:
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+    return type(g)(g.n, rows, labels=g.labels, vertex_keys=g.vertex_keys)
+
+
+def tampered_analyses(text: str, trials: int = 12):
+    """Analyses of `text` whose full graph has 0-4 vertex pairs flipped.
+
+    The pairs are drawn from all pairs, pairs inside one radical coset and
+    pairs of coset representatives, in turn.
+    """
+    ring = ring_from_text(text)
+    _, rep_of = ring.coset_representatives(ring.jacobson_radical)
+    n = ring.size
+    rng = random.Random(text)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    inner = [(i, j) for i, j in pairs if rep_of[i] == rep_of[j]]
+    reps = [(i, j) for i, j in pairs if rep_of[i] == i and rep_of[j] == j]
+    for trial in range(trials):
+        a = RingAnalysis(ring, text=text)
+        pool = [pairs, inner, reps][trial % 3] or pairs
+        flips = rng.sample(pool, min(len(pool), trial % 5))
+        a._graphs["full"] = toggled(a.graph("full"), flips)
+        yield a, rep_of.tolist()
+
+
+class TestGraphPathsMatchReference:
+    @pytest.mark.parametrize("text", ["Z/12", "Z/30", "GF(16)", "SQZ(2,3)", "Z/8 x Z/9"])
+    def test_join_witness_on_tampered_full_graphs(self, text):
+        for trial, (a, _) in enumerate(tampered_analyses(text)):
+            if trial % 3 == 2:  # vertex order other than element order
+                full = a.graph("full")
+                a._graphs["full"] = full.induced_subgraph(range(full.n - 1, -1, -1))
+            (report,) = verify_ring(a, ["JOIN"])
+            joined = join(a.graph("units"), a.graph("nonunits"))
+            assert (report.outcome, report.witness) == join_witness(a.graph("full"), joined)
+
+    @pytest.mark.parametrize("text", ["Z/12", "SQZ(2,3)", "Z/2 x Z/8", "Z/8 x Z/9"])
+    def test_coset_witnesses_on_tampered_full_graphs(self, text):
+        """P4.7a, P4.7b and P4.7c against their pair-by-pair references."""
+        outcomes = set()
+        for a, rep_of in tampered_analyses(text):
+            g, reps = a.graph("full"), sorted(set(rep_of))
+            units = a.ring.unit_flags.tolist()
+            quotient = build_comaximal_graph(a.ring.quotient(a.ring.jacobson_radical)[0])
+            lifting, coset_units, lifted = verify_ring(a, ["P4.7a", "P4.7b", "P4.7c"])
+            expected = coset_lifting_witness(g, rep_of) or {"cosets": len(reps)}
+            assert lifting.witness == expected
+            expected = coset_units_witness(g, rep_of, units) or {
+                "cosets": len(reps),
+                "unit_cosets": sum(units[r] for r in reps),
+            }
+            assert coset_units.witness == expected
+            expected = quotient_graph_witness(g, reps, quotient) or {"quotient_size": len(reps)}
+            assert lifted.witness == expected
+            outcomes.add((lifting.outcome, coset_units.outcome, lifted.outcome))
+        assert {o[:2] for o in outcomes} >= {("fail", "pass"), ("pass", "fail")}
+        assert {o[2] for o in outcomes} == {"pass", "fail"}
+
+    @pytest.mark.parametrize("flip", [0, 1, 12, 13, 25])
+    def test_coset_witnesses_on_tampered_units(self, flip):
+        ring = ring_from_text("Z/8 x Z/9")
+        a = RingAnalysis(ring, text="Z/8 x Z/9")
+        _, rep_of = ring.coset_representatives(ring.jacobson_radical)
+        a.radical_cosets  # graph and cosets from the true unit flags
+        units = ring.unit_flags.copy()
+        units[flip] = not units[flip]
+        ring.__dict__["unit_flags"] = units
+        (report,) = verify_ring(a, ["P4.7b"])
+        assert report.outcome == "fail"
+        assert report.witness == coset_units_witness(
+            a.graph("full"), rep_of.tolist(), units.tolist()
+        )
+
+
+def loaded_after(statement: str, packages: tuple[str, ...]) -> list[str]:
+    """Modules of `packages` that a fresh interpreter has loaded after `statement`."""
+    script = (
+        f"import sys; {statement}; "
+        f"print([m for m in sorted(sys.modules) "
+        f"if any(m == p or m.startswith(p + '.') for p in {packages!r})])"
+    )
+    src = str(Path(comaximal.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.replace("'", '"'))
+
+
+def test_import_loads_no_process_pool():
+    assert loaded_after("import comaximal", ("concurrent", "multiprocessing")) == []
+
+
+def test_sweep_loads_neither_masked_arrays_nor_package_metadata():
+    statement = "import comaximal; comaximal.sweep(['Z/12', 'Z/2 x Z/8'])"
+    assert loaded_after(statement, ("numpy.ma", "importlib.metadata")) == []
+
+
+def test_sweep_with_workers_matches_one_process():
+    texts = ["Z/12", "Z/30", "GF(4)", "Z/2 x Z/4"]
+    assert sweep(texts, jobs=2) == sweep(texts)

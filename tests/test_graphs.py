@@ -19,7 +19,13 @@ from comaximal import (
     ring_from_text,
 )
 
-from oracles import brute_chromatic, brute_clique, brute_diameter
+from oracles import (
+    brute_chromatic,
+    brute_clique,
+    brute_diameter,
+    comaximal_rows,
+    validate_rows,
+)
 
 
 def path_graph(n: int) -> SimpleGraph:
@@ -71,6 +77,22 @@ class TestSimpleGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             SimpleGraph.from_edges(2, [(0, 2)])
+
+    @pytest.mark.parametrize(
+        "one_way",
+        [[(599, 0)], [(450, 3), (451, 2)], [(120, 7), (5, 590), (300, 1)], [(0, 1), (1, 0), (2, 3)]],
+    )
+    def test_asymmetry_found_across_row_blocks(self, one_way):
+        n = 600  # the check reads rows in blocks of about 2**16 entries, so 109 rows here
+        g = SimpleGraph.complete_multipartite([200, 200, 200])
+        rows = list(g.rows)
+        for i, j in one_way:
+            rows[i] ^= 1 << j
+        expected = validate_rows(n, rows)
+        assert expected is not None and expected.endswith("is not symmetric")
+        with pytest.raises(ValueError) as exc:
+            SimpleGraph(n, rows)
+        assert str(exc.value) == expected
 
     def test_induced_subgraph(self):
         g = SimpleGraph.complete(4)
@@ -148,6 +170,20 @@ class TestBuildGraph:
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 assert g.has_edge(u, v) == ring.is_comaximal_via_closure(u, v)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["Z/12", "Z/300", "GF(16)", "SQZ(2,3)", "Z/8 x Z/9", "Z/2 x Z/2 x Z/2 x Z/2 x Z/2"],
+)
+def test_rows_match_pairwise_signatures(text):
+    ring = ring_from_text(text)
+    for selector in ("full", "units", "nonunits", "core"):
+        g = build_comaximal_graph(ring, selector)
+        keys, rows = comaximal_rows(list(ring.signatures), ring.maximal_ideal_count, selector)
+        assert list(g.vertex_keys) == keys
+        assert g.rows == rows
+        assert not any(row >> i & 1 for i, row in enumerate(g.rows))
 
 
 class TestMetrics:

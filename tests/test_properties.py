@@ -18,7 +18,14 @@ from comaximal import (
     ring_from_text,
 )
 
-from oracles import brute_chromatic, brute_clique, brute_diameter, zn_comaximal, zn_unit
+from oracles import (
+    brute_chromatic,
+    brute_clique,
+    brute_diameter,
+    validate_rows,
+    zn_comaximal,
+    zn_unit,
+)
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -100,7 +107,48 @@ class TestParserProperties:
         assert parse_expression(format_expression(expr)) == expr
 
 
+@st.composite
+def row_sets(draw):
+    """Rows of a random symmetric graph, then a few loops, bits past n or one-way edges."""
+    n = draw(st.sampled_from([0, 1, 7, 8, 9, 16, 17]))
+    rows = [0] * n
+    if n == 0:
+        return n, rows
+    vertex = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)):
+        if i != j:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    defects = st.tuples(st.sampled_from(["loop", "range", "one-way"]), vertex, vertex)
+    for kind, i, j in draw(st.lists(defects, max_size=3)):
+        if kind == "loop":
+            rows[i] |= 1 << i
+        elif kind == "range":
+            rows[i] |= 1 << (n + j)
+        else:
+            rows[i] ^= 1 << j if i != j else 0
+    return n, rows
+
+
 class TestGraphProperties:
+    @settings(max_examples=400)
+    @given(row_sets())
+    def test_validation_matches_per_edge_reference(self, spec):
+        n, rows = spec
+        try:
+            g = SimpleGraph(n, rows)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            message = None
+        assert message == validate_rows(n, rows)
+        if message is None:
+            adj = g.adjacency()
+            assert adj.shape == (n, n) and adj.dtype == bool
+            assert [[bool(adj[i, j]) for j in range(n)] for i in range(n)] == [
+                [g.has_edge(i, j) for j in range(n)] for i in range(n)
+            ]
+
     @given(random_graph_strategy(7))
     def test_exact_solvers_match_brute_force(self, spec):
         n, edges = spec
