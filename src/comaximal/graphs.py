@@ -7,11 +7,12 @@ remember which ring element each vertex came from in `vertex_keys`.
 
 `SimpleGraph.adjacency()` unpacks the rows into one n x n boolean matrix.
 Whole-graph comparisons go through it instead of per-edge Python:
-every construction checks symmetry on that matrix in row blocks, and
-claim checkers compare or count edges on it.  A comaximal graph's rows
-depend only on each element's maximal-ideal signature, so
-`build_comaximal_graph` packs one row per distinct signature and its
-members share it.
+claim checkers compare or count edges on it, and every construction
+checks symmetry on the packed rows, unpacking one row block and the
+matching columns at a time, so the check needs about n*n/8 bytes.  A
+comaximal graph's rows depend only on each element's maximal-ideal
+signature, so `build_comaximal_graph` packs one row per distinct
+signature and its members share it.
 """
 
 from __future__ import annotations
@@ -52,10 +53,16 @@ class SimpleGraph:
                 raise ValueError(f"vertex {i} has a loop")
             if row & ~full:
                 raise ValueError(f"adjacency row {i} mentions nonexistent vertices")
-        adj = self.adjacency()
-        step = max(1, _BLOCK // max(n, 1))
+        # Blocks of a multiple of 8 rows, about _BLOCK entries, so that the
+        # block's columns are whole bytes of the packed rows.
+        packed = self._packed()
+        step = 8 * max(1, _BLOCK // (8 * max(n, 1)))
         for lo in range(0, n, step):
-            one_way = np.flatnonzero(adj[lo : lo + step] & ~adj[:, lo : lo + step].T)
+            rows = packed[lo : lo + step]
+            block = np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+            columns = packed[:, lo // 8 : (lo + step) // 8]
+            column_bits = np.unpackbits(columns, axis=1, count=len(rows), bitorder="little")
+            one_way = np.flatnonzero(block & ~column_bits.view(bool).T)
             if len(one_way):
                 i, j = divmod(int(one_way[0]), n)
                 raise ValueError(f"edge {lo + i}-{j} is not symmetric")
@@ -97,12 +104,15 @@ class SimpleGraph:
             start += s
         return cls(n, rows)
 
-    def adjacency(self) -> np.ndarray:
-        """The n x n boolean adjacency matrix; entry [i, j] is bit j of row i."""
+    def _packed(self) -> np.ndarray:
+        """The rows as an n x ceil(n/8) byte matrix; bit j of row i is bit j % 8 of byte j // 8."""
         width = (self.n + 7) // 8
         raw = b"".join(r.to_bytes(width, "little") for r in self.rows)
-        packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width)
-        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
+        return np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width)
+
+    def adjacency(self) -> np.ndarray:
+        """The n x n boolean adjacency matrix; entry [i, j] is bit j of row i."""
+        return np.unpackbits(self._packed(), axis=1, count=self.n, bitorder="little").view(bool)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)

@@ -6,12 +6,18 @@ over index arrays: a Cayley-table lookup for rings up to `TABLE_LIMIT`
 elements, the construction's own broadcasting function above it.
 Scalars, rows and whole-ring scans (in row blocks, so memory stays
 linear in n) are all read from that one operation.
+
+The ring structure is read from one array, a**n for every a (n the size).
+A finite ring is Artinian, so J is the nilradical {a : a**n == 0}; it is
+the product of local rings eR over its primitive idempotents e, so its
+maximal ideals are M_e = {a : e * a**n == 0}, ordered by min(e + J), and
+its units are the elements in no M_e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -236,9 +242,16 @@ class RingTable:
 
     @cached_property
     def unit_flags(self) -> np.ndarray:
-        """Boolean vector marking invertible elements."""
-        blocks = self._row_blocks(self._idx)
-        flags = np.concatenate([(self.mul_op(a, self._idx) == self.one).any(axis=1) for a in blocks])
+        """Invertible elements: those in no M_e.  u**|U| == 1 certifies each one.
+
+        A non-unit a is certified by e * a**size == 0 for some e != 0.
+        """
+        flags = np.ones(self.size, dtype=bool)
+        for ideal in self.maximal_ideals:
+            flags &= ~ideal.member_flags()
+        units = np.flatnonzero(flags)
+        if not (self._power(units, len(units)) == self.one).all():
+            raise InternalConsistencyError("a claimed unit u has u**|U| != 1")
         flags.setflags(write=False)
         return flags
 
@@ -256,14 +269,8 @@ class RingTable:
 
     @cached_property
     def jacobson_radical(self) -> IdealSet:
-        """Elements x with 1 - r*x invertible for every r."""
-        n = self.size
-        units = self.unit_flags
-        one_minus = self.add_row(self.one)[self.negatives]
-        member = np.zeros(n, dtype=bool)
-        for x in self._row_blocks(np.flatnonzero(~units)):
-            member[x[:, 0]] = units[one_minus[self.mul_op(x, self._idx)]].all(axis=1)
-        ideal = IdealSet(n, _mask_from_bool(member))
+        """J(R), which in a finite (so Artinian) ring is the nilradical {a : a**size == 0}."""
+        ideal = IdealSet(self.size, _mask_from_bool(self._nth_powers == 0))
         if not self.is_ideal(ideal):
             raise InternalConsistencyError("radical is not an ideal; operations are inconsistent")
         return ideal
@@ -273,21 +280,30 @@ class RingTable:
         idx = self._idx
         return tuple(np.flatnonzero(self.mul_op(idx, idx) == idx).tolist())
 
+    def _power(self, base: np.ndarray, exponent: int) -> np.ndarray:
+        """base**exponent elementwise, by square-and-multiply through `mul_op`."""
+        power = np.full(len(base), self.one)
+        while exponent:
+            if exponent & 1:
+                power = self.mul_op(power, base)
+            exponent >>= 1
+            if exponent:
+                base = self.mul_op(base, base)
+        return power
+
+    @cached_property
+    def _nth_powers(self) -> np.ndarray:
+        """a**size for every a: each local component of a is a unit, whose powers
+        stay units, or nilpotent, whose powers are distinct until they reach 0.
+        """
+        powers = self._power(self._idx, self.size)
+        powers.setflags(write=False)
+        return powers
+
     @cached_property
     def nilpotent_elements(self) -> tuple[int, ...]:
-        """Elements with a^size == 0, by square-and-multiply over the whole ring.
-
-        The powers of a nilpotent a are distinct until they reach 0, so
-        a^size == 0 exactly when a is nilpotent.
-        """
-        power, base, e = np.full(self.size, self.one), self._idx, self.size
-        while e:
-            if e & 1:
-                power = self.mul_op(power, base)
-            e >>= 1
-            if e:
-                base = self.mul_op(base, base)
-        return tuple(np.flatnonzero(power == 0).tolist())
+        """Elements with a**size == 0, the members of the Jacobson radical."""
+        return tuple(np.flatnonzero(self._nth_powers == 0).tolist())
 
     @property
     def is_reduced(self) -> bool:
@@ -349,28 +365,45 @@ class RingTable:
 
     @cached_property
     def primitive_idempotents(self) -> tuple[int, ...]:
-        """Nonzero idempotents e with no other nonzero idempotent f = e*f below them."""
-        idems = np.array([e for e in self.idempotent_elements if e != 0])
-        below = (self.mul_op(idems[:, None], idems) == idems) & (idems[:, None] != idems)
-        return tuple(idems[~below.any(axis=1)].tolist())
+        """Nonzero idempotents e with no other nonzero idempotent f = e*f below them.
+
+        Refines the atoms {1}: an atom a split by an idempotent f (a*f not in
+        {0, a}) becomes a*f and a - a*f.  There are 2**m idempotents for m atoms.
+        """
+        idems = np.array(self.idempotent_elements)
+        atoms = np.array([self.one])
+        while len(atoms) < len(idems):
+            products = self.mul_op(atoms[:, None], idems)
+            split = (products != 0) & (products != atoms[:, None])
+            rows = split.any(axis=1)
+            if not rows.any():
+                return tuple(sorted(atoms.tolist()))
+            part = products[rows, split[rows].argmax(axis=1)]
+            rest = self.add_op(atoms[rows], self.negatives[part])
+            atoms = np.concatenate([atoms[~rows], part, rest])
+        raise InternalConsistencyError("idempotent refinement produced more atoms than idempotents")
 
     @cached_property
     def maximal_ideals(self) -> tuple[IdealSet, ...]:
-        """All maximal ideals, via primitive idempotents of R/J.
+        """M_e = {a : e * a**size == 0} per primitive idempotent e, ordered by min(e + J).
 
-        Up to CROSSCHECK_LIMIT elements the result is re-derived with the
-        brute-force oracle and the two must agree.
+        That is the order of R/J's primitive idempotents.  The idempotents are
+        certified orthogonal with sum 1; up to CROSSCHECK_LIMIT elements the
+        brute-force oracle must agree.
         """
         n = self.size
-        quot, proj = self.quotient(self.jacobson_radical)
-        proj_arr = np.asarray(proj.mapping)
-        ideals: list[IdealSet] = []
-        for e in quot.primitive_idempotents:
-            annihilates = quot.mul_row(e) == 0
-            member = annihilates[proj_arr]
-            ideals.append(IdealSet(n, _mask_from_bool(member)))
-        if not ideals:
-            raise InternalConsistencyError("every nonzero finite ring has a maximal ideal")
+        primitive = self.primitive_idempotents
+        idems = np.array(primitive, dtype=np.int64)
+        products = self.mul_op(idems[:, None], idems)
+        if reduce(self.add, primitive, 0) != self.one or (products != np.diag(idems)).any():
+            raise InternalConsistencyError(
+                "primitive idempotents are not orthogonal idempotents that sum to 1"
+            )
+        radical = np.flatnonzero(self.jacobson_radical.member_flags())
+        ordered = sorted(primitive, key=lambda e: int(self.add_op(e, radical).min()))
+        ideals = tuple(
+            IdealSet(n, _mask_from_bool(self.mul_op(e, self._nth_powers) == 0)) for e in ordered
+        )
         meet = ideals[0].mask
         for ideal in ideals[1:]:
             meet &= ideal.mask
@@ -384,7 +417,7 @@ class RingTable:
                 raise InternalConsistencyError(
                     "idempotent-based maximal ideals disagree with brute force"
                 )
-        return tuple(ideals)
+        return ideals
 
     @property
     def maximal_ideal_count(self) -> int:
@@ -565,12 +598,15 @@ def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> 
 def maximal_ideals_bruteforce(ring: RingTable) -> tuple[IdealSet, ...]:
     """Maximal ideals by greedy growth of principal ideals.
 
-    Independent of the idempotent route: every proper ideal extends to a
-    maximal one, and each nonunit generator not yet covered starts a new
-    growth, so all maximal ideals are found.
+    Independent of the idempotent route, units included, which it reads
+    off the multiplication table: every proper ideal extends to a maximal
+    one, and each nonunit generator not yet covered starts a new growth,
+    so all maximal ideals are found.
     """
     n = ring.size
-    units = ring.unit_flags
+    idx = np.arange(n)
+    blocks = ring._row_blocks(idx)
+    units = np.concatenate([(ring.mul_op(a, idx) == ring.one).any(axis=1) for a in blocks])
     found: list[int] = []
     for a in range(n):
         if units[a]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import gcd
 
-from comaximal import SimpleGraph
+from comaximal import SimpleGraph, maximal_ideals_bruteforce
 
 
 def brute_clique(g: SimpleGraph) -> int:
@@ -203,3 +203,58 @@ def quotient_graph_witness(g: SimpleGraph, reps: list[int], quotient: SimpleGrap
                     "quotient_adjacent": quot_adj,
                 }
     return None
+
+
+def units_by_definition(ring) -> list[bool]:
+    """a is a unit when a*b = 1 for some b, read off one multiplication row per element."""
+    return [ring.one in ring.mul_row(a).tolist() for a in range(ring.size)]
+
+
+def radical_by_definition(ring) -> list[bool]:
+    """x lies in the Jacobson radical when 1 - r*x is a unit for every r."""
+    n, one = ring.size, ring.one
+    unit = units_by_definition(ring)
+    # one_minus[y] is the z with y + z = 1.
+    one_minus = [ring.add_row(y).tolist().index(one) for y in range(n)]
+    return [all(unit[one_minus[y]] for y in ring.mul_row(x).tolist()) for x in range(n)]
+
+
+def structure_by_definition(ring) -> dict:
+    """Units, radical, ordered maximal ideals and signatures from the definitions.
+
+    The maximal ideals are the brute-force ones.  Each M is keyed by the
+    least x outside M and inside every other maximal ideal with x*x - x in
+    the radical, i.e. the least element of the coset e + J of the primitive
+    idempotent e that M omits, and sorted by that key.
+    """
+    n = ring.size
+    radical = radical_by_definition(ring)
+    masks = [m.mask for m in maximal_ideals_bruteforce(ring)]
+
+    def key(mask: int) -> int:
+        others = [m for m in masks if m != mask]
+        return next(
+            x
+            for x in range(n)
+            if not mask >> x & 1
+            and all(m >> x & 1 for m in others)
+            and radical[ring.sub(ring.mul(x, x), x)]
+        )
+
+    ordered = sorted(masks, key=key)
+    return {
+        "unit_flags": units_by_definition(ring),
+        "radical": radical,
+        "maximal": ordered,
+        "signatures": [sum(1 << i for i, m in enumerate(ordered) if m >> a & 1) for a in range(n)],
+    }
+
+
+def structure_of(ring) -> dict:
+    """The package's answers, in the shape of `structure_by_definition`."""
+    return {
+        "unit_flags": ring.unit_flags.tolist(),
+        "radical": ring.jacobson_radical.member_flags().tolist(),
+        "maximal": [m.mask for m in ring.maximal_ideals],
+        "signatures": ring.signature_array.tolist(),
+    }

@@ -83,7 +83,7 @@ class TestSimpleGraph:
         [[(599, 0)], [(450, 3), (451, 2)], [(120, 7), (5, 590), (300, 1)], [(0, 1), (1, 0), (2, 3)]],
     )
     def test_asymmetry_found_across_row_blocks(self, one_way):
-        n = 600  # the check reads rows in blocks of about 2**16 entries, so 109 rows here
+        n = 600  # the check reads rows in blocks of about 2**16 entries, so 104 rows here
         g = SimpleGraph.complete_multipartite([200, 200, 200])
         rows = list(g.rows)
         for i, j in one_way:

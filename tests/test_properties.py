@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from comaximal import (
@@ -22,10 +22,13 @@ from oracles import (
     brute_chromatic,
     brute_clique,
     brute_diameter,
+    structure_by_definition,
+    structure_of,
     validate_rows,
     zn_comaximal,
     zn_unit,
 )
+from test_acceptance import PRODUCT_BASES
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -91,6 +94,18 @@ class TestRingProperties:
                 ring.is_unit(ring.sub(ring.one, ring.mul(j, r)))
                 for r in range(ring.size)
             )
+
+
+class TestRingStructureProperties:
+    @settings(max_examples=40)
+    @given(st.lists(st.sampled_from(PRODUCT_BASES), min_size=1, max_size=3))
+    def test_structure_matches_definitions(self, bases):
+        ring = ring_from_text(" x ".join(bases))
+        assume(ring.size <= 128)
+        reference = structure_by_definition(ring)
+        assert structure_of(ring) == reference
+        radical = tuple(x for x, member in enumerate(reference["radical"]) if member)
+        assert ring.nilpotent_elements == radical
 
 
 class TestParserProperties:

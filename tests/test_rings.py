@@ -23,7 +23,7 @@ from comaximal import (
 from comaximal.limits import TABLE_LIMIT
 from comaximal.rings import RingTable
 
-from oracles import zn_comaximal, zn_unit
+from oracles import structure_by_definition, structure_of, zn_comaximal, zn_unit
 
 
 def zn(n: int) -> RingTable:
@@ -484,8 +484,95 @@ class TestDerivedForms:
             assert (r.mul_row(u) == r.one).any()
 
 
+class TestStructureReferences:
+    """Units, radical, nilpotents, maximal ideals in order and signatures from the definitions."""
+
+    def test_matches_definitions(self, derived_ring):
+        r = derived_ring
+        reference = structure_by_definition(r)
+        assert structure_of(r) == reference
+        radical = tuple(x for x, member in enumerate(reference["radical"]) if member)
+        assert r.nilpotent_elements == radical
+
+
+class TestStructureWork:
+    """The ring structure costs O(n log n + m n) ring operations, not a whole-table scan."""
+
+    @pytest.mark.parametrize("text", ["Z/1000", "Z/4095", "GF(2^12)"])
+    def test_evaluates_under_a_quarter_of_the_table(self, text):
+        r = ring_from_text(text)
+        evaluated = 0
+
+        def counting(op):
+            def counted(a, b):
+                nonlocal evaluated
+                evaluated += np.broadcast(a, b).size
+                return op(a, b)
+
+            return counted
+
+        r.add_op, r.mul_op = counting(r.add_op), counting(r.mul_op)
+        r.signature_array
+        r.jacobson_radical
+        assert 0 < evaluated < r.size**2 / 4
+
+
+def _dropping_first(real):
+    """`primitive_idempotents` without its first idempotent."""
+    return property(lambda self: real.func(self)[1:])
+
+
+def _corrupting_power(real):
+    """`_power` with 2**size replaced by 1: in Z/100, 2 then lies in no maximal ideal."""
+
+    def corrupt(self, base, exponent):
+        out = real(self, base, exponent)
+        if exponent == self.size:
+            out = out.copy()
+            out[2] = self.one
+        return out
+
+    return corrupt
+
+
+# Certificate faults planted in Z/100: the RingTable attribute replaced, the
+# wrapper that breaks it, the property that must raise and its message.
+# Z/100 is above CROSSCHECK_LIMIT, so the brute-force comparison cannot catch
+# these faults first.
+CERTIFICATE_FAULTS = {
+    "dropped_idempotent": ("primitive_idempotents", _dropping_first, "maximal_ideals", "sum to 1"),
+    "corrupted_power": ("_power", _corrupting_power, "unit_flags", "claimed unit"),
+}
+
+
+def _run_python_O(plant: str, text: str, attribute: str) -> str:
+    """stdout of a `python -O` run that plants a fault, then reads `attribute` of `text`."""
+    script = (
+        "import sys\n"
+        "import comaximal.rings as rings\n"
+        "from comaximal import InternalConsistencyError, ring_from_text\n"
+        + plant
+        + "try:\n"
+        f"    result = ring_from_text({text!r}).{attribute}\n"
+        "except InternalConsistencyError as exc:\n"
+        "    print('raised', sys.flags.optimize, exc)\n"
+        "else:\n"
+        "    print('returned', len(result))\n"
+    )
+    src = str(Path(comaximal.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 class TestSelfChecks:
-    """Internal cross-checks raise InternalConsistencyError, also under -O."""
+    """Internal cross-checks and certificates raise InternalConsistencyError, also under -O."""
 
     def test_crosscheck_disagreement_raises(self, monkeypatch):
         monkeypatch.setattr("comaximal.rings.maximal_ideals_bruteforce", lambda ring: ())
@@ -493,26 +580,27 @@ class TestSelfChecks:
             zn(12).maximal_ideals
 
     def test_crosscheck_survives_python_O(self):
-        script = (
-            "import sys\n"
-            "import comaximal.rings as rings\n"
-            "from comaximal import InternalConsistencyError, ring_from_text\n"
-            "rings.maximal_ideals_bruteforce = lambda ring: ()\n"
-            "try:\n"
-            "    ideals = ring_from_text('Z/12').maximal_ideals\n"
-            "except InternalConsistencyError as exc:\n"
-            "    print('raised', sys.flags.optimize, exc)\n"
-            "else:\n"
-            "    print('returned', len(ideals))\n"
+        plant = "rings.maximal_ideals_bruteforce = lambda ring: ()\n"
+        out = _run_python_O(plant, "Z/12", "maximal_ideals")
+        assert out.startswith("raised 1 "), out
+        assert "brute force" in out
+
+    @pytest.mark.parametrize("fault", list(CERTIFICATE_FAULTS))
+    def test_certificate_raises(self, fault, monkeypatch):
+        name, wrapper, attribute, message = CERTIFICATE_FAULTS[fault]
+        monkeypatch.setattr(RingTable, name, wrapper(RingTable.__dict__[name]))
+        with pytest.raises(InternalConsistencyError, match=message):
+            getattr(zn(100), attribute)
+
+    @pytest.mark.parametrize("fault", list(CERTIFICATE_FAULTS))
+    def test_certificates_survive_python_O(self, fault):
+        name, wrapper, attribute, message = CERTIFICATE_FAULTS[fault]
+        plant = (
+            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+            "import test_rings\n"
+            "table = rings.RingTable\n"
+            f"table.{name} = test_rings.{wrapper.__name__}(table.__dict__[{name!r}])\n"
         )
-        src = str(Path(comaximal.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.startswith("raised 1 "), result.stdout
-        assert "brute force" in result.stdout
+        out = _run_python_O(plant, "Z/100", attribute)
+        assert out.startswith("raised 1 "), out
+        assert message in out
