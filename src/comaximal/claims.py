@@ -146,6 +146,9 @@ def _z2xz2() -> RingTable:
 class ClaimSpec:
     """A registered claim.
 
+    `check(analysis)` decides a single-ring claim.  A pair claim's
+    `check(a1, a2, graph_iso)` calls `graph_iso()` for `are_isomorphic`
+    on the pair's full graphs, which `verify_pair` runs once per pair.
     `audit(witness, ring) -> bool`, when set, rechecks a fail witness that
     names concrete elements without the signature path, and is true when
     the witness really contradicts the claim.
@@ -614,12 +617,12 @@ def _check_full_coloring(a: RingAnalysis):
 
 
 @_claim("T4.4", "isomorphic graphs force matching residue field multisets", arity=2)
-def _check_residue_match(a1: RingAnalysis, a2: RingAnalysis):
+def _check_residue_match(a1: RingAnalysis, a2: RingAnalysis, graph_iso: Callable):
     g1, g2 = a1.graph("full"), a2.graph("full")
     cap = a1.caps.max_graphiso_vertices
     if max(g1.n, g2.n) > cap:
         return _skipped(f"graph isomorphism capped at {cap} vertices")
-    if are_isomorphic(g1, g2, cap) is None:
+    if graph_iso() is None:
         return _skipped("graphs are not isomorphic, so the hypothesis is not met")
     res1 = list(a1.ring.residue_field_sizes)
     res2 = list(a2.ring.residue_field_sizes)
@@ -653,7 +656,7 @@ def _check_residue_match(a1: RingAnalysis, a2: RingAnalysis):
 
 
 @_claim("C4.6", "for reduced rings, graph isomorphism coincides with ring isomorphism", arity=2)
-def _check_reduced_rigidity(a1: RingAnalysis, a2: RingAnalysis):
+def _check_reduced_rigidity(a1: RingAnalysis, a2: RingAnalysis, graph_iso: Callable):
     r1, r2 = a1.ring, a2.ring
     if not (r1.is_reduced or r2.is_reduced):
         return _skipped("neither ring is reduced")
@@ -662,7 +665,7 @@ def _check_reduced_rigidity(a1: RingAnalysis, a2: RingAnalysis):
     cap = a1.caps.max_ringiso_size
     if r1.size > cap:
         return _skipped(f"ring isomorphism capped at size {cap}")
-    giso = are_isomorphic(a1.graph("full"), a2.graph("full"), a1.caps.max_graphiso_vertices)
+    giso = graph_iso()
     riso = ring_isomorphic(r1, r2, cap=cap)
     witness = {"graphs_isomorphic": giso is not None, "rings_isomorphic": riso is not None}
     ok = (giso is None) == (riso is None)
@@ -722,6 +725,25 @@ def verify_ring(
     return reports
 
 
+def _graph_isomorphism_once(a1: RingAnalysis, a2: RingAnalysis) -> Callable:
+    """`are_isomorphic` on the pair's full graphs, run at the first call only;
+    later calls return the same mapping or raise the same CapacityError."""
+    memo: list = []
+
+    def graph_iso() -> tuple[int, ...] | None:
+        if not memo:
+            try:
+                cap = a1.caps.max_graphiso_vertices
+                memo.append(are_isomorphic(a1.graph("full"), a2.graph("full"), cap))
+            except CapacityError as exc:
+                memo.append(exc)
+        if isinstance(memo[0], CapacityError):
+            raise memo[0]
+        return memo[0]
+
+    return graph_iso
+
+
 def verify_pair(
     first: RingTable | RingAnalysis,
     second: RingTable | RingAnalysis,
@@ -735,6 +757,7 @@ def verify_pair(
     a1 = _as_analysis(first, texts[0], caps)
     a2 = _as_analysis(second, texts[1], caps)
     ids = list(claims) if claims is not None else list(PAIR_CLAIMS)
+    graph_iso = _graph_isomorphism_once(a1, a2)
     reports = []
     for cid in ids:
         spec = PAIR_CLAIMS.get(cid)
@@ -742,7 +765,7 @@ def verify_pair(
             raise ValueError(f"unknown claim id {cid!r}")
         start = time.perf_counter()
         try:
-            outcome, witness, reason = spec.check(a1, a2)
+            outcome, witness, reason = spec.check(a1, a2, graph_iso)
         except CapacityError as exc:
             outcome, witness, reason = "skip", None, str(exc)
         reports.append(

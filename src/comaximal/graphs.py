@@ -1,24 +1,33 @@
 """Simple undirected graphs over ring elements, plus exact invariants.
 
-Adjacency rows are arbitrary-precision Python integers used as bitsets,
-which keeps neighbourhood operations cheap without any solver
-dependencies.  Vertices are 0..n-1 in a fixed order; comaximal graphs
-remember which ring element each vertex came from in `vertex_keys`.
+Adjacency rows are Python integers used as bitsets.  Vertices are 0..n-1
+in a fixed order; comaximal graphs remember which ring element each vertex
+came from in `vertex_keys`.  Whole-graph comparisons read the n x n matrix
+`SimpleGraph.adjacency()` instead of per-edge Python, and every
+construction checks symmetry on the packed rows, one row block and the
+matching columns at a time.  A comaximal graph's rows depend only on each
+element's maximal-ideal signature, so `build_comaximal_graph` packs one
+row per signature.
 
-`SimpleGraph.adjacency()` unpacks the rows into one n x n boolean matrix.
-Whole-graph comparisons go through it instead of per-edge Python:
-claim checkers compare or count edges on it, and every construction
-checks symmetry on the packed rows, unpacking one row block and the
-matching columns at a time, so the check needs about n*n/8 bytes.  A
-comaximal graph's rows depend only on each element's maximal-ideal
-signature, so `build_comaximal_graph` packs one row per distinct
-signature and its members share it.
+The invariants read `twin_classes`: the classes of equal open rows (false
+twins: independent sets of interchangeable vertices), the universal
+vertices U, and the quotient on one vertex per class.  Lifting is exact:
+
+- omega and chi are |U| plus those of the quotient of G - U;
+- with U nonempty, G is connected with diameter 1 (complete) or 2;
+  otherwise one BFS per class gives every distance, and two members of a
+  class are at distance 2 when it has a neighbour, unreachable otherwise;
+- a 2-colouring of the quotient gives each member its class's colour, and
+  G is complete multipartite, with the classes as parts, exactly when the
+  quotient is complete.
+
+Results keep vertex indices and per-vertex tie-breaks (see `metrics`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,9 +115,7 @@ class SimpleGraph:
 
     def _packed(self) -> np.ndarray:
         """The rows as an n x ceil(n/8) byte matrix; bit j of row i is bit j % 8 of byte j // 8."""
-        width = (self.n + 7) // 8
-        raw = b"".join(r.to_bytes(width, "little") for r in self.rows)
-        return np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width)
+        return _pack(self.rows, self.n)
 
     def adjacency(self) -> np.ndarray:
         """The n x n boolean adjacency matrix; entry [i, j] is bit j of row i."""
@@ -138,20 +145,64 @@ class SimpleGraph:
 
     def induced_subgraph(self, vertices: Sequence[int]) -> "SimpleGraph":
         vs = list(vertices)
-        pos = {v: i for i, v in enumerate(vs)}
-        rows = []
-        for v in vs:
-            row = 0
-            for u in _iter_bits(self.rows[v]):
-                if u in pos:
-                    row |= 1 << pos[u]
-            rows.append(row)
         return SimpleGraph(
             len(vs),
-            rows,
+            _induced_rows(self.rows, self.n, vs),
             labels=[self.labels[v] for v in vs],
             vertex_keys=[self.vertex_keys[v] for v in vs],
         )
+
+
+def _pack(rows: Sequence[int], n: int) -> np.ndarray:
+    """Rows over n vertices as a len(rows) x ceil(n/8) little-endian byte matrix."""
+    width = (n + 7) // 8
+    raw = b"".join(r.to_bytes(width, "little") for r in rows)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width)
+
+
+def _induced_rows(rows: Sequence[int], n: int, keep: Sequence[int]) -> list[int]:
+    """Rows of the subgraph induced on `keep`, renumbered by position in `keep`.
+
+    Unpacks about _BLOCK entries of the kept rows at a time.
+    """
+    packed = _pack([rows[v] for v in keep], n)
+    columns = np.asarray(keep, dtype=np.int64)
+    step = max(1, _BLOCK // max(n, 1))
+    out: list[int] = []
+    for lo in range(0, len(keep), step):
+        bits = np.unpackbits(packed[lo : lo + step], axis=1, count=n, bitorder="little")
+        out.extend(_mask_from_bool(row) for row in bits[:, columns])
+    return out
+
+
+class TwinClasses(NamedTuple):
+    """`classes` of equal open rows, members ascending, ordered by first member;
+    the `universal` vertices, each a class of its own; and the quotient
+    `rows`, where bit j of rows[i] means classes i and j are adjacent.
+    """
+
+    classes: list[list[int]]
+    universal: list[int]
+    rows: list[int]
+
+
+def twin_classes(g: SimpleGraph) -> TwinClasses:
+    by_row: dict[int, list[int]] = {}
+    for v, row in enumerate(g.rows):
+        by_row.setdefault(row, []).append(v)
+    classes = list(by_row.values())
+    universal = [v for v, row in enumerate(g.rows) if row.bit_count() == g.n - 1]
+    if len(classes) == g.n:
+        return TwinClasses(classes, universal, list(g.rows))
+    return TwinClasses(classes, universal, _induced_rows(g.rows, g.n, [c[0] for c in classes]))
+
+
+def _without_universal(t: TwinClasses) -> tuple[list[int], list[int]]:
+    """First members and quotient rows of the classes of G - U."""
+    universal = set(t.universal)
+    keep = [i for i, c in enumerate(t.classes) if c[0] not in universal]
+    rows = _induced_rows(t.rows, len(t.rows), keep) if universal else t.rows
+    return [t.classes[i][0] for i in keep], rows
 
 
 def build_comaximal_graph(ring: RingTable, selector: str = "full") -> SimpleGraph:
@@ -249,66 +300,82 @@ class GraphMetrics:
         return str(self.diameter)
 
 
-def _bfs(rows: list[int], source: int) -> tuple[int, int, int]:
-    """Return (eccentricity, visited_mask, farthest_vertex)."""
-    visited = 1 << source
-    frontier = visited
-    depth = 0
-    last = source
+def _layers(rows: list[int], source: int) -> Iterator[int]:
+    """The BFS layers at distance 1, 2, ... from `source`, as masks."""
+    visited = frontier = 1 << source
     while True:
         gathered = 0
         for v in _iter_bits(frontier):
             gathered |= rows[v]
-        fresh = gathered & ~visited
-        if not fresh:
-            break
-        depth += 1
-        visited |= fresh
-        frontier = fresh
-        last = (fresh & -fresh).bit_length() - 1
-    return depth, visited, last
+        frontier = gathered & ~visited
+        if not frontier:
+            return
+        visited |= frontier
+        yield frontier
+
+
+def _bfs(rows: list[int], source: int) -> tuple[int, int, int]:
+    """Return (eccentricity, visited_mask, lowest vertex of the last layer)."""
+    depth, visited, last = 0, 1 << source, 1 << source
+    for depth, last in enumerate(_layers(rows, source), 1):
+        visited |= last
+    return depth, visited, _lowest(last)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def metrics(g: SimpleGraph) -> GraphMetrics:
     """Connectivity, components, diameter, and a witness pair.
 
-    Vertices with identical adjacency rows have identical eccentricities,
-    so BFS runs once per row class rather than once per vertex.
+    The witness of a disconnected graph is (0, the lowest vertex that 0
+    cannot reach).  That of a connected one with two or more vertices is
+    (v, w): v is the first vertex of maximal eccentricity in index order,
+    w the lowest vertex of the last layer of a BFS from v.
+
+    A graph with a universal vertex is connected, with diameter 1 when it
+    is complete and 2 otherwise.  Any other graph is read off its twin
+    quotient, one BFS per class: two vertices of different classes are as
+    far apart as their classes, and two members of one class are at
+    distance 2 when the class has a neighbour and unreachable otherwise.
     """
     n = g.n
     if n == 0:
         return GraphMetrics(0, 0, False, 0, None, None)
-    all_mask = (1 << n) - 1
-    rows = g.rows
+    edges = g.edge_count
+    t = twin_classes(g)
+    if t.universal:
+        v = next((u for u in range(n) if g.rows[u].bit_count() < n - 1), None)
+        if v is None:
+            return GraphMetrics(n, edges, True, 1, min(n - 1, 1), (0, 1) if n > 1 else None)
+        far = _lowest(((1 << n) - 1) & ~g.rows[v] & ~(1 << v))
+        return GraphMetrics(n, edges, True, 1, 2, (v, far))
 
-    seen = 0
-    components = 0
-    comp_rep = []
-    for v in range(n):
-        if seen >> v & 1:
-            continue
-        components += 1
-        comp_rep.append(v)
-        _, visited, _ = _bfs(rows, v)
-        seen |= visited
+    classes, rows = t.classes, t.rows
+    seen = components = 0
+    for c, members in enumerate(classes):
+        if not seen >> c & 1:
+            _, visited, _ = _bfs(rows, c)
+            seen |= visited
+            components += 1 if rows[c] else len(members)
     if components > 1:
-        first = comp_rep[0]
-        _, visited, _ = _bfs(rows, first)
-        other = ((all_mask & ~visited) & -(all_mask & ~visited)).bit_length() - 1
-        return GraphMetrics(n, g.edge_count, False, components, None, (first, other))
+        _, visited, _ = _bfs(rows, 0)
+        unreached = ((1 << len(rows)) - 1) & ~visited
+        other = classes[_lowest(unreached)][0] if rows[0] else 1
+        return GraphMetrics(n, edges, False, components, None, (0, other))
 
-    classes: dict[int, int] = {}
     best = (0, (0, 0))
-    for v in range(n):
-        row = rows[v]
-        if row in classes:
-            continue
-        classes[row] = v
-        ecc, _, far = _bfs(rows, v)
+    for c, members in enumerate(classes):
+        ecc, _, last = _bfs(rows, c)
+        far = classes[last][0]
+        if len(members) > 1 and ecc <= 2:
+            far = members[1] if ecc < 2 else min(far, members[1])
+            ecc = 2
         if ecc > best[0]:
-            best = (ecc, (v, far))
+            best = (ecc, (members[0], far))
     diameter, pair = best
-    return GraphMetrics(n, g.edge_count, True, 1, diameter, pair if n > 1 else None)
+    return GraphMetrics(n, edges, True, 1, diameter, pair)
 
 
 def distance(g: SimpleGraph, u: int, v: int) -> int | None:
@@ -317,51 +384,21 @@ def distance(g: SimpleGraph, u: int, v: int) -> int | None:
         raise ValueError("vertex out of range")
     if u == v:
         return 0
-    visited = 1 << u
-    frontier = visited
-    depth = 0
-    while frontier:
-        gathered = 0
-        for w in _iter_bits(frontier):
-            gathered |= g.rows[w]
-        fresh = gathered & ~visited
-        depth += 1
-        if fresh >> v & 1:
-            return depth
-        visited |= fresh
-        frontier = fresh
-    return None
+    return next((d for d, layer in enumerate(_layers(g.rows, u), 1) if layer >> v & 1), None)
 
 
 # -- exact solvers --------------------------------------------------------------
 
 
-def _false_twin_classes(g: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
-    """Quotient by identical-row classes (mutually non-adjacent twins).
-
-    Such vertices are interchangeable in any clique or proper colouring,
-    so both invariants survive the collapse unchanged.
-    """
-    reps: dict[int, int] = {}
-    order = []
-    for v, row in enumerate(g.rows):
-        if row not in reps:
-            reps[row] = v
-            order.append(v)
-    if len(order) == g.n:
-        return g, list(range(g.n))
-    return g.induced_subgraph(order), order
-
-
-def _greedy_clique(g: SimpleGraph) -> list[int]:
+def _greedy_clique(rows: list[int]) -> list[int]:
     best: list[int] = []
-    for start in range(g.n):
+    for start in range(len(rows)):
         clique = [start]
-        allowed = g.rows[start]
+        allowed = rows[start]
         while allowed:
-            v = (allowed & -allowed).bit_length() - 1
+            v = _lowest(allowed)
             clique.append(v)
-            allowed &= g.rows[v]
+            allowed &= rows[v]
         if len(clique) > len(best):
             best = clique
     return sorted(best)
@@ -378,7 +415,7 @@ def _colour_order(rows: list[int], cand: int) -> tuple[list[int], list[int]]:
         colour += 1
         cls = remaining
         while cls:
-            v = (cls & -cls).bit_length() - 1
+            v = _lowest(cls)
             order.append(v)
             bounds.append(colour)
             cls &= ~rows[v]
@@ -388,36 +425,38 @@ def _colour_order(rows: list[int], cand: int) -> tuple[list[int], list[int]]:
 
 
 def max_clique(g: SimpleGraph, cap: int = DEFAULT_EXACT_VERTEX_CAP) -> list[int]:
-    """A maximum clique, exactly, by branch and bound with colour bounds."""
+    """A maximum clique, exactly: U plus branch and bound with colour bounds on the rest."""
     if g.n > cap:
         raise CapacityError(
             f"clique solver capped at {cap} vertices (graph has {g.n})",
-            lower=len(_greedy_clique(g)),
+            lower=len(_greedy_clique(g.rows)),
         )
-    if g.n == 0:
-        return []
-    reduced, back = _false_twin_classes(g)
-    rows = reduced.rows
-    best_local = _greedy_clique(reduced)
+    t = twin_classes(g)
+    reps, rows = _without_universal(t)
+    return sorted(t.universal + [reps[v] for v in _clique(rows)])
+
+
+def _clique(rows: list[int]) -> list[int]:
+    best = _greedy_clique(rows)
 
     def expand(cand: int, current: list[int]) -> None:
-        nonlocal best_local
+        nonlocal best
         order, bounds = _colour_order(rows, cand)
         for i in range(len(order) - 1, -1, -1):
-            if len(current) + bounds[i] <= len(best_local):
+            if len(current) + bounds[i] <= len(best):
                 return
             v = order[i]
             current.append(v)
             nxt = cand & rows[v]
             if nxt:
                 expand(nxt, current)
-            elif len(current) > len(best_local):
-                best_local = current.copy()
+            elif len(current) > len(best):
+                best = current.copy()
             current.pop()
             cand &= ~(1 << v)
 
-    expand((1 << reduced.n) - 1, [])
-    return sorted(back[v] for v in best_local)
+    expand((1 << len(rows)) - 1, [])
+    return best
 
 
 def clique_number(g: SimpleGraph, cap: int = DEFAULT_EXACT_VERTEX_CAP) -> int:
@@ -481,28 +520,22 @@ def _colourable(rows: list[int], n: int, k: int, clique: list[int]) -> bool:
 
 
 def chromatic_number(g: SimpleGraph, cap: int = DEFAULT_EXACT_VERTEX_CAP) -> int:
-    """Exact chromatic number (clique bound, DSATUR bound, then search)."""
+    """Exact chromatic number: |U| plus clique bound, DSATUR bound, then search on the rest."""
     if g.n > cap:
-        lower = len(_greedy_clique(g))
+        lower = len(_greedy_clique(g.rows))
         upper, _ = _dsatur_greedy(g.rows, g.n)
         raise CapacityError(
             f"colouring solver capped at {cap} vertices (graph has {g.n})",
             lower=lower,
             upper=upper,
         )
-    if g.n == 0:
-        return 0
-    reduced, _ = _false_twin_classes(g)
-    rows, n = reduced.rows, reduced.n
-    clique = max_clique(reduced, cap)
-    lower = len(clique)
+    t = twin_classes(g)
+    _, rows = _without_universal(t)
+    n = len(rows)
+    clique = _clique(rows)
     upper, _ = _dsatur_greedy(rows, n)
-    if upper == lower:
-        return lower
-    for k in range(lower, upper):
-        if _colourable(rows, n, k, clique):
-            return k
-    return upper
+    k = next((k for k in range(len(clique), upper) if _colourable(rows, n, k, clique)), upper)
+    return len(t.universal) + k
 
 
 @dataclass(frozen=True)
@@ -517,53 +550,41 @@ class PartitionStructure:
         return self.multipartite_parts is not None and len(self.multipartite_parts) == 2
 
 
-def multipartite_structure(g: SimpleGraph) -> PartitionStructure:
-    n = g.n
-    if n == 0:
-        return PartitionStructure(((), ()), ())
-
-    colour = [-1] * n
-    ok = True
-    for start in range(n):
+def _two_colouring(rows: list[int]) -> list[int] | None:
+    """A proper 2-colouring that gives each component's first vertex colour 0, or None."""
+    colour = [-1] * len(rows)
+    for start in range(len(rows)):
         if colour[start] != -1:
             continue
         colour[start] = 0
         queue = [start]
-        while queue and ok:
+        while queue:
             v = queue.pop()
-            for u in _iter_bits(g.rows[v]):
+            for u in _iter_bits(rows[v]):
                 if colour[u] == -1:
                     colour[u] = colour[v] ^ 1
                     queue.append(u)
                 elif colour[u] == colour[v]:
-                    ok = False
-                    break
-        if not ok:
-            break
-    if ok:
-        side0 = tuple(v for v in range(n) if colour[v] == 0)
-        side1 = tuple(v for v in range(n) if colour[v] == 1)
-        bipartition = (side0, side1)
-    else:
-        bipartition = None
+                    return None
+    return colour
 
-    comp = complement(g)
-    seen = 0
-    parts: list[tuple[int, ...]] = []
-    complete_mp = True
-    for v in range(n):
-        if seen >> v & 1:
-            continue
-        _, visited, _ = _bfs(comp.rows, v)
-        seen |= visited
-        members = tuple(_iter_bits(visited))
-        for u in members:
-            inside = visited & ~(1 << u)
-            if comp.rows[u] & visited != inside:
-                complete_mp = False
-        parts.append(members)
-    multipartite = tuple(parts) if complete_mp else None
-    return PartitionStructure(bipartition, multipartite)
+
+def multipartite_structure(g: SimpleGraph) -> PartitionStructure:
+    """The bipartition and the complete-multipartite parts, from the twin quotient."""
+    if g.n == 0:
+        return PartitionStructure(((), ()), ())
+    t = twin_classes(g)
+    colour = _two_colouring(t.rows)
+    bipartition = None
+    if colour is not None:
+        sides: tuple[list[int], list[int]] = ([], [])
+        for c, members in zip(colour, t.classes):
+            sides[c].extend(members)
+        bipartition = (tuple(sorted(sides[0])), tuple(sorted(sides[1])))
+    k = len(t.rows)
+    complete = all(row.bit_count() == k - 1 for row in t.rows)
+    parts = tuple(tuple(members) for members in t.classes) if complete else None
+    return PartitionStructure(bipartition, parts)
 
 
 def degree_profile(g: SimpleGraph) -> list[tuple[int, int]]:

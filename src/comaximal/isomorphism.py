@@ -4,6 +4,13 @@ Both routines start from colour refinement (degree classes refined by
 neighbour colour multisets until stable).  The refinement assigns
 canonical colour ids from globally sorted keys, so the ids are
 comparable across graphs.
+
+`are_isomorphic` searches on the twin quotients of `graphs.twin_classes`:
+G and H are isomorphic exactly when their quotients are, by a map that
+keeps class sizes.  Classes are matched smallest refinement class first,
+then by colour and index, and a class's members are paired in ascending
+order.  `verify_isomorphism` checks the lifted mapping on the whole
+adjacency matrices, independently of the quotient and the search.
 """
 
 from __future__ import annotations
@@ -11,10 +18,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator
 
+import numpy as np
+
 from .errors import CapacityError, InternalConsistencyError
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, twin_classes
 from .limits import DEFAULT_CERTIFICATE_CAP, DEFAULT_GRAPH_ISO_CAP
-from .rings import _iter_bits
+from .rings import _BLOCK, _iter_bits
 
 
 def _refine_rounds(
@@ -30,47 +39,21 @@ def _refine_rounds(
     """
     if seeds is None:
         seeds = [[0] * len(rows) for rows in row_sets]
-    colours = []
-    all_keys = sorted(
-        {
-            (s[v], r.bit_count())
-            for rows, s in zip(row_sets, seeds)
-            for v, r in enumerate(rows)
-        }
-    )
-    rank = {k: i for i, k in enumerate(all_keys)}
-    for rows, s in zip(row_sets, seeds):
-        colours.append([rank[(s[v], r.bit_count())] for v, r in enumerate(rows)])
-
-    def histogram(cs: list[int]) -> Counter:
-        return Counter(cs)
-
-    if len(row_sets) > 1:
-        base = histogram(colours[0])
-        if any(histogram(c) != base for c in colours[1:]):
-            return None
-
-    classes = len({c for cs in colours for c in cs})
+    keys = [[(s[v], r.bit_count()) for v, r in enumerate(rows)] for rows, s in zip(row_sets, seeds)]
+    classes = 0
     while True:
-        keys = []
-        for rows, cs in zip(row_sets, colours):
-            keys.append(
-                [
-                    (cs[v], tuple(sorted(cs[u] for u in _iter_bits(rows[v]))))
-                    for v in range(len(rows))
-                ]
-            )
-        all_sorted = sorted({k for ks in keys for k in ks})
-        rank = {k: i for i, k in enumerate(all_sorted)}
+        ranked = sorted({k for ks in keys for k in ks})
+        rank = {k: i for i, k in enumerate(ranked)}
         colours = [[rank[k] for k in ks] for ks in keys]
-        if len(row_sets) > 1:
-            base = histogram(colours[0])
-            if any(histogram(c) != base for c in colours[1:]):
-                return None
-        new_classes = len(all_sorted)
-        if new_classes == classes:
+        if any(Counter(cs) != Counter(colours[0]) for cs in colours[1:]):
+            return None
+        if len(ranked) == classes:
             return colours
-        classes = new_classes
+        classes = len(ranked)
+        keys = [
+            [(cs[v], tuple(sorted(cs[u] for u in _iter_bits(rows[v])))) for v in range(len(rows))]
+            for rows, cs in zip(row_sets, colours)
+        ]
 
 
 def refined_colors(g: SimpleGraph) -> tuple[int, ...]:
@@ -81,37 +64,22 @@ def refined_colors(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(result[0])
 
 
-def _false_twin_quotient(rows: list[int]) -> tuple[list[int], list[int], list[list[int]]]:
-    """Collapse vertices with equal open neighbourhoods into one class each.
-
-    Such classes are independent sets whose members are interchangeable, so
-    two graphs are isomorphic exactly when their weighted quotients are.
-    Returns (quotient rows, class weights, class members by ascending index).
-    """
-    classes: dict[int, list[int]] = {}
-    for v, row in enumerate(rows):
-        classes.setdefault(row, []).append(v)
-    members = sorted(classes.values(), key=lambda ms: ms[0])
-    k = len(members)
-    qrows = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if rows[members[i][0]] >> members[j][0] & 1:
-                qrows[i] |= 1 << j
-                qrows[j] |= 1 << i
-    return qrows, [len(ms) for ms in members], members
-
-
 def verify_isomorphism(g1: SimpleGraph, g2: SimpleGraph, mapping: tuple[int, ...]) -> bool:
-    """Independent edge-by-edge check that `mapping` is an isomorphism."""
+    """Independent check that `mapping` (vertex v of g1 to mapping[v]) is an isomorphism.
+
+    g2's adjacency matrix, rows and columns permuted by the mapping, must
+    equal g1's; one block of about _BLOCK entries is unpacked at a time.
+    """
     n = g1.n
     if g2.n != n or len(mapping) != n or sorted(mapping) != list(range(n)):
         return False
-    for v in range(n):
-        translated = 0
-        for u in _iter_bits(g1.rows[v]):
-            translated |= 1 << mapping[u]
-        if translated != g2.rows[mapping[v]]:
+    perm = np.asarray(mapping, dtype=np.int64)
+    packed1, packed2 = g1._packed(), g2._packed()
+    step = max(1, _BLOCK // max(n, 1))
+    for lo in range(0, n, step):
+        rows1 = np.unpackbits(packed1[lo : lo + step], axis=1, count=n, bitorder="little")
+        rows2 = np.unpackbits(packed2[perm[lo : lo + step]], axis=1, count=n, bitorder="little")
+        if not np.array_equal(rows1, rows2[:, perm]):
             return False
     return True
 
@@ -123,10 +91,8 @@ def are_isomorphic(
 ) -> tuple[int, ...] | None:
     """A vertex mapping g1 -> g2 if one exists, else None.
 
-    The graphs are first collapsed to their false-twin quotients, the
-    search matches quotient classes (smallest refinement class first,
-    ascending index), and any witness found is lifted back to the vertex
-    level and re-verified edge by edge before being returned.
+    Any witness found on the twin quotients is lifted to the vertices and
+    must pass `verify_isomorphism`, or InternalConsistencyError is raised.
     """
     if g1.n != g2.n:
         return None
@@ -137,8 +103,8 @@ def are_isomorphic(
         raise CapacityError(f"graph isomorphism capped at {cap} vertices (graphs have {n})")
     if g1.edge_count != g2.edge_count:
         return None
-    rows1, weights1, members1 = _false_twin_quotient(g1.rows)
-    rows2, weights2, members2 = _false_twin_quotient(g2.rows)
+    (members1, _, rows1), (members2, _, rows2) = twin_classes(g1), twin_classes(g2)
+    weights1, weights2 = [len(c) for c in members1], [len(c) for c in members2]
     k = len(rows1)
     if len(rows2) != k or sorted(weights1) != sorted(weights2):
         return None
@@ -285,18 +251,6 @@ def canonical_certificate(g: SimpleGraph, cap: int = DEFAULT_CERTIFICATE_CAP) ->
     rec(0, False)
     if best_perm is None:
         raise InternalConsistencyError("canonical search placed no permutation")
-    bits = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bits.append(g.has_edge(best_perm[i], best_perm[j]))
-    packed = bytearray()
-    acc = cur = 0
-    for b in bits:
-        acc |= int(b) << cur
-        cur += 1
-        if cur == 8:
-            packed.append(acc)
-            acc = cur = 0
-    if cur:
-        packed.append(acc)
-    return b"CG" + n.to_bytes(2, "big") + bytes(packed)
+    # The upper triangle of the permuted adjacency, row by row, 8 bits to a byte, low bit first.
+    bits = g.adjacency()[np.ix_(best_perm, best_perm)][np.triu_indices(n, 1)]
+    return b"CG" + n.to_bytes(2, "big") + np.packbits(bits, bitorder="little").tobytes()

@@ -182,7 +182,7 @@ class RingTable:
             raise ValueError(f"{which} table must hold size*size entries")
         if arr.min() < 0 or arr.max() >= self.size:
             raise ValueError(f"{which} table entry out of range")
-        table = np.ascontiguousarray(arr)
+        table = np.ascontiguousarray(arr, dtype=np.min_scalar_type(self.size - 1))
         table.setflags(write=False)
         return lambda a, b: table[a, b]
 
@@ -570,7 +570,8 @@ def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> 
         def op(a, b):
             out = 0
             for s, f, d in zip(sizes, ops, digits):
-                out = out * s + f(d[a], d[b])
+                # Widen first: a factor's table may hold uint8.
+                out = out * s + f(d[a], d[b]).astype(np.int64)
             return out
 
         return op

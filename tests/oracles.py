@@ -73,6 +73,78 @@ def brute_diameter(g: SimpleGraph) -> int | None:
     return max(flat)
 
 
+def _bfs_layers(g: SimpleGraph, source: int) -> list[list[int]]:
+    layers = [[source]]
+    seen = {source}
+    while True:
+        nxt = sorted({v for u in layers[-1] for v in range(g.n) if g.has_edge(u, v)} - seen)
+        if not nxt:
+            return layers
+        seen.update(nxt)
+        layers.append(nxt)
+
+
+def brute_metrics(g: SimpleGraph) -> tuple:
+    """(vertices, edges, connected, components, diameter, witness) by one BFS per vertex.
+
+    Connected: the first vertex of maximal eccentricity in index order and
+    the lowest vertex of its last BFS layer (no witness for one vertex).
+    Disconnected: 0 and the lowest vertex unreachable from 0.
+    """
+    n = g.n
+    if n == 0:
+        return (0, 0, False, 0, None, None)
+    layers = [_bfs_layers(g, v) for v in range(n)]
+    reach = [{u for layer in layers[v] for u in layer} for v in range(n)]
+    components = len({min(r) for r in reach})
+    edges = len(g.edges())
+    if components > 1:
+        return (n, edges, False, components, None, (0, min(set(range(n)) - reach[0])))
+    ecc = [len(layers[v]) - 1 for v in range(n)]
+    v = ecc.index(max(ecc))
+    witness = (v, layers[v][-1][0]) if n > 1 else None
+    return (n, edges, True, 1, max(ecc), witness)
+
+
+def brute_partitions(g: SimpleGraph) -> tuple:
+    """(bipartition, complete multipartite parts), each None when it does not exist.
+
+    The bipartition colours each vertex by the parity of its distance from
+    the lowest vertex of its component.  The parts are the classes of
+    "equal or non-adjacent", when that relation is transitive and so the
+    graph is complete multipartite.
+    """
+    n = g.n
+    side = [None] * n
+    for s in range(n):
+        if side[s] is None:
+            for d, layer in enumerate(_bfs_layers(g, s)):
+                for v in layer:
+                    side[v] = d % 2
+    bipartite = all(side[u] != side[v] for u, v in g.edges())
+    bipartition = (
+        tuple(v for v in range(n) if side[v] == 0),
+        tuple(v for v in range(n) if side[v] == 1),
+    ) if bipartite else None
+    apart = [[u == v or not g.has_edge(u, v) for v in range(n)] for u in range(n)]
+    transitive = all(
+        apart[u][w] for u in range(n) for v in range(n) for w in range(n) if apart[u][v] and apart[v][w]
+    )
+    parts = []
+    for v in range(n):
+        if not any(v in part for part in parts):
+            parts.append(tuple(u for u in range(n) if apart[v][u]))
+    return bipartition, (tuple(parts) if transitive else None)
+
+
+def maps_edges(g1: SimpleGraph, g2: SimpleGraph, mapping) -> bool:
+    """Whether `mapping` is a bijection that carries g1's edge set onto g2's."""
+    if g1.n != g2.n or sorted(mapping) != list(range(g1.n)):
+        return False
+    mapped = {tuple(sorted((mapping[u], mapping[v]))) for u, v in g1.edges()}
+    return mapped == set(g2.edges())
+
+
 def zn_unit(n: int, a: int) -> bool:
     return gcd(a, n) == 1
 

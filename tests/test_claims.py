@@ -13,6 +13,7 @@ import pytest
 
 import comaximal
 from comaximal import (
+    CapacityError,
     Caps,
     RingAnalysis,
     build_comaximal_graph,
@@ -219,6 +220,65 @@ class TestPairClaims:
         assert by_id["T4.4"].outcome == "pass"
         assert by_id["C4.6"].outcome == "skip"
         assert "reduced" in by_id["C4.6"].skip_reason
+
+
+PAIR_ORDERS = [("T4.4", "C4.6"), ("C4.6", "T4.4")]
+
+
+class TestSharedGraphIsomorphism:
+    """One `verify_pair` call runs `are_isomorphic` at most once for T4.4 and C4.6."""
+
+    @staticmethod
+    def count_calls(monkeypatch, fn) -> list:
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr("comaximal.claims.are_isomorphic", counted)
+        return calls
+
+    @staticmethod
+    def each_alone(order, caps=None) -> list[dict]:
+        rings = ring_from_text("Z/6"), ring_from_text("Z/2 x Z/3")
+        return [verify_pair(*rings, [cid], caps=caps)[0].to_json() for cid in order]
+
+    @pytest.mark.parametrize("order", PAIR_ORDERS)
+    def test_one_call_for_both_claims(self, monkeypatch, order):
+        alone = self.each_alone(order)
+        calls = self.count_calls(monkeypatch, comaximal.isomorphism.are_isomorphic)
+        together = verify_pair(ring_from_text("Z/6"), ring_from_text("Z/2 x Z/3"), order)
+        assert len(calls) == 1
+        assert [r.to_json() for r in together] == alone
+        assert [r.outcome for r in together] == ["pass", "pass"]
+
+    @pytest.mark.parametrize("order", PAIR_ORDERS)
+    def test_capacity_error_is_shared(self, monkeypatch, order):
+        def capped(*args):
+            raise CapacityError("graph isomorphism refused")
+
+        calls = self.count_calls(monkeypatch, capped)
+        alone = self.each_alone(order)
+        calls.clear()
+        together = verify_pair(ring_from_text("Z/6"), ring_from_text("Z/2 x Z/3"), order)
+        assert len(calls) == 1
+        assert [r.to_json() for r in together] == alone
+        assert [(r.outcome, r.skip_reason) for r in together] == [("skip", "graph isomorphism refused")] * 2
+
+    @pytest.mark.parametrize("order", PAIR_ORDERS)
+    def test_graph_cap_skips_unchanged(self, monkeypatch, order):
+        caps = Caps(max_graphiso_vertices=4)
+        alone = self.each_alone(order, caps)
+        calls = self.count_calls(monkeypatch, comaximal.isomorphism.are_isomorphic)
+        together = verify_pair(ring_from_text("Z/6"), ring_from_text("Z/2 x Z/3"), order, caps=caps)
+        assert len(calls) == 1  # C4.6's call; T4.4 skips on the vertex count first
+        assert [r.to_json() for r in together] == alone
+        reasons = {r.claim: r.skip_reason for r in together}
+        assert reasons == {
+            "T4.4": "graph isomorphism capped at 4 vertices",
+            "C4.6": "graph isomorphism capped at 4 vertices (graphs have 6)",
+        }
 
 
 class TestFamilies:

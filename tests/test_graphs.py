@@ -23,6 +23,7 @@ from oracles import (
     brute_chromatic,
     brute_clique,
     brute_diameter,
+    brute_metrics,
     comaximal_rows,
     validate_rows,
 )
@@ -222,6 +223,32 @@ class TestMetrics:
         for g in small_graph_zoo():
             assert metrics(g).diameter == brute_diameter(g)
 
+    def test_zoo_matches_bruteforce_metrics(self):
+        for g in small_graph_zoo():
+            m = metrics(g)
+            got = (m.vertex_count, m.edge_count, m.connected, m.components, m.diameter, m.witness_pair)
+            assert got == brute_metrics(g)
+
+    def test_twin_in_last_layer_loses_to_lower_vertex(self):
+        # A 5-cycle with vertex 0 doubled by its false twin 5: from 0 the last
+        # layer is {2, 3, 5}, and its lowest vertex is 2, not the twin.
+        g = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 1), (5, 4)])
+        m = metrics(g)
+        assert (m.diameter, m.witness_pair) == (2, (0, 2))
+
+    def test_universal_vertex_witness(self):
+        # 2 is universal; 0 is the first other vertex, and 3 its lowest non-neighbour.
+        g = SimpleGraph.from_edges(5, [(0, 1), (0, 4), (1, 3), (2, 0), (2, 1), (2, 3), (2, 4)])
+        m = metrics(g)
+        assert (m.connected, m.diameter, m.witness_pair) == (True, 2, (0, 3))
+        complete = metrics(SimpleGraph.complete(4))
+        assert (complete.diameter, complete.witness_pair) == (1, (0, 1))
+
+    def test_isolated_twins_count_as_components(self):
+        g = disjoint_union(SimpleGraph.edgeless(3), SimpleGraph.complete_multipartite([2, 2]))
+        m = metrics(g)
+        assert (m.components, m.witness_pair) == (4, (0, 1))
+
     def test_distance(self):
         g = path_graph(4)
         assert distance(g, 0, 3) == 3
@@ -294,6 +321,14 @@ class TestMultipartite:
         assert st.bipartition is None
         assert st.multipartite_parts is not None
         assert len(st.multipartite_parts) == 3
+
+    def test_bipartition_lifts_twin_classes(self):
+        # Path 0-2-1-3 with 4 a false twin of 0: the class {0, 4} comes before
+        # {1}, and both land on side 0.
+        g = SimpleGraph.from_edges(5, [(0, 2), (4, 2), (2, 1), (1, 3)])
+        st = multipartite_structure(g)
+        assert st.bipartition == ((0, 1, 4), (2, 3))
+        assert st.multipartite_parts is None
 
     def test_odd_cycle_is_neither(self):
         st = multipartite_structure(cycle_graph(5))

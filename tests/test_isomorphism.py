@@ -7,6 +7,7 @@ import pytest
 
 from comaximal import (
     CapacityError,
+    InternalConsistencyError,
     SimpleGraph,
     are_isomorphic,
     build_comaximal_graph,
@@ -128,6 +129,39 @@ class TestVerifyIsomorphism:
     def test_rejects_non_bijection(self):
         g = SimpleGraph.edgeless(3)
         assert verify_isomorphism(g, g, [0, 0, 1]) is False
+
+    def test_rejects_permutation_that_moves_an_edge(self):
+        g = graph_of("Z/30", "core")
+        witness = list(are_isomorphic(g, g))
+        # Composing an automorphism with a swap of two vertices of unequal degree is none.
+        i = next(i for i in range(g.n) if g.degree(i) != g.degree(0))
+        witness[0], witness[i] = witness[i], witness[0]
+        assert verify_isomorphism(g, g, witness) is False
+
+    def test_rejects_wrong_length(self):
+        g = graph_of("Z/12")
+        assert verify_isomorphism(g, g, list(range(g.n - 1))) is False
+        assert verify_isomorphism(g, g, list(range(g.n + 1))) is False
+
+
+class TestSelfCheck:
+    """A witness that the check rejects raises InternalConsistencyError, also under -O."""
+
+    def test_rejected_witness_raises(self, monkeypatch):
+        monkeypatch.setattr("comaximal.isomorphism.verify_isomorphism", lambda g1, g2, m: False)
+        with pytest.raises(InternalConsistencyError, match="bad witness"):
+            are_isomorphic(graph_of("Z/6"), graph_of("Z/2 x Z/3"))
+
+    def test_rejected_witness_survives_python_O(self, python_O):
+        plant = (
+            "import comaximal.isomorphism as isomorphism\n"
+            "from comaximal import build_comaximal_graph, ring_from_text\n"
+            "isomorphism.verify_isomorphism = lambda g1, g2, m: False\n"
+            "g1, g2 = (build_comaximal_graph(ring_from_text(t)) for t in ('Z/6', 'Z/2 x Z/3'))\n"
+        )
+        out = python_O(plant, "isomorphism.are_isomorphic(g1, g2)")
+        assert out.startswith("raised 1 "), out
+        assert "bad witness" in out
 
 
 class TestRefinement:

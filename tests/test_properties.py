@@ -14,6 +14,9 @@ from comaximal import (
     chromatic_number,
     clique_number,
     format_expression,
+    max_clique,
+    metrics,
+    multipartite_structure,
     parse_expression,
     ring_from_text,
 )
@@ -22,6 +25,9 @@ from oracles import (
     brute_chromatic,
     brute_clique,
     brute_diameter,
+    brute_metrics,
+    brute_partitions,
+    maps_edges,
     structure_by_definition,
     structure_of,
     validate_rows,
@@ -145,6 +151,31 @@ def row_sets(draw):
     return n, rows
 
 
+@st.composite
+def planted_twin_graphs(draw, max_n=7):
+    """A random base graph with each vertex blown up into a class of false
+    twins, plus universal vertices, in a shuffled vertex order."""
+    universal = draw(st.integers(0, 2))
+    k = draw(st.integers(1, 5))
+    pairs = [(x, y) for x in range(k) for y in range(x + 1, k)]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    base = {pair for pair, flag in zip(pairs, flags) if flag}
+    sizes: list[int] = []
+    for i in range(k):
+        budget = max_n - universal - sum(sizes) - (k - i - 1)
+        sizes.append(draw(st.integers(1, min(3, budget))))
+    owner = [i for i in range(k) for _ in range(sizes[i])] + [None] * universal
+    n = len(owner)
+    perm = draw(st.permutations(range(n)))
+
+    def adjacent(a: int, b: int) -> bool:
+        x, y = owner[a], owner[b]
+        return x is None or y is None or (min(x, y), max(x, y)) in base
+
+    edges = [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n) if adjacent(a, b)]
+    return SimpleGraph.from_edges(n, edges)
+
+
 class TestGraphProperties:
     @settings(max_examples=400)
     @given(row_sets())
@@ -178,6 +209,24 @@ class TestGraphProperties:
         from comaximal import metrics
 
         assert metrics(g).diameter == brute_diameter(g)
+
+    @settings(max_examples=300)
+    @given(planted_twin_graphs(), st.randoms(use_true_random=False))
+    def test_twin_quotient_matches_oracles(self, g, rng):
+        m = metrics(g)
+        got = (m.vertex_count, m.edge_count, m.connected, m.components, m.diameter, m.witness_pair)
+        assert got == brute_metrics(g)
+        clique = max_clique(g)
+        assert len(clique) == clique_number(g) == brute_clique(g)
+        assert all(g.has_edge(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :])
+        assert chromatic_number(g) == brute_chromatic(g)
+        parts = multipartite_structure(g)
+        assert (parts.bipartition, parts.multipartite_parts) == brute_partitions(g)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled = SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        mapping = are_isomorphic(g, relabelled)
+        assert mapping is not None and maps_edges(g, relabelled, mapping)
 
     @given(random_graph_strategy(7), st.randoms(use_true_random=False))
     def test_certificate_invariant_under_relabeling(self, spec, rng):

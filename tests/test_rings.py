@@ -1,14 +1,10 @@
 """Ring kernel tests against hand-derived and brute-force values."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import comaximal
 from comaximal import (
     CapacityError,
     IdealSet,
@@ -272,6 +268,24 @@ class TestDirectProduct:
     def test_size_cap(self):
         with pytest.raises(CapacityError):
             direct_product(zn(100), zn(100), max_size=4096)
+
+    def test_tables_use_smallest_index_type(self):
+        idx = np.arange(TABLE_LIMIT)
+        assert zn(TABLE_LIMIT).mul_op(idx[:, None], idx).dtype == np.uint8
+        assert zn(16).add_op(3, 15) == 2
+
+    def test_table_factors_above_table_limit(self):
+        # 512 elements from two uint8-table factors: the mixed-radix index
+        # x * 32 + y overflows uint8 unless each digit is widened first.
+        r = ring_from_text("Z/16 x Z/32")
+        assert r.size == 512 > TABLE_LIMIT
+        idx = np.arange(512)
+        x, y = idx // 32, idx % 32
+        a, b = idx[:, None], idx
+        expected_add = (x[a] + x[b]) % 16 * 32 + (y[a] + y[b]) % 32
+        expected_mul = (x[a] * x[b]) % 16 * 32 + (y[a] * y[b]) % 32
+        assert np.array_equal(r.add_op(a, b), expected_add)
+        assert np.array_equal(r.mul_op(a, b), expected_mul)
 
 
 class TestClean:
@@ -545,30 +559,7 @@ CERTIFICATE_FAULTS = {
 }
 
 
-def _run_python_O(plant: str, text: str, attribute: str) -> str:
-    """stdout of a `python -O` run that plants a fault, then reads `attribute` of `text`."""
-    script = (
-        "import sys\n"
-        "import comaximal.rings as rings\n"
-        "from comaximal import InternalConsistencyError, ring_from_text\n"
-        + plant
-        + "try:\n"
-        f"    result = ring_from_text({text!r}).{attribute}\n"
-        "except InternalConsistencyError as exc:\n"
-        "    print('raised', sys.flags.optimize, exc)\n"
-        "else:\n"
-        "    print('returned', len(result))\n"
-    )
-    src = str(Path(comaximal.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
+RING_PLANT = "import comaximal.rings as rings\nfrom comaximal import ring_from_text\n"
 
 
 class TestSelfChecks:
@@ -579,9 +570,9 @@ class TestSelfChecks:
         with pytest.raises(InternalConsistencyError, match="brute force"):
             zn(12).maximal_ideals
 
-    def test_crosscheck_survives_python_O(self):
-        plant = "rings.maximal_ideals_bruteforce = lambda ring: ()\n"
-        out = _run_python_O(plant, "Z/12", "maximal_ideals")
+    def test_crosscheck_survives_python_O(self, python_O):
+        plant = RING_PLANT + "rings.maximal_ideals_bruteforce = lambda ring: ()\n"
+        out = python_O(plant, "ring_from_text('Z/12').maximal_ideals")
         assert out.startswith("raised 1 "), out
         assert "brute force" in out
 
@@ -593,14 +584,14 @@ class TestSelfChecks:
             getattr(zn(100), attribute)
 
     @pytest.mark.parametrize("fault", list(CERTIFICATE_FAULTS))
-    def test_certificates_survive_python_O(self, fault):
+    def test_certificates_survive_python_O(self, fault, python_O):
         name, wrapper, attribute, message = CERTIFICATE_FAULTS[fault]
-        plant = (
+        plant = RING_PLANT + (
             f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
             "import test_rings\n"
             "table = rings.RingTable\n"
             f"table.{name} = test_rings.{wrapper.__name__}(table.__dict__[{name!r}])\n"
         )
-        out = _run_python_O(plant, "Z/100", attribute)
+        out = python_O(plant, f"ring_from_text('Z/100').{attribute}")
         assert out.startswith("raised 1 "), out
         assert message in out
