@@ -8,6 +8,10 @@ the outcome.  Where a fail witness names concrete elements, the claim
 also registers an audit, defined just above its checker, that rechecks
 the witness through the ideal-closure oracle or scalar ring operations,
 independently of the signature path the checkers share.
+
+`_run_claims`, behind `verify_ring` and `verify_pair`, is the one place
+where an exception from a checker becomes an outcome: a CapacityError
+is reported as a skip, anything else propagates.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .construct import expression_size, parse_expression, ring_from_text
+from .construct import _prime_factors, expression_size, parse_expression, ring_from_text
 from .errors import (
     CapacityError,
     InternalConsistencyError,
@@ -45,7 +49,7 @@ from .limits import (
     DEFAULT_MAX_RING_SIZE,
     DEFAULT_RING_ISO_CAP,
 )
-from .rings import _BLOCK, RingTable, ring_isomorphic
+from .rings import RingTable, _blocks, _lowest, ring_isomorphic
 from .version import __version__
 
 
@@ -101,6 +105,10 @@ class RingAnalysis:
         return metrics(self.graph("core"))
 
     @cached_property
+    def core_structure(self):
+        return multipartite_structure(self.graph("core"))
+
+    @cached_property
     def core_clique(self) -> int:
         return clique_number(self.graph("core"), self.caps.max_exact_vertices)
 
@@ -121,10 +129,9 @@ class RingAnalysis:
         k, n = len(reps), len(coset)
         adj = self.graph("full").adjacency()
         edges = np.zeros(k * k, dtype=np.int64)
-        step = max(1, _BLOCK // n)  # rows at a time, so the pair indices stay small
-        for lo in range(0, n, step):
-            pairs = coset[lo : lo + step, None] * k + coset
-            edges += np.bincount(pairs[adj[lo : lo + step]], minlength=k * k)
+        for block in _blocks(n, n):  # rows at a time, so the pair indices stay small
+            pairs = coset[block, None] * k + coset
+            edges += np.bincount(pairs[adj[block]], minlength=k * k)
         return reps, coset, edges.reshape(k, k)
 
     @cached_property
@@ -186,26 +193,6 @@ def _skipped(reason: str):
     return "skip", None, reason
 
 
-def _distinct_prime_count(n: int) -> int:
-    count, d = 0, 2
-    while d * d <= n:
-        if n % d == 0:
-            count += 1
-            while n % d == 0:
-                n //= d
-        d += 1
-    return count + (1 if n > 1 else 0)
-
-
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = min(d for d in range(2, q + 1) if q % d == 0)
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
 # -- single-ring claims -----------------------------------------------------------
 
 
@@ -226,9 +213,8 @@ def _check_units_complete(a: RingAnalysis):
     for i in range(g.n):
         missing = full & ~g.rows[i] & ~(1 << i)
         if missing:
-            j = (missing & -missing).bit_length() - 1
             return _failed(
-                {"non_adjacent_units": [g.vertex_keys[i], g.vertex_keys[j]]}
+                {"non_adjacent_units": [g.vertex_keys[i], g.vertex_keys[_lowest(missing)]]}
             )
     return _passed({"unit_count": g.n, "edges": g.edge_count})
 
@@ -280,7 +266,7 @@ def _check_join(a: RingAnalysis):
 
 @_claim("T2.2", "the core is complete bipartite exactly when there are two maximal ideals")
 def _check_core_bipartite(a: RingAnalysis):
-    st = multipartite_structure(a.graph("core"))
+    st = a.core_structure
     t = a.ring.maximal_ideal_count
     is_cb = st.is_complete_bipartite
     witness = {
@@ -309,7 +295,7 @@ def _check_core_counts(a: RingAnalysis):
 def _check_core_multipartite(a: RingAnalysis):
     if a.ring.maximal_ideal_count < 2:
         return _skipped("stated for rings with at least two maximal ideals")
-    st = multipartite_structure(a.graph("core"))
+    st = a.core_structure
     if st.multipartite_parts is None:
         return _passed({"core_complete_multipartite": False})
     parts = len(st.multipartite_parts)
@@ -336,7 +322,7 @@ def _check_universal_vertex(a: RingAnalysis):
         if not any(m.mask == mask for m in ring.maximal_ideals):
             return _failed({"kind": "pair_ideal_missing", "vertex": x})
     q, rem = divmod(ring.size, 2)
-    if rem or not _is_prime_power(q):
+    if rem or len(list(_prime_factors(q))) != 1:
         return _failed({"kind": "size_not_2q", "size": ring.size})
     witness: dict = {"universal_vertices": len(universal), "field_size": q}
     if ring.size <= a.caps.max_ringiso_size:
@@ -446,7 +432,7 @@ def _check_zn_pattern(a: RingAnalysis):
     ring = a.ring
     if ring.characteristic != ring.size:
         return _skipped("additive group is not cyclic of full order, so this is not Z/n")
-    r = _distinct_prime_count(ring.size)
+    r = len(list(_prime_factors(ring.size)))
     m = a.core_metrics
     witness = {
         "n": ring.size,
@@ -631,16 +617,10 @@ def _check_residue_match(a1: RingAnalysis, a2: RingAnalysis, graph_iso: Callable
     for analysis in (a1, a2):
         ring = analysis.ring
         g = analysis.graph("full")
-        ideals = ring.maximal_ideals
-        for idx, ideal in enumerate(ideals):
-            others = 0
-            for jdx, other in enumerate(ideals):
-                if jdx != idx:
-                    others |= other.mask
-            only = ideal.mask & ~others
-            if not only:
+        for i, ideal in enumerate(ring.maximal_ideals):
+            if 1 << i not in ring.signatures:
                 raise InternalConsistencyError("a maximal ideal is covered by the others")
-            x = (only & -only).bit_length() - 1
+            x = ring.signatures.index(1 << i)  # the first element in ideal i alone
             non_neighbours = g.n - 1 - g.rows[x].bit_count()
             if non_neighbours != len(ideal) - 1:
                 return _failed(
@@ -692,6 +672,40 @@ def _as_analysis(target, text: str | None, caps: Caps | None) -> RingAnalysis:
     return RingAnalysis(target, text=text, caps=caps)
 
 
+def _claim_ids(registry: dict[str, ClaimSpec], claims: Sequence[str] | None) -> list[str]:
+    """`claims` (all of `registry` by default) as a list, every id checked."""
+    ids = list(claims) if claims is not None else list(registry)
+    for cid in ids:
+        if cid not in registry:
+            raise ValueError(f"unknown claim id {cid!r}")
+    return ids
+
+
+def _run_claims(
+    registry: dict[str, ClaimSpec],
+    claims: Sequence[str] | None,
+    analyses: tuple[RingAnalysis, ...],
+    *extra,
+) -> list[ClaimReport]:
+    """Check every id, then run `check(*analyses, *extra)` for each and report it.
+
+    The check is read from `registry` at call time, so a spec replaced in
+    the registry is the one that runs.
+    """
+    texts = tuple(a.text for a in analyses)
+    reports = []
+    for cid in _claim_ids(registry, claims):
+        start = time.perf_counter()
+        try:
+            outcome, witness, reason = registry[cid].check(*analyses, *extra)
+        except CapacityError as exc:
+            outcome, witness, reason = "skip", None, str(exc)
+        reports.append(
+            ClaimReport(cid, texts, outcome, reason, witness, time.perf_counter() - start)
+        )
+    return reports
+
+
 def verify_ring(
     target: RingTable | RingAnalysis,
     claims: Sequence[str] | None = None,
@@ -700,29 +714,7 @@ def verify_ring(
     caps: Caps | None = None,
 ) -> list[ClaimReport]:
     """Run single-ring claims (all by default) and report each outcome."""
-    analysis = _as_analysis(target, text, caps)
-    ids = list(claims) if claims is not None else list(SINGLE_CLAIMS)
-    reports = []
-    for cid in ids:
-        spec = SINGLE_CLAIMS.get(cid)
-        if spec is None:
-            raise ValueError(f"unknown claim id {cid!r}")
-        start = time.perf_counter()
-        try:
-            outcome, witness, reason = spec.check(analysis)
-        except CapacityError as exc:
-            outcome, witness, reason = "skip", None, str(exc)
-        reports.append(
-            ClaimReport(
-                cid,
-                (analysis.text,),
-                outcome,
-                reason,
-                witness,
-                time.perf_counter() - start,
-            )
-        )
-    return reports
+    return _run_claims(SINGLE_CLAIMS, claims, (_as_analysis(target, text, caps),))
 
 
 def _graph_isomorphism_once(a1: RingAnalysis, a2: RingAnalysis) -> Callable:
@@ -754,31 +746,8 @@ def verify_pair(
 ) -> list[ClaimReport]:
     """Run two-ring claims (all by default) against an ordered pair."""
     caps = caps or Caps()
-    a1 = _as_analysis(first, texts[0], caps)
-    a2 = _as_analysis(second, texts[1], caps)
-    ids = list(claims) if claims is not None else list(PAIR_CLAIMS)
-    graph_iso = _graph_isomorphism_once(a1, a2)
-    reports = []
-    for cid in ids:
-        spec = PAIR_CLAIMS.get(cid)
-        if spec is None:
-            raise ValueError(f"unknown claim id {cid!r}")
-        start = time.perf_counter()
-        try:
-            outcome, witness, reason = spec.check(a1, a2, graph_iso)
-        except CapacityError as exc:
-            outcome, witness, reason = "skip", None, str(exc)
-        reports.append(
-            ClaimReport(
-                cid,
-                (a1.text, a2.text),
-                outcome,
-                reason,
-                witness,
-                time.perf_counter() - start,
-            )
-        )
-    return reports
+    pair = (_as_analysis(first, texts[0], caps), _as_analysis(second, texts[1], caps))
+    return _run_claims(PAIR_CLAIMS, claims, pair, _graph_isomorphism_once(*pair))
 
 
 # -- sweeps ------------------------------------------------------------------------
@@ -840,10 +809,7 @@ def sweep(
     identical reports, regardless of worker count.
     """
     caps = caps or Caps()
-    ids = list(claims) if claims is not None else list(SINGLE_CLAIMS)
-    for cid in ids:
-        if cid not in SINGLE_CLAIMS:
-            raise ValueError(f"unknown claim id {cid!r}")
+    ids = _claim_ids(SINGLE_CLAIMS, claims)
     entries: list[dict] = []
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -261,7 +261,7 @@ def cmd_iso(args: argparse.Namespace, caps: Caps) -> int:
     return EXIT_OK
 
 
-def _report_table(reports: Sequence[ClaimReport]) -> str:
+def _report_table(reports: Sequence[ClaimReport], summary: dict) -> str:
     lines = []
     for r in reports:
         detail = ""
@@ -270,11 +270,20 @@ def _report_table(reports: Sequence[ClaimReport]) -> str:
         elif r.outcome == "fail" and r.witness is not None:
             detail = json.dumps(r.witness, sort_keys=True)
         lines.append(f"{r.claim:<8}{r.outcome:<6}{detail}".rstrip())
-    tally = {"pass": 0, "fail": 0, "skip": 0}
-    for r in reports:
-        tally[r.outcome] += 1
-    lines.append(f"summary: pass={tally['pass']} fail={tally['fail']} skip={tally['skip']}")
+    lines.append(f"summary: pass={summary['pass']} fail={summary['fail']} skip={summary['skip']}")
     return "\n".join(lines)
+
+
+def _print_reports(
+    header: str, reports: Sequence[ClaimReport], out_path: str | None, caps: Caps
+) -> int:
+    """The tail of verify and verify-pair: header, table, optional report file, exit code."""
+    report = make_report([r.to_json() for r in reports], caps)
+    print(header)
+    print(_report_table(reports, report["summary"]))
+    if out_path is not None:
+        save_report(report, out_path)
+    return EXIT_FAIL if report["summary"]["fail"] else EXIT_OK
 
 
 def _parse_claim_ids(raw: str | None, registry: dict, what: str) -> list[str] | None:
@@ -294,12 +303,7 @@ def cmd_verify(args: argparse.Namespace, caps: Caps) -> int:
     ids = _parse_claim_ids(args.claims, SINGLE_CLAIMS, "single-ring")
     ring = _build_ring(args.spec, caps)
     reports = verify_ring(ring, ids, text=args.spec, caps=caps)
-    print(f"ring: {args.spec}")
-    print(_report_table(reports))
-    if args.out is not None:
-        save_report(make_report([r.to_json() for r in reports], caps), args.out)
-    failed = any(r.outcome == "fail" for r in reports)
-    return EXIT_FAIL if failed else EXIT_OK
+    return _print_reports(f"ring: {args.spec}", reports, args.out, caps)
 
 
 def cmd_verify_pair(args: argparse.Namespace, caps: Caps) -> int:
@@ -309,12 +313,7 @@ def cmd_verify_pair(args: argparse.Namespace, caps: Caps) -> int:
     reports = verify_pair(
         ring_a, ring_b, ids, texts=(args.spec_a, args.spec_b), caps=caps
     )
-    print(f"rings: {args.spec_a} | {args.spec_b}")
-    print(_report_table(reports))
-    if args.out is not None:
-        save_report(make_report([r.to_json() for r in reports], caps), args.out)
-    failed = any(r.outcome == "fail" for r in reports)
-    return EXIT_FAIL if failed else EXIT_OK
+    return _print_reports(f"rings: {args.spec_a} | {args.spec_b}", reports, args.out, caps)
 
 
 def cmd_sweep(args: argparse.Namespace, caps: Caps) -> int:

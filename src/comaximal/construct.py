@@ -26,7 +26,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -65,15 +65,27 @@ class ProductExpr:
 RingExpr = Union[ZnExpr, PolyQuotExpr, SqzExpr, TableFileExpr, ProductExpr]
 
 
+def _prime_factors(n: int) -> Iterator[tuple[int, int]]:
+    """(p, e) for each prime p dividing n, p ascending, with p**e the exact power.
+
+    Trial division, lazily: the first pair costs a search up to the
+    smallest prime factor only.  Nothing is yielded for n < 2.
+    """
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            yield p, e
+        p += 1
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return next(_prime_factors(n), None) == (n, 1)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -158,12 +170,8 @@ class _Parser:
             else:
                 if q < 2:
                     self.fail("field size must be at least 2", qpos)
-                p = min(d for d in range(2, q + 1) if q % d == 0)
-                k, rest = 0, q
-                while rest % p == 0:
-                    rest //= p
-                    k += 1
-                if rest != 1:
+                p, k = next(_prime_factors(q))
+                if p**k != q:
                     self.fail("field size must be a prime power", qpos)
             self.expect(")")
             if k == 1:
@@ -481,13 +489,18 @@ def expression_size(expr: RingExpr) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise TableFormatError(f"cannot read table file: {exc}") from exc
         size = data.get("size") if isinstance(data, dict) else None
-        if not isinstance(size, int) or size < 2:
+        if not _is_json_int(size) or size < 2:
             raise TableFormatError("size must be an integer >= 2")
         return size
     raise TypeError(f"not a ring expression: {expr!r}")
 
 
 # -- table files ------------------------------------------------------------------
+
+
+def _is_json_int(value) -> bool:
+    """An integer read from JSON; true and false load as bools, which are ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_table_ring(path: str) -> RingTable:
@@ -510,17 +523,17 @@ def load_table_ring(path: str) -> RingTable:
         if key not in data:
             raise TableFormatError(f"table file is missing {key!r}")
     size = data["size"]
-    if not isinstance(size, int) or size < 2:
+    if not _is_json_int(size) or size < 2:
         raise TableFormatError("size must be an integer >= 2")
     one = data["one"]
-    if not isinstance(one, int) or not 0 <= one < size:
+    if not _is_json_int(one) or not 0 <= one < size:
         raise TableFormatError("one must be an element index")
     for key in ("add", "mul"):
         table = data[key]
         if not isinstance(table, list) or len(table) != size * size:
             raise TableFormatError(f"{key} table must hold size*size entries")
         for v in table:
-            if not isinstance(v, int) or not 0 <= v < size:
+            if not _is_json_int(v) or not 0 <= v < size:
                 raise TableFormatError(f"{key} table entry {v!r} out of range")
     labels = data.get("labels")
     if labels is not None:

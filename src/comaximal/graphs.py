@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .limits import DEFAULT_EXACT_VERTEX_CAP
-from .rings import _BLOCK, RingTable, _iter_bits, _mask_from_bool
+from .rings import RingTable, _blocks, _iter_bits, _lowest, _mask_from_bool
 
 
 class SimpleGraph:
@@ -65,16 +65,15 @@ class SimpleGraph:
         # Blocks of a multiple of 8 rows, about _BLOCK entries, so that the
         # block's columns are whole bytes of the packed rows.
         packed = self._packed()
-        step = 8 * max(1, _BLOCK // (8 * max(n, 1)))
-        for lo in range(0, n, step):
-            rows = packed[lo : lo + step]
+        for part in _blocks(n, n, 8):
+            rows = packed[part]
             block = np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
-            columns = packed[:, lo // 8 : (lo + step) // 8]
+            columns = packed[:, part.start // 8 : part.stop // 8]
             column_bits = np.unpackbits(columns, axis=1, count=len(rows), bitorder="little")
             one_way = np.flatnonzero(block & ~column_bits.view(bool).T)
             if len(one_way):
                 i, j = divmod(int(one_way[0]), n)
-                raise ValueError(f"edge {lo + i}-{j} is not symmetric")
+                raise ValueError(f"edge {part.start + i}-{j} is not symmetric")
 
     @classmethod
     def from_edges(
@@ -167,10 +166,9 @@ def _induced_rows(rows: Sequence[int], n: int, keep: Sequence[int]) -> list[int]
     """
     packed = _pack([rows[v] for v in keep], n)
     columns = np.asarray(keep, dtype=np.int64)
-    step = max(1, _BLOCK // max(n, 1))
     out: list[int] = []
-    for lo in range(0, len(keep), step):
-        bits = np.unpackbits(packed[lo : lo + step], axis=1, count=n, bitorder="little")
+    for block in _blocks(len(keep), n):
+        bits = np.unpackbits(packed[block], axis=1, count=n, bitorder="little")
         out.extend(_mask_from_bool(row) for row in bits[:, columns])
     return out
 
@@ -320,10 +318,6 @@ def _bfs(rows: list[int], source: int) -> tuple[int, int, int]:
     for depth, last in enumerate(_layers(rows, source), 1):
         visited |= last
     return depth, visited, _lowest(last)
-
-
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 def metrics(g: SimpleGraph) -> GraphMetrics:

@@ -51,10 +51,20 @@ def _distinct(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a mask, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _lowest(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask.
+
+    Read from `_iter_bits` rather than called by it, so that the per-bit
+    loop, which isomorphism search runs far more often, makes no extra call.
+    """
+    return next(_iter_bits(mask))
 
 
 # An elementwise ring law: integer index arrays in, broadcast like a numpy operator.
@@ -62,6 +72,17 @@ Op = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Whole-ring scans evaluate a law on blocks of rows with about this many entries.
 _BLOCK = 1 << 16
+
+
+def _blocks(count: int, width: int, multiple: int = 1) -> Iterator[slice]:
+    """Consecutive slices of `count` rows of `width` entries, about _BLOCK entries each.
+
+    Each slice spans a multiple of `multiple` rows; the last one is not
+    clipped to `count`.
+    """
+    step = multiple * max(1, _BLOCK // (multiple * max(width, 1)))
+    for lo in range(0, count, step):
+        yield slice(lo, lo + step)
 
 
 
@@ -191,9 +212,8 @@ class RingTable:
 
     def _row_blocks(self, rows: np.ndarray) -> Iterator[np.ndarray]:
         """`rows` in consecutive slices, each a column to broadcast against all elements."""
-        step = max(1, _BLOCK // self.size)
-        for lo in range(0, len(rows), step):
-            yield rows[lo : lo + step, None]
+        for block in _blocks(len(rows), self.size):
+            yield rows[block, None]
 
     def _check_index(self, a: int) -> None:
         if not 0 <= a < self.size:

@@ -277,6 +277,24 @@ def quotient_graph_witness(g: SimpleGraph, reps: list[int], quotient: SimpleGrap
     return None
 
 
+def residue_match_witness(g: SimpleGraph, ideals: list[list[int]], text: str) -> dict | None:
+    """T4.4's count check by member lists: in each maximal ideal in turn, the
+    smallest element in no other ideal misses exactly |M| - 1 other vertices."""
+    for i, ideal in enumerate(ideals):
+        others = {x for j, other in enumerate(ideals) if j != i for x in other}
+        x = min(set(ideal) - others)
+        count = sum(1 for v in range(g.n) if v != x and not g.has_edge(x, v))
+        if count != len(ideal) - 1:
+            return {
+                "kind": "non_neighbour_count",
+                "ring": text,
+                "element": x,
+                "count": count,
+                "ideal_size": len(ideal),
+            }
+    return None
+
+
 def units_by_definition(ring) -> list[bool]:
     """a is a unit when a*b = 1 for some b, read off one multiplication row per element."""
     return [ring.one in ring.mul_row(a).tolist() for a in range(ring.size)]

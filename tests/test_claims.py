@@ -38,6 +38,7 @@ from oracles import (
     distinct_primes,
     join_witness,
     quotient_graph_witness,
+    residue_match_witness,
 )
 
 
@@ -50,6 +51,20 @@ def one_report(text: str, claim: str):
 
 def outcome(text: str, claim: str) -> str:
     return one_report(text, claim).outcome
+
+
+def counted_checks(monkeypatch) -> list[str]:
+    """Replace every registered spec by one whose check logs its claim id."""
+    calls: list[str] = []
+    for registry in (SINGLE_CLAIMS, PAIR_CLAIMS):
+        for cid, spec in list(registry.items()):
+
+            def check(*args, _cid=cid, _inner=spec.check):
+                calls.append(_cid)
+                return _inner(*args)
+
+            monkeypatch.setitem(registry, cid, dataclasses.replace(spec, check=check))
+    return calls
 
 
 class TestCatalog:
@@ -68,6 +83,24 @@ class TestCatalog:
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError):
             verify_ring(ring_from_text("Z/6"), ["NOPE"])
+
+    def test_unknown_claim_rejected_before_any_checker_runs(self, monkeypatch):
+        calls = counted_checks(monkeypatch)
+        with pytest.raises(ValueError, match="BOGUS"):
+            verify_ring(ring_from_text("Z/6"), ["T3.1", "BOGUS"])
+        with pytest.raises(ValueError, match="BOGUS"):
+            verify_pair(ring_from_text("Z/6"), ring_from_text("Z/10"), ["T4.4", "BOGUS"])
+        assert calls == []
+
+    def test_replaced_spec_is_the_one_called(self, monkeypatch):
+        """Every driver reads the check from the registry when it runs it."""
+        calls = counted_checks(monkeypatch)
+        rings = [ring_from_text("Z/6"), ring_from_text("Z/10")]
+        verify_ring(rings[0], ["T3.1"])
+        (pair_report,) = verify_pair(*rings, ["T4.4"])
+        (entry,) = sweep(["Z/6"], ["T3.1"])["entries"]
+        assert revalidate_report(entry) and revalidate_report(pair_report, rings)
+        assert calls == ["T3.1", "T4.4", "T3.1", "T3.1", "T4.4"]
 
 
 class TestSingleClaims:
@@ -649,6 +682,20 @@ class TestGraphPathsMatchReference:
             outcomes.add((lifting.outcome, coset_units.outcome, lifted.outcome))
         assert {o[:2] for o in outcomes} >= {("fail", "pass"), ("pass", "fail")}
         assert {o[2] for o in outcomes} == {"pass", "fail"}
+
+    @pytest.mark.parametrize("text", ["Z/12", "Z/30", "SQZ(2,3)", "Z/2 x Z/8"])
+    def test_residue_witness_on_tampered_full_graphs(self, text):
+        """T4.4 on a ring paired with itself, so only its count check can fail."""
+        outcomes = set()
+        for a, _ in tampered_analyses(text):
+            (report,) = verify_pair(a, a, ["T4.4"])
+            ideals = [m.members() for m in a.ring.maximal_ideals]
+            expected = residue_match_witness(a.graph("full"), ideals, text) or {
+                "residues": list(a.ring.residue_field_sizes)
+            }
+            assert report.witness == expected
+            outcomes.add(report.outcome)
+        assert outcomes == {"pass", "fail"}
 
     @pytest.mark.parametrize("flip", [0, 1, 12, 13, 25])
     def test_coset_witnesses_on_tampered_units(self, flip):

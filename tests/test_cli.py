@@ -35,6 +35,13 @@ class TestRing:
         assert code == 2
         assert "position" in err
 
+    def test_json_boolean_one_exit_2(self, capsys, tmp_path):
+        table = {"size": 2, "one": True, "add": [0, 1, 1, 0], "mul": [0, 0, 0, 1]}
+        path = tmp_path / "z2.json"
+        path.write_text(json.dumps(table))
+        code, out, err = run_cli(capsys, "ring", f"table:{path}")
+        assert (code, out, err) == (2, "", "error: one must be an element index\n")
+
     def test_cap_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "ring", "Z/9999")
         assert code == 3

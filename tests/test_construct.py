@@ -188,6 +188,17 @@ class TestBuilders:
         ring_from_text("Z/5000", max_size=5000)
 
 
+def z3_table() -> dict:
+    """Z/3 as the JSON object of a table file."""
+    idx = np.arange(3)
+    return {
+        "size": 3,
+        "one": 1,
+        "add": ((idx[:, None] + idx) % 3).ravel().tolist(),
+        "mul": ((idx[:, None] * idx) % 3).ravel().tolist(),
+    }
+
+
 class TestTableFiles:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "z6.json")
@@ -236,6 +247,34 @@ class TestTableFiles:
         )
         with pytest.raises(TableFormatError):
             load_table_ring(str(path))
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("size", "size must be an integer >= 2"),
+            ("one", "one must be an element index"),
+            ("add", "add table entry False out of range"),
+            ("mul", "mul table entry False out of range"),
+        ],
+    )
+    def test_json_booleans_rejected(self, tmp_path, field, message):
+        """JSON true and false load as Python bools, which are ints too."""
+        path = tmp_path / "z3.json"
+        data = z3_table()
+        if field in ("add", "mul"):
+            data[field] = [bool(v) if v < 2 else v for v in data[field]]
+        else:
+            data[field] = True
+        path.write_text(json.dumps(data))
+        with pytest.raises(TableFormatError, match=message):
+            load_table_ring(str(path))
+
+    @pytest.mark.parametrize("size", [True, False])
+    def test_json_boolean_size_has_no_expression_size(self, tmp_path, size):
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps({**z3_table(), "size": size}))
+        with pytest.raises(TableFormatError, match="size must be an integer"):
+            expression_size(parse_expression(f"table:{path}"))
 
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
