@@ -18,15 +18,20 @@ encoding, so the choice is deterministic and reproducible.  `SQZ(p,k)`
 is the local ring F_p (+) F_p^k with square-zero multiplication on the
 vector part.  Paths for `table:` run to the next whitespace, so file
 names with spaces are not expressible.
+
+Elements of Z/p[x]/(f) and SQZ(p,k) are indexed by base-p digits, index =
+sum(digit_i * p**i): digit i is the coefficient of x^i, and in SQZ(p,k)
+digit k is the scalar part and digit k-i the i-th vector coordinate.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -92,9 +97,13 @@ def _is_prime(n: int) -> bool:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Under a size cap, trial-divides no further than the cap and picks no polynomial
+    for a field above it: the builders then reject such terms by their size."""
+
+    def __init__(self, text: str, max_size: int | None = None):
         self.text = text
         self.pos = 0
+        self.max_size = max_size
 
     def fail(self, message: str, pos: int | None = None) -> None:
         raise ParseError(message, self.pos if pos is None else pos, self.text)
@@ -127,6 +136,12 @@ class _Parser:
             self.fail(f"expected {what}")
         return int(self.text[start : self.pos]), start
 
+    def is_prime(self, n: int) -> bool:
+        """_is_prime(n), or true when n is over the cap and has no factor up to it."""
+        if self.max_size is not None and n > self.max_size:
+            return all(n % d for d in range(2, min(self.max_size, math.isqrt(n)) + 1))
+        return _is_prime(n)
+
     def parse_expression(self) -> RingExpr:
         self.skip_ws()
         factors = [self.parse_term()]
@@ -149,7 +164,7 @@ class _Parser:
         if self.eat("Z/"):
             n, npos = self.parse_nat("modulus")
             if self.looking_at("["):
-                if not _is_prime(n):
+                if not self.is_prime(n):
                     self.fail("polynomial quotient base must be prime", npos)
                 self.expect("[x]/(")
                 coeffs = self.parse_poly(n)
@@ -162,7 +177,7 @@ class _Parser:
             q, qpos = self.parse_nat("field size")
             if self.eat("^"):
                 k, kpos = self.parse_nat("exponent")
-                if not _is_prime(q):
+                if not self.is_prime(q):
                     self.fail("field characteristic must be prime", qpos)
                 if k < 1:
                     self.fail("field exponent must be at least 1", kpos)
@@ -170,16 +185,20 @@ class _Parser:
             else:
                 if q < 2:
                     self.fail("field size must be at least 2", qpos)
-                p, k = next(_prime_factors(q))
+                p, k = (q, 1) if self.is_prime(q) else next(_prime_factors(q))
                 if p**k != q:
                     self.fail("field size must be a prime power", qpos)
             self.expect(")")
             if k == 1:
                 return ZnExpr(p)
+            cap = self.max_size
+            if cap is not None and p ** min(k, cap.bit_length()) > cap:
+                # SQZ(p,k-1) has p**k elements too: building it raises the same size error
+                return SqzExpr(p, k - 1)
             return PolyQuotExpr(p, minimal_irreducible(p, k))
         if self.eat("SQZ("):
             p, ppos = self.parse_nat("prime")
-            if not _is_prime(p):
+            if not self.is_prime(p):
                 self.fail("SQZ base must be prime", ppos)
             self.expect(",")
             k, kpos = self.parse_nat("vector dimension")
@@ -237,18 +256,15 @@ def parse_expression(text: str) -> RingExpr:
     return _Parser(text).parse_expression()
 
 
-def _poly_str(coeffs: tuple[int, ...]) -> str:
-    parts = []
-    for d in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[d]
-        if c == 0:
-            continue
-        if d == 0:
-            parts.append(str(c))
-        else:
-            x = "x" if d == 1 else f"x^{d}"
-            parts.append(x if c == 1 else f"{c}{x}")
+def _terms_str(terms) -> str:
+    """Join (c, v) pairs as c1v1+c2v2+...: zero terms dropped, 1v written v, v "" a constant."""
+    parts = [v if c == 1 and v else f"{c}{v}" for c, v in terms if c]
     return "+".join(parts) if parts else "0"
+
+
+def _poly_str(coeffs: Sequence[int]) -> str:
+    powers = ("" if d == 0 else "x" if d == 1 else f"x^{d}" for d in range(len(coeffs)))
+    return _terms_str(reversed(list(zip(coeffs, powers))))
 
 
 def format_expression(expr: RingExpr) -> str:
@@ -292,11 +308,7 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     num = list(coeffs)
     for d in range(2, deg // 2 + 1):
         for m in range(p**d):
-            den, rest = [], m
-            for _ in range(d):
-                den.append(rest % p)
-                rest //= p
-            den.append(1)
+            den = [m // p**i % p for i in range(d)] + [1]
             if not any(_poly_rem(num, den, p)):
                 return False
     return True
@@ -308,11 +320,7 @@ def minimal_irreducible(p: int, k: int) -> tuple[int, ...]:
     if not _is_prime(p) or k < 1:
         raise ValueError("need a prime p and degree k >= 1")
     for m in range(p**k):
-        low, rest = [], m
-        for _ in range(k):
-            low.append(rest % p)
-            rest //= p
-        coeffs = tuple(low) + (1,)
+        coeffs = tuple(m // p**i % p for i in range(k)) + (1,)
         if _is_irreducible(coeffs, p):
             return coeffs
     raise AssertionError("an irreducible polynomial of every degree exists")
@@ -321,128 +329,96 @@ def minimal_irreducible(p: int, k: int) -> tuple[int, ...]:
 # -- builders -------------------------------------------------------------------
 
 
-def _check_size(n: int, max_size: int) -> None:
-    if n > max_size:
-        raise CapacityError(f"ring of size {n} exceeds the size cap ({max_size})")
+def _check_size(p: int, k: int, max_size: int) -> None:
+    """Raise CapacityError when p**k elements exceed the cap, without forming a huge p**k."""
+    if p ** min(k, max_size.bit_length()) > max_size:
+        size = p**k if k * math.log10(p) < 4300 else f"{p}^{k}"  # str() stops at 4,300 digits
+        raise CapacityError(f"ring of size {size} exceeds the size cap ({max_size})")
 
 
 def _zn_ring(n: int, max_size: int) -> RingTable:
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    _check_size(n, max_size)
+    _check_size(n, 1, max_size)
+    return RingTable(n, 1, lambda a, b: (a + b) % n, lambda a, b: (a * b) % n, name=f"Z/{n}")
+
+
+def _digit_ring(p: int, d: int, one: int, mul, label, name: str) -> RingTable:
+    """The ring on d base-p digits, index sum(digit_i * p**i), added digitwise.
+
+    `mul(digits)` gets the read-only digit table and returns the product of
+    broadcast index arrays, as a new array of digits not yet reduced mod p,
+    each at most d*(p-1)**2; `label` names an element from its digit list.
+    """
+    n = p**d
+    digits = np.empty((n, d), dtype=np.int64)
+    idx = np.arange(n)
+    for i in range(d):
+        digits[:, i] = idx % p
+        idx //= p
+    digits.setflags(write=False)
+    weights = p ** np.arange(d, dtype=np.int64)
+    product = mul(digits)
+
+    def multiply(a, b):
+        digit_sums = product(a, b)
+        digit_sums %= p  # in place, saving an allocation of the whole block
+        return digit_sums @ weights
+
     return RingTable(
         n,
-        1,
-        lambda a, b: (a + b) % n,
-        lambda a, b: (a * b) % n,
-        labels=[str(i) for i in range(n)],
-        name=f"Z/{n}",
+        one,
+        lambda a, b: ((digits[a] + digits[b]) % p) @ weights,
+        multiply,
+        labels=[label(row) for row in digits.tolist()],
+        name=name,
     )
 
 
 def _polyquot_ring(p: int, coeffs: tuple[int, ...], max_size: int) -> RingTable:
-    if not _is_prime(p):
-        raise ValueError("polynomial quotient base must be prime")
     deg = len(coeffs) - 1
     if deg < 1 or coeffs[deg] != 1:
         raise ValueError("polynomial must be monic of degree at least 1")
-    n = p**deg
-    _check_size(n, max_size)
+    _check_size(p, deg, max_size)
+    if not _is_prime(p):
+        raise ValueError("polynomial quotient base must be prime")
 
-    # x^(deg+j) mod f as coefficient vectors, for folding products.
-    top = [(-coeffs[i]) % p for i in range(deg)]
-    reductions = [top]
-    for _ in range(deg - 2):
-        prev = reductions[-1]
-        shifted = [0] + prev[:-1]
-        carry = prev[-1]
-        reductions.append([(shifted[i] + carry * top[i]) % p for i in range(deg)])
-    red = np.array(reductions, dtype=np.int64) if reductions else np.zeros((0, deg), np.int64)
+    # x^0 .. x^(2deg-2) mod f: x^(e+1) is x * x^e with x^deg folded into f's lower terms, negated.
+    powers = [[int(i == e) for i in range(deg)] for e in range(deg)]
+    for _ in range(deg - 1):
+        top = powers[-1]
+        powers.append([((top[i - 1] if i else 0) - top[-1] * coeffs[i]) % p for i in range(deg)])
+    small = np.min_scalar_type(-deg * (p - 1) ** 2)  # a signed type for every sum in a product
+    # by_x[i, j, k]: coefficient of x^k in x^(i+j) mod f.
+    by_x = np.array([[powers[i + j] for j in range(deg)] for i in range(deg)], small)
 
-    digits = np.empty((n, deg), dtype=np.int64)
-    idx = np.arange(n)
-    for i in range(deg):
-        digits[:, i] = idx % p
-        idx //= p
-    digits.setflags(write=False)
-    powers = np.array([p**i for i in range(deg)], dtype=np.int64)
+    def mul(digits):
+        times = np.tensordot(digits.astype(small), by_x, 1) % p  # times[a][j]: a * x^j
+        return lambda a, b: (digits[b].astype(small)[..., None, :] @ times[a])[..., 0, :]
 
-    def add(a, b):
-        return ((digits[a] + digits[b]) % p) @ powers
-
-    def mul(a, b):
-        da, db = digits[a], digits[b]
-        shape = np.broadcast_shapes(da.shape, db.shape)[:-1]
-        conv = np.zeros(shape + (2 * deg - 1,), dtype=np.int64)
-        for i in range(deg):
-            conv[..., i : i + deg] += da[..., i : i + 1] * db
-        for j in range(deg, 2 * deg - 1):
-            conv[..., :deg] += conv[..., j : j + 1] * red[j - deg]
-        return (conv[..., :deg] % p) @ powers
-
-    labels = [_poly_str(tuple(row)) for row in digits.tolist()]
-    return RingTable(
-        n,
-        1,
-        add,
-        mul,
-        labels=labels,
-        name=f"Z/{p}[x]/({_poly_str(coeffs)})",
-    )
+    return _digit_ring(p, deg, 1, mul, _poly_str, f"Z/{p}[x]/({_poly_str(coeffs)})")
 
 
 _SQZ_VARS = ("x", "y", "z")
 
 
 def _sqz_ring(p: int, k: int, max_size: int) -> RingTable:
-    if not _is_prime(p):
-        raise ValueError("SQZ base must be prime")
     if k < 1:
         raise ValueError("SQZ dimension must be at least 1")
-    n = p ** (k + 1)
-    _check_size(n, max_size)
+    _check_size(p, k + 1, max_size)
+    if not _is_prime(p):
+        raise ValueError("SQZ base must be prime")
     names = _SQZ_VARS[:k] if k <= len(_SQZ_VARS) else tuple(f"t{i+1}" for i in range(k))
-    pk = p**k
 
-    # columns: scalar part first, then vector coordinates (big-endian).
-    digits = np.empty((n, k + 1), dtype=np.int64)
-    idx = np.arange(n)
-    for i in range(k, -1, -1):
-        digits[:, i] = idx % p
-        idx //= p
-    digits.setflags(write=False)
-    powers = np.array([p ** (k - i) for i in range(k + 1)], dtype=np.int64)
+    def mul(digits):
+        # digit k is the scalar part; the vector part times the vector part is 0
+        scalar, is_vector = digits[:, k:], np.arange(k + 1) < k
+        return lambda a, b: scalar[a] * digits[b] + scalar[b] * (digits[a] * is_vector)
 
-    def add(a, b):
-        return ((digits[a] + digits[b]) % p) @ powers
+    def label(row: list[int]) -> str:
+        return _terms_str(zip([row[k], *reversed(row[:k])], ("", *names)))
 
-    def mul(a, b):
-        da, db = digits[a], digits[b]
-        a0, b0 = da[..., :1], db[..., :1]
-        vector = (a0 * db[..., 1:] + b0 * da[..., 1:]) % p
-        return (a0[..., 0] * b0[..., 0]) % p * pk + vector @ powers[1:]
-
-    def label(a: int) -> str:
-        d = digits[a]
-        parts = []
-        if d[0]:
-            parts.append(str(int(d[0])))
-        for i, v in enumerate(names):
-            c = int(d[i + 1])
-            if c == 1:
-                parts.append(v)
-            elif c:
-                parts.append(f"{c}{v}")
-        return "+".join(parts) if parts else "0"
-
-    return RingTable(
-        n,
-        pk,
-        add,
-        mul,
-        labels=[label(a) for a in range(n)],
-        name=f"SQZ({p},{k})",
-    )
+    return _digit_ring(p, k + 1, p**k, mul, label, f"SQZ({p},{k})")
 
 
 def build_ring(expr: RingExpr, *, max_size: int = DEFAULT_MAX_RING_SIZE) -> RingTable:
@@ -454,7 +430,7 @@ def build_ring(expr: RingExpr, *, max_size: int = DEFAULT_MAX_RING_SIZE) -> Ring
         return _sqz_ring(expr.p, expr.k, max_size)
     if isinstance(expr, TableFileExpr):
         ring = load_table_ring(expr.path)
-        _check_size(ring.size, max_size)
+        _check_size(ring.size, 1, max_size)
         return ring
     if isinstance(expr, ProductExpr):
         factors = [build_ring(f, max_size=max_size) for f in expr.factors]
@@ -463,7 +439,7 @@ def build_ring(expr: RingExpr, *, max_size: int = DEFAULT_MAX_RING_SIZE) -> Ring
 
 
 def ring_from_text(text: str, *, max_size: int = DEFAULT_MAX_RING_SIZE) -> RingTable:
-    return build_ring(parse_expression(text), max_size=max_size)
+    return build_ring(_Parser(text, max_size).parse_expression(), max_size=max_size)
 
 
 def expression_size(expr: RingExpr) -> int:

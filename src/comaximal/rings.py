@@ -512,16 +512,7 @@ class RingTable:
         position = np.full(n, -1, dtype=np.int64)
         position[reps] = np.arange(q)
         elem_to_q = position[rep_of]
-        labels = [self.labels[int(r)] for r in reps]
-        name = f"{self.name}/I{len(ideal)}"
-        ring = RingTable(
-            q,
-            int(elem_to_q[self.one]),
-            lambda i, j: elem_to_q[self.add_op(reps[i], reps[j])],
-            lambda i, j: elem_to_q[self.mul_op(reps[i], reps[j])],
-            labels=labels,
-            name=name,
-        )
+        ring = self._image(reps, elem_to_q, f"{self.name}/I{len(ideal)}")
         proj = ElementMap(self, ring, tuple(int(x) for x in elem_to_q))
         return ring, proj
 
@@ -530,19 +521,27 @@ class RingTable:
         self._check_index(e)
         if self.mul(e, e) != e or e == 0:
             raise ValueError("component requires a nonzero idempotent")
-        members = _distinct(self.mul_row(e), self.size)
+        times_e = self.mul_row(e)
+        members = _distinct(times_e, self.size)
         if members[0] != 0:
             raise ValueError("component of a non-idempotent")
-        m = len(members)
         position = np.full(self.size, -1, dtype=np.int64)
-        position[members] = np.arange(m)
+        position[members] = np.arange(len(members))
+        return self._image(members, position[times_e], f"{self.name}*e{e}")
+
+    def _image(self, members: np.ndarray, position: np.ndarray, name: str) -> "RingTable":
+        """The image of a ring homomorphism from this ring, on the elements `members`.
+
+        `position` is the homomorphism, as an index into `members` for every
+        element of this ring: the projection onto R/I or onto e*R.
+        """
         return RingTable(
-            m,
-            int(position[e]),
+            len(members),
+            int(position[self.one]),
             lambda i, j: position[self.add_op(members[i], members[j])],
             lambda i, j: position[self.mul_op(members[i], members[j])],
             labels=[self.labels[x] for x in members.tolist()],
-            name=f"{self.name}*e{e}",
+            name=name,
         )
 
     # -- element-wise structure ----------------------------------------------

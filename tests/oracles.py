@@ -348,3 +348,31 @@ def structure_of(ring) -> dict:
         "maximal": [m.mask for m in ring.maximal_ideals],
         "signatures": ring.signature_array.tolist(),
     }
+
+
+def polyquot_product(p: int, coeffs, a: int, b: int) -> int:
+    """a*b in Z/p[x]/(f), f monic with ascending `coeffs`: digit i of an index is the
+    coefficient of x^i.  Schoolbook product, then long division by f."""
+    deg = len(coeffs) - 1
+    da = [a // p**i % p for i in range(deg)]
+    db = [b // p**i % p for i in range(deg)]
+    product = [0] * (2 * deg - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            product[i + j] += x * y
+    for top in range(2 * deg - 2, deg - 1, -1):
+        c = product[top] % p
+        for i, f in enumerate(coeffs):
+            product[top - deg + i] -= c * f
+    return sum(product[i] % p * p**i for i in range(deg))
+
+
+def sqz_product(p: int, k: int, a: int, b: int) -> int:
+    """a*b in SQZ(p,k) = F_p (+) F_p^k, where (s, v)(t, w) = (st, sw + tv).
+
+    An index lists s, v_1, ..., v_k as base-p digits, most significant first.
+    """
+    s, *v = [a // p ** (k - i) % p for i in range(k + 1)]
+    t, *w = [b // p ** (k - i) % p for i in range(k + 1)]
+    digits = [s * t % p] + [(s * wi + t * vi) % p for vi, wi in zip(v, w)]
+    return sum(x * p ** (k - i) for i, x in enumerate(digits))

@@ -305,6 +305,37 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestHugeLiterals:
+    """Terms far over the size cap fail by size, without factoring or printing a huge number."""
+
+    CASES = {
+        "GF(2305843009213693951)": (3, f"ring of size {2**61 - 1} exceeds"),
+        "SQZ(2305843009213693951,1)": (3, f"ring of size {(2**61 - 1) ** 2} exceeds"),
+        "GF(2^100)": (3, f"ring of size {2**100} exceeds"),
+        "GF(3^30)": (3, f"ring of size {3**30} exceeds"),
+        "SQZ(2,100000000)": (3, "ring of size 2^100000001 exceeds"),
+        "Z/2[x]/(x^100000)": (3, "ring of size 2^100000 exceeds"),
+        # a prime factor within the cap: the parse error stays as it was
+        "GF(1000000)": (2, "field size must be a prime power (at position 3)"),
+        "Z/10000[x]/(x)": (2, "polynomial quotient base must be prime (at position 2)"),
+    }
+
+    @pytest.mark.parametrize("text", list(CASES))
+    def test_ring_exit_code(self, text):
+        code, err = self.CASES[text]
+        result = subprocess.run(
+            [sys.executable, "-m", "comaximal.cli", "ring", text],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert result.returncode == code
+        prefix = "capability" if code == 3 else "error"
+        suffix = " the size cap (4096)" if code == 3 else f" in {text!r}"
+        assert result.stderr == f"{prefix}: {err}{suffix}\n"
+        assert result.stdout == ""
+
+
 class TestEntryPoint:
     def test_console_script(self):
         result = subprocess.run(

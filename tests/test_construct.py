@@ -187,6 +187,16 @@ class TestBuilders:
             ring_from_text("Z/5000")
         ring_from_text("Z/5000", max_size=5000)
 
+    def test_size_errors_keep_reading_order(self):
+        # a field over the cap skips its polynomial search, not its turn among the errors
+        with pytest.raises(CapacityError, match="size 5000 "):
+            ring_from_text("Z/5000 x GF(2^13)")
+        with pytest.raises(CapacityError, match="size 8192 "):
+            ring_from_text("GF(2^13) x Z/5000")
+        with pytest.raises(ParseError):
+            ring_from_text("GF(2^13) x Z/1")
+        assert ring_from_text("GF(2^13)", max_size=8192).size == 8192
+
 
 def z3_table() -> dict:
     """Z/3 as the JSON object of a table file."""

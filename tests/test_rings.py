@@ -1,5 +1,6 @@
 """Ring kernel tests against hand-derived and brute-force values."""
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,10 @@ from comaximal import (
     IdealSet,
     InternalConsistencyError,
     RingAxiomError,
+    SqzExpr,
     direct_product,
     maximal_ideals_bruteforce,
+    parse_expression,
     ring_from_text,
     ring_isomorphic,
     validate_ring_axioms,
@@ -19,7 +22,14 @@ from comaximal import (
 from comaximal.limits import TABLE_LIMIT
 from comaximal.rings import RingTable
 
-from oracles import structure_by_definition, structure_of, zn_comaximal, zn_unit
+from oracles import (
+    polyquot_product,
+    sqz_product,
+    structure_by_definition,
+    structure_of,
+    zn_comaximal,
+    zn_unit,
+)
 
 
 def zn(n: int) -> RingTable:
@@ -427,6 +437,8 @@ DERIVED_CASES = {
     "GF(2^9)": (lambda: ring_from_text("GF(2^9)"), 512),
     "SQZ(2,3)": (lambda: ring_from_text("SQZ(2,3)"), 16),
     "SQZ(2,8)": (lambda: ring_from_text("SQZ(2,8)"), 512),
+    "Z/2[x]/(x^4)": (lambda: ring_from_text("Z/2[x]/(x^4)"), 16),
+    "Z/3[x]/(x^6)": (lambda: ring_from_text("Z/3[x]/(x^6)"), 729),
     "Z/3 x Z/4": (lambda: ring_from_text("Z/3 x Z/4"), 12),
     "Z/3 x Z/100": (lambda: ring_from_text("Z/3 x Z/100"), 300),
     "(Z/4 x Z/9)/J": (lambda: _quotient_by_radical("Z/4 x Z/9"), 6),
@@ -450,6 +462,25 @@ class TestDerivedForms:
     def test_both_sides_of_table_limit(self):
         sizes = [size for _, size in DERIVED_CASES.values()]
         assert sum(s <= TABLE_LIMIT for s in sizes) == sum(s > TABLE_LIMIT for s in sizes)
+
+    @pytest.mark.parametrize(
+        "case", ["GF(16)", "GF(2^9)", "SQZ(2,3)", "SQZ(2,8)", "Z/2[x]/(x^4)", "Z/3[x]/(x^6)"]
+    )
+    def test_products_match_digit_oracle(self, case):
+        r = DERIVED_CASES[case][0]()
+        expr = parse_expression(r.name)
+        if isinstance(expr, SqzExpr):
+            oracle = partial(sqz_product, expr.p, expr.k)
+        else:
+            oracle = partial(polyquot_product, expr.p, expr.coeffs)
+        n = r.size
+        rows = range(n) if n <= TABLE_LIMIT else sorted({0, 1, r.one, n - 1, *range(0, n, n // 8)})
+        for a in rows:
+            assert r.mul_row(a).tolist() == [oracle(a, b) for b in range(n)]
+        # elementwise: every element times itself and times its mirror image
+        idx = np.arange(n)
+        assert r.mul_op(idx, idx).tolist() == [oracle(a, a) for a in range(n)]
+        assert r.mul_op(idx, idx[::-1]).tolist() == [oracle(a, n - 1 - a) for a in range(n)]
 
     def test_rows_match_scalars(self, derived_ring):
         r = derived_ring
