@@ -70,15 +70,17 @@ class ProductExpr:
 RingExpr = Union[ZnExpr, PolyQuotExpr, SqzExpr, TableFileExpr, ProductExpr]
 
 
-def _prime_factors(n: int) -> Iterator[tuple[int, int]]:
+def _prime_factors(n: int, limit: int | None = None) -> Iterator[tuple[int, int]]:
     """(p, e) for each prime p dividing n, p ascending, with p**e the exact power.
 
     Trial division, lazily: the first pair costs a search up to the
-    smallest prime factor only.  Nothing is yielded for n < 2.
+    smallest prime factor only.  Nothing is yielded for n < 2.  With a
+    `limit`, the search stops past it and yields the undivided rest as
+    (rest, 1): a prime, or a product of primes all over the limit.
     """
     p = 2
     while n > 1:
-        if p * p > n:
+        if p * p > n or (limit is not None and p > limit):
             p = n
         e = 0
         while n % p == 0:
@@ -89,8 +91,9 @@ def _prime_factors(n: int) -> Iterator[tuple[int, int]]:
         p += 1
 
 
-def _is_prime(n: int) -> bool:
-    return next(_prime_factors(n), None) == (n, 1)
+def _is_prime(n: int, limit: int | None = None) -> bool:
+    """Whether n is prime; with a `limit`, whether no prime up to it divides n but n itself."""
+    return next(_prime_factors(n, limit), None) == (n, 1)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -136,12 +139,6 @@ class _Parser:
             self.fail(f"expected {what}")
         return int(self.text[start : self.pos]), start
 
-    def is_prime(self, n: int) -> bool:
-        """_is_prime(n), or true when n is over the cap and has no factor up to it."""
-        if self.max_size is not None and n > self.max_size:
-            return all(n % d for d in range(2, min(self.max_size, math.isqrt(n)) + 1))
-        return _is_prime(n)
-
     def parse_expression(self) -> RingExpr:
         self.skip_ws()
         factors = [self.parse_term()]
@@ -164,7 +161,7 @@ class _Parser:
         if self.eat("Z/"):
             n, npos = self.parse_nat("modulus")
             if self.looking_at("["):
-                if not self.is_prime(n):
+                if not _is_prime(n, self.max_size):
                     self.fail("polynomial quotient base must be prime", npos)
                 self.expect("[x]/(")
                 coeffs = self.parse_poly(n)
@@ -177,7 +174,7 @@ class _Parser:
             q, qpos = self.parse_nat("field size")
             if self.eat("^"):
                 k, kpos = self.parse_nat("exponent")
-                if not self.is_prime(q):
+                if not _is_prime(q, self.max_size):
                     self.fail("field characteristic must be prime", qpos)
                 if k < 1:
                     self.fail("field exponent must be at least 1", kpos)
@@ -185,7 +182,7 @@ class _Parser:
             else:
                 if q < 2:
                     self.fail("field size must be at least 2", qpos)
-                p, k = (q, 1) if self.is_prime(q) else next(_prime_factors(q))
+                p, k = next(_prime_factors(q, self.max_size))
                 if p**k != q:
                     self.fail("field size must be a prime power", qpos)
             self.expect(")")
@@ -198,7 +195,7 @@ class _Parser:
             return PolyQuotExpr(p, minimal_irreducible(p, k))
         if self.eat("SQZ("):
             p, ppos = self.parse_nat("prime")
-            if not self.is_prime(p):
+            if not _is_prime(p, self.max_size):
                 self.fail("SQZ base must be prime", ppos)
             self.expect(",")
             k, kpos = self.parse_nat("vector dimension")
@@ -256,15 +253,19 @@ def parse_expression(text: str) -> RingExpr:
     return _Parser(text).parse_expression()
 
 
-def _terms_str(terms) -> str:
-    """Join (c, v) pairs as c1v1+c2v2+...: zero terms dropped, 1v written v, v "" a constant."""
-    parts = [v if c == 1 and v else f"{c}{v}" for c, v in terms if c]
+def _terms_str(coeffs: Sequence[int], names: Sequence[str]) -> str:
+    """c1v1+c2v2+... over paired coefficients and names: 0v dropped, 1v written v, "" a constant."""
+    parts = [v if c == 1 and v else f"{c}{v}" for c, v in zip(coeffs, names) if c]
     return "+".join(parts) if parts else "0"
 
 
+def _monomials(count: int) -> list[str]:
+    """Names of x^(count-1), ..., x, 1 in that order, the constant as ""."""
+    return ["" if d == 0 else "x" if d == 1 else f"x^{d}" for d in range(count - 1, -1, -1)]
+
+
 def _poly_str(coeffs: Sequence[int]) -> str:
-    powers = ("" if d == 0 else "x" if d == 1 else f"x^{d}" for d in range(len(coeffs)))
-    return _terms_str(reversed(list(zip(coeffs, powers))))
+    return _terms_str(coeffs[::-1], _monomials(len(coeffs)))
 
 
 def format_expression(expr: RingExpr) -> str:
@@ -308,7 +309,11 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     num = list(coeffs)
     for d in range(2, deg // 2 + 1):
         for m in range(p**d):
-            den = [m // p**i % p for i in range(d)] + [1]
+            den, rest = [], m
+            for _ in range(d):
+                den.append(rest % p)
+                rest //= p
+            den.append(1)
             if not any(_poly_rem(num, den, p)):
                 return False
     return True
@@ -320,7 +325,11 @@ def minimal_irreducible(p: int, k: int) -> tuple[int, ...]:
     if not _is_prime(p) or k < 1:
         raise ValueError("need a prime p and degree k >= 1")
     for m in range(p**k):
-        coeffs = tuple(m // p**i % p for i in range(k)) + (1,)
+        low, rest = [], m
+        for _ in range(k):
+            low.append(rest % p)
+            rest //= p
+        coeffs = tuple(low) + (1,)
         if _is_irreducible(coeffs, p):
             return coeffs
     raise AssertionError("an irreducible polynomial of every degree exists")
@@ -343,15 +352,16 @@ def _zn_ring(n: int, max_size: int) -> RingTable:
     return RingTable(n, 1, lambda a, b: (a + b) % n, lambda a, b: (a * b) % n, name=f"Z/{n}")
 
 
-def _digit_ring(p: int, d: int, one: int, mul, label, name: str) -> RingTable:
+def _digit_ring(p: int, d: int, one: int, mul, names: Sequence[str], name: str) -> RingTable:
     """The ring on d base-p digits, index sum(digit_i * p**i), added digitwise.
 
     `mul(digits)` gets the read-only digit table and returns the product of
     broadcast index arrays, as a new array of digits not yet reduced mod p,
-    each at most d*(p-1)**2; `label` names an element from its digit list.
+    each at most d*(p-1)**2, in the digits' type: the smallest signed type that
+    holds that bound, and so a digit of a sum.  `names`: the digits' label names, highest first.
     """
     n = p**d
-    digits = np.empty((n, d), dtype=np.int64)
+    digits = np.empty((n, d), dtype=np.min_scalar_type(-1 - d * (p - 1) ** 2))
     idx = np.arange(n)
     for i in range(d):
         digits[:, i] = idx % p
@@ -370,7 +380,7 @@ def _digit_ring(p: int, d: int, one: int, mul, label, name: str) -> RingTable:
         one,
         lambda a, b: ((digits[a] + digits[b]) % p) @ weights,
         multiply,
-        labels=[label(row) for row in digits.tolist()],
+        labels=[_terms_str(row, names) for row in digits[:, ::-1].tolist()],
         name=name,
     )
 
@@ -388,15 +398,16 @@ def _polyquot_ring(p: int, coeffs: tuple[int, ...], max_size: int) -> RingTable:
     for _ in range(deg - 1):
         top = powers[-1]
         powers.append([((top[i - 1] if i else 0) - top[-1] * coeffs[i]) % p for i in range(deg)])
-    small = np.min_scalar_type(-deg * (p - 1) ** 2)  # a signed type for every sum in a product
     # by_x[i, j, k]: coefficient of x^k in x^(i+j) mod f.
-    by_x = np.array([[powers[i + j] for j in range(deg)] for i in range(deg)], small)
+    by_x = [[powers[i + j] for j in range(deg)] for i in range(deg)]
 
     def mul(digits):
-        times = np.tensordot(digits.astype(small), by_x, 1) % p  # times[a][j]: a * x^j
-        return lambda a, b: (digits[b].astype(small)[..., None, :] @ times[a])[..., 0, :]
+        # times[a][j]: a * x^j; both contractions stay in the digits' type
+        times = (digits @ np.array(by_x, digits.dtype).reshape(deg, -1)).reshape(-1, deg, deg)
+        times %= p
+        return lambda a, b: (digits[b][..., None, :] @ times[a])[..., 0, :]
 
-    return _digit_ring(p, deg, 1, mul, _poly_str, f"Z/{p}[x]/({_poly_str(coeffs)})")
+    return _digit_ring(p, deg, 1, mul, _monomials(deg), f"Z/{p}[x]/({_poly_str(coeffs)})")
 
 
 _SQZ_VARS = ("x", "y", "z")
@@ -415,10 +426,7 @@ def _sqz_ring(p: int, k: int, max_size: int) -> RingTable:
         scalar, is_vector = digits[:, k:], np.arange(k + 1) < k
         return lambda a, b: scalar[a] * digits[b] + scalar[b] * (digits[a] * is_vector)
 
-    def label(row: list[int]) -> str:
-        return _terms_str(zip([row[k], *reversed(row[:k])], ("", *names)))
-
-    return _digit_ring(p, k + 1, p**k, mul, label, f"SQZ({p},{k})")
+    return _digit_ring(p, k + 1, p**k, mul, ("", *names), f"SQZ({p},{k})")
 
 
 def build_ring(expr: RingExpr, *, max_size: int = DEFAULT_MAX_RING_SIZE) -> RingTable:
@@ -454,10 +462,7 @@ def expression_size(expr: RingExpr) -> int:
     if isinstance(expr, SqzExpr):
         return expr.p ** (expr.k + 1)
     if isinstance(expr, ProductExpr):
-        total = 1
-        for f in expr.factors:
-            total *= expression_size(f)
-        return total
+        return math.prod(expression_size(f) for f in expr.factors)
     if isinstance(expr, TableFileExpr):
         try:
             with open(expr.path, "r", encoding="utf-8") as fh:

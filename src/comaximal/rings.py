@@ -506,12 +506,9 @@ class RingTable:
             identity = ElementMap(self, self, tuple(range(n)), isomorphism=True)
             return self, identity
         reps, rep_of = self.coset_representatives(ideal)
-        q = len(reps)
-        if q * len(ideal) != n:
+        if len(reps) * len(ideal) != n:
             raise InternalConsistencyError("cosets do not partition the ring evenly")
-        position = np.full(n, -1, dtype=np.int64)
-        position[reps] = np.arange(q)
-        elem_to_q = position[rep_of]
+        elem_to_q = np.searchsorted(reps, rep_of)
         ring = self._image(reps, elem_to_q, f"{self.name}/I{len(ideal)}")
         proj = ElementMap(self, ring, tuple(int(x) for x in elem_to_q))
         return ring, proj
@@ -525,9 +522,7 @@ class RingTable:
         members = _distinct(times_e, self.size)
         if members[0] != 0:
             raise ValueError("component of a non-idempotent")
-        position = np.full(self.size, -1, dtype=np.int64)
-        position[members] = np.arange(len(members))
-        return self._image(members, position[times_e], f"{self.name}*e{e}")
+        return self._image(members, np.searchsorted(members, times_e), f"{self.name}*e{e}")
 
     def _image(self, members: np.ndarray, position: np.ndarray, name: str) -> "RingTable":
         """The image of a ring homomorphism from this ring, on the elements `members`.

@@ -482,6 +482,18 @@ class TestDerivedForms:
         assert r.mul_op(idx, idx).tolist() == [oracle(a, a) for a in range(n)]
         assert r.mul_op(idx, idx[::-1]).tolist() == [oracle(a, n - 1 - a) for a in range(n)]
 
+    @pytest.mark.parametrize("text", ["Z/5[x]/(x^8)", "GF(5^8)"])
+    def test_products_at_the_digit_type_bound(self, text):
+        # 8 * (5-1)**2 = 128, one past int8: all-4 digits reach it in a digit of a product
+        n = 5**8
+        r = ring_from_text(text, max_size=n)
+        oracle = partial(polyquot_product, 5, parse_expression(r.name).coeffs)
+        top = [n - 1 - 5**i for i in range(8)] + [n - 1]
+        assert r.mul(n - 1, n - 1) == oracle(n - 1, n - 1)
+        block = r.mul_op(np.array(top)[:, None], np.array(top))
+        assert block.tolist() == [[oracle(a, b) for b in top] for a in top]
+        assert r.mul_row(n - 1)[-625:].tolist() == [oracle(n - 1, b) for b in range(n - 625, n)]
+
     def test_rows_match_scalars(self, derived_ring):
         r = derived_ring
         n = r.size
