@@ -31,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class _Parser:
         self.pos = 0
         self.max_size = max_size
 
-    def fail(self, message: str, pos: int | None = None) -> None:
+    def fail(self, message: str, pos: int | None = None) -> NoReturn:
         raise ParseError(message, self.pos if pos is None else pos, self.text)
 
     def skip_ws(self) -> None:
@@ -137,7 +137,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.fail(f"expected {what}")
-        return int(self.text[start : self.pos]), start
+        try:
+            return int(self.text[start : self.pos]), start
+        except ValueError:  # over Python's limit on the digits of an int
+            self.fail(f"{what} has too many digits", start)
 
     def parse_expression(self) -> RingExpr:
         self.skip_ws()
@@ -164,9 +167,7 @@ class _Parser:
                 if not _is_prime(n, self.max_size):
                     self.fail("polynomial quotient base must be prime", npos)
                 self.expect("[x]/(")
-                coeffs = self.parse_poly(n)
-                self.expect(")")
-                return PolyQuotExpr(n, coeffs)
+                return self.parse_poly(n)
             if n < 2:
                 self.fail("modulus must be at least 2", npos)
             return ZnExpr(n)
@@ -188,8 +189,7 @@ class _Parser:
             self.expect(")")
             if k == 1:
                 return ZnExpr(p)
-            cap = self.max_size
-            if cap is not None and p ** min(k, cap.bit_length()) > cap:
+            if _over_cap(p, k, self.max_size):
                 # SQZ(p,k-1) has p**k elements too: building it raises the same size error
                 return SqzExpr(p, k - 1)
             return PolyQuotExpr(p, minimal_irreducible(p, k))
@@ -212,9 +212,9 @@ class _Parser:
                 self.fail("expected a file path after table:", pstart)
             return TableFileExpr(path)
         self.fail("expected a ring term (Z/, GF(, SQZ(, or table:)", start)
-        raise AssertionError("unreachable")
 
-    def parse_poly(self, p: int) -> tuple[int, ...]:
+    def parse_poly(self, p: int) -> PolyQuotExpr | SqzExpr:
+        """f of Z/p[x]/(f) and its closing parenthesis, as the quotient's expression."""
         start = self.pos
         acc: dict[int, int] = {}
         while True:
@@ -240,7 +240,10 @@ class _Parser:
             self.fail("polynomial must have degree at least 1", start)
         if reduced[degree] != 1:
             self.fail("polynomial must be monic", start)
-        return tuple(reduced.get(d, 0) for d in range(degree + 1))
+        self.expect(")")
+        if degree > 1 and _over_cap(p, degree, self.max_size):
+            return SqzExpr(p, degree - 1)  # as GF(p^k) does: no tuple as long as the degree
+        return PolyQuotExpr(p, tuple(reduced.get(d, 0) for d in range(degree + 1)))
 
     def parse_exponent(self) -> int:
         if self.eat("^"):
@@ -338,9 +341,14 @@ def minimal_irreducible(p: int, k: int) -> tuple[int, ...]:
 # -- builders -------------------------------------------------------------------
 
 
+def _over_cap(p: int, k: int, max_size: int | None) -> bool:
+    """Whether p**k elements exceed the cap, if any, without forming a huge p**k."""
+    return max_size is not None and p ** min(k, max_size.bit_length()) > max_size
+
+
 def _check_size(p: int, k: int, max_size: int) -> None:
-    """Raise CapacityError when p**k elements exceed the cap, without forming a huge p**k."""
-    if p ** min(k, max_size.bit_length()) > max_size:
+    """Raise CapacityError when p**k elements exceed the cap."""
+    if _over_cap(p, k, max_size):
         size = p**k if k * math.log10(p) < 4300 else f"{p}^{k}"  # str() stops at 4,300 digits
         raise CapacityError(f"ring of size {size} exceeds the size cap ({max_size})")
 
@@ -513,9 +521,10 @@ def load_table_ring(path: str) -> RingTable:
         table = data[key]
         if not isinstance(table, list) or len(table) != size * size:
             raise TableFormatError(f"{key} table must hold size*size entries")
-        for v in table:
-            if not _is_json_int(v) or not 0 <= v < size:
-                raise TableFormatError(f"{key} table entry {v!r} out of range")
+        # The whole list at once; entry by entry only to name the first offender.
+        if set(map(type, table)) != {int} or min(table) < 0 or max(table) >= size:
+            bad = next(v for v in table if not _is_json_int(v) or not 0 <= v < size)
+            raise TableFormatError(f"{key} table entry {bad!r} out of range")
     labels = data.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != size:
@@ -536,18 +545,12 @@ def load_table_ring(path: str) -> RingTable:
 
 def save_table_ring(ring: RingTable, path: str) -> None:
     """Write a ring as a JSON table file (inverse of load_table_ring)."""
-    add: list[int] = []
-    mul: list[int] = []
-    for a in range(ring.size):
-        add.extend(int(v) for v in ring.add_row(a))
-        mul.extend(int(v) for v in ring.mul_row(a))
     obj = {
         "size": ring.size,
         "one": ring.one,
-        "add": add,
-        "mul": mul,
+        "add": [v for a in range(ring.size) for v in ring.add_row(a).tolist()],
+        "mul": [v for a in range(ring.size) for v in ring.mul_row(a).tolist()],
         "labels": list(ring.labels),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")

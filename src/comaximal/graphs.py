@@ -2,12 +2,13 @@
 
 Adjacency rows are Python integers used as bitsets.  Vertices are 0..n-1
 in a fixed order; comaximal graphs remember which ring element each vertex
-came from in `vertex_keys`.  Whole-graph comparisons read the n x n matrix
-`SimpleGraph.adjacency()` instead of per-edge Python, and every
-construction checks symmetry on the packed rows, one row block and the
-matching columns at a time.  A comaximal graph's rows depend only on each
-element's maximal-ideal signature, so `build_comaximal_graph` packs one
-row per signature.
+came from in `vertex_keys`.  Each construction packs the rows once, in the
+layout of `rings._pack`, into the read-only `SimpleGraph.packed`: the
+graph's one packed form.  Every numpy reader of the graph reads it: the
+symmetry check, one row block and the matching columns at a time, and the
+n x n matrix `adjacency()`, which whole-graph comparisons read instead of
+per-edge Python.  A comaximal graph's rows depend only on each element's
+maximal-ideal signature, so `build_comaximal_graph` builds one row per signature.
 
 The invariants read `twin_classes`: the classes of equal open rows (false
 twins: independent sets of interchangeable vertices), the universal
@@ -33,13 +34,13 @@ import numpy as np
 
 from .errors import CapacityError
 from .limits import DEFAULT_EXACT_VERTEX_CAP
-from .rings import RingTable, _blocks, _iter_bits, _lowest, _mask_from_bool
+from .rings import RingTable, _blocks, _iter_bits, _lowest, _mask_from_bool, _pack, _unpack
 
 
 class SimpleGraph:
     """Loop-free undirected graph with bitset adjacency rows."""
 
-    __slots__ = ("n", "rows", "labels", "vertex_keys")
+    __slots__ = ("n", "rows", "labels", "vertex_keys", "packed")
 
     def __init__(
         self,
@@ -62,15 +63,13 @@ class SimpleGraph:
                 raise ValueError(f"vertex {i} has a loop")
             if row & ~full:
                 raise ValueError(f"adjacency row {i} mentions nonexistent vertices")
+        self.packed = _pack(self.rows, n)
         # Blocks of a multiple of 8 rows, about _BLOCK entries, so that the
         # block's columns are whole bytes of the packed rows.
-        packed = self._packed()
         for part in _blocks(n, n, 8):
-            rows = packed[part]
-            block = np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
-            columns = packed[:, part.start // 8 : part.stop // 8]
-            column_bits = np.unpackbits(columns, axis=1, count=len(rows), bitorder="little")
-            one_way = np.flatnonzero(block & ~column_bits.view(bool).T)
+            block = _unpack(self.packed[part], n)
+            columns = _unpack(self.packed[:, part.start // 8 : part.stop // 8], len(block))
+            one_way = np.flatnonzero(block & ~columns.T)
             if len(one_way):
                 i, j = divmod(int(one_way[0]), n)
                 raise ValueError(f"edge {part.start + i}-{j} is not symmetric")
@@ -112,13 +111,9 @@ class SimpleGraph:
             start += s
         return cls(n, rows)
 
-    def _packed(self) -> np.ndarray:
-        """The rows as an n x ceil(n/8) byte matrix; bit j of row i is bit j % 8 of byte j // 8."""
-        return _pack(self.rows, self.n)
-
     def adjacency(self) -> np.ndarray:
         """The n x n boolean adjacency matrix; entry [i, j] is bit j of row i."""
-        return np.unpackbits(self._packed(), axis=1, count=self.n, bitorder="little").view(bool)
+        return _unpack(self.packed, self.n)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -146,29 +141,19 @@ class SimpleGraph:
         vs = list(vertices)
         return SimpleGraph(
             len(vs),
-            _induced_rows(self.rows, self.n, vs),
+            _induced_rows(self.packed, self.n, vs),
             labels=[self.labels[v] for v in vs],
             vertex_keys=[self.vertex_keys[v] for v in vs],
         )
 
 
-def _pack(rows: Sequence[int], n: int) -> np.ndarray:
-    """Rows over n vertices as a len(rows) x ceil(n/8) little-endian byte matrix."""
-    width = (n + 7) // 8
-    raw = b"".join(r.to_bytes(width, "little") for r in rows)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width)
-
-
-def _induced_rows(rows: Sequence[int], n: int, keep: Sequence[int]) -> list[int]:
-    """Rows of the subgraph induced on `keep`, renumbered by position in `keep`.
-
-    Unpacks about _BLOCK entries of the kept rows at a time.
-    """
-    packed = _pack([rows[v] for v in keep], n)
+def _induced_rows(packed: np.ndarray, n: int, keep: Sequence[int]) -> list[int]:
+    """Rows of the subgraph induced on `keep`, renumbered by position in `keep`, read from the
+    packed rows of all n vertices, about _BLOCK entries of the kept rows at a time."""
     columns = np.asarray(keep, dtype=np.int64)
     out: list[int] = []
     for block in _blocks(len(keep), n):
-        bits = np.unpackbits(packed[block], axis=1, count=n, bitorder="little")
+        bits = _unpack(packed[columns[block]], n)
         out.extend(_mask_from_bool(row) for row in bits[:, columns])
     return out
 
@@ -192,14 +177,14 @@ def twin_classes(g: SimpleGraph) -> TwinClasses:
     universal = [v for v, row in enumerate(g.rows) if row.bit_count() == g.n - 1]
     if len(classes) == g.n:
         return TwinClasses(classes, universal, list(g.rows))
-    return TwinClasses(classes, universal, _induced_rows(g.rows, g.n, [c[0] for c in classes]))
+    return TwinClasses(classes, universal, _induced_rows(g.packed, g.n, [c[0] for c in classes]))
 
 
 def _without_universal(t: TwinClasses) -> tuple[list[int], list[int]]:
     """First members and quotient rows of the classes of G - U."""
     universal = set(t.universal)
     keep = [i for i, c in enumerate(t.classes) if c[0] not in universal]
-    rows = _induced_rows(t.rows, len(t.rows), keep) if universal else t.rows
+    rows = _induced_rows(_pack(t.rows, len(t.rows)), len(t.rows), keep) if universal else t.rows
     return [t.classes[i][0] for i in keep], rows
 
 
@@ -545,21 +530,18 @@ class PartitionStructure:
 
 
 def _two_colouring(rows: list[int]) -> list[int] | None:
-    """A proper 2-colouring that gives each component's first vertex colour 0, or None."""
+    """A proper 2-colouring that gives each component's first vertex colour 0, or None.
+
+    A vertex's colour is the parity of its BFS layer; an edge inside a layer closes an odd cycle."""
     colour = [-1] * len(rows)
     for start in range(len(rows)):
-        if colour[start] != -1:
-            continue
-        colour[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in _iter_bits(rows[v]):
-                if colour[u] == -1:
-                    colour[u] = colour[v] ^ 1
-                    queue.append(u)
-                elif colour[u] == colour[v]:
-                    return None
+        if colour[start] == -1:
+            colour[start] = 0
+            for depth, layer in enumerate(_layers(rows, start), 1):
+                for v in _iter_bits(layer):
+                    if rows[v] & layer:
+                        return None
+                    colour[v] = depth & 1
     return colour
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapacityError, InternalConsistencyError
 from .graphs import SimpleGraph, twin_classes
 from .limits import DEFAULT_CERTIFICATE_CAP, DEFAULT_GRAPH_ISO_CAP
-from .rings import _blocks, _iter_bits
+from .rings import _blocks, _iter_bits, _unpack
 
 
 def _refine_rounds(
@@ -74,10 +74,9 @@ def verify_isomorphism(g1: SimpleGraph, g2: SimpleGraph, mapping: tuple[int, ...
     if g2.n != n or len(mapping) != n or sorted(mapping) != list(range(n)):
         return False
     perm = np.asarray(mapping, dtype=np.int64)
-    packed1, packed2 = g1._packed(), g2._packed()
     for block in _blocks(n, n):
-        rows1 = np.unpackbits(packed1[block], axis=1, count=n, bitorder="little")
-        rows2 = np.unpackbits(packed2[perm[block]], axis=1, count=n, bitorder="little")
+        rows1 = _unpack(g1.packed[block], n)
+        rows2 = _unpack(g2.packed[perm[block]], n)
         if not np.array_equal(rows1, rows2[:, perm]):
             return False
     return True

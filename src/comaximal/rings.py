@@ -12,6 +12,10 @@ A finite ring is Artinian, so J is the nilradical {a : a**n == 0}; it is
 the product of local rings eR over its primitive idempotents e, so its
 maximal ideals are M_e = {a : e * a**n == 0}, ordered by min(e + J), and
 its units are the elements in no M_e.
+
+A mask is a Python int whose bit j marks index j.  `_pack` lays masks out
+as the rows of a uint8 matrix, bit j of mask i at bit j % 8 of byte j // 8
+of row i: the one packed form numpy code reads.  `_unpack` reads it back.
 """
 
 from __future__ import annotations
@@ -36,10 +40,16 @@ def _mask_from_bool(flags: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def _bool_from_mask(mask: int, n: int) -> np.ndarray:
-    raw = mask.to_bytes((n + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[:n].astype(bool)
+def _pack(masks: Sequence[int], n: int) -> np.ndarray:
+    """Masks over n indices as a read-only len(masks) x ceil(n/8) uint8 matrix."""
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+
+
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each row of a packed matrix, as a bool matrix."""
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def _distinct(values: np.ndarray, n: int) -> np.ndarray:
@@ -103,7 +113,7 @@ class IdealSet:
         return tuple(_iter_bits(self.mask))
 
     def member_flags(self) -> np.ndarray:
-        return _bool_from_mask(self.mask, self.ring_size)
+        return _unpack(_pack([self.mask], self.ring_size), self.ring_size)[0]
 
 
 @dataclass(frozen=True)
@@ -119,23 +129,18 @@ class ElementMap:
         return self.mapping[index]
 
     def verify(self) -> bool:
-        """Re-check the homomorphism laws element by element."""
-        src, dst, phi = self.source, self.target, self.mapping
-        if len(phi) != src.size:
+        """Re-check the homomorphism laws on every pair, in row blocks."""
+        src, dst = self.source, self.target
+        if len(self.mapping) != src.size:
             return False
-        if phi[src.one] != dst.one or phi[0] != 0:
+        phi = np.asarray(self.mapping, dtype=np.int64)
+        if phi.min() < 0 or phi.max() >= dst.size or phi[src.one] != dst.one or phi[0] != 0:
             return False
-        for a in range(src.size):
-            fa = phi[a]
-            for b in range(a, src.size):
-                fb = phi[b]
-                if phi[src.add(a, b)] != dst.add(fa, fb):
+        for a in src._row_blocks(src._idx):
+            for src_op, dst_op in ((src.add_op, dst.add_op), (src.mul_op, dst.mul_op)):
+                if not (phi[src_op(a, src._idx)] == dst_op(phi[a], phi)).all():
                     return False
-                if phi[src.mul(a, b)] != dst.mul(fa, fb):
-                    return False
-        if self.isomorphism and len(set(phi)) != src.size:
-            return False
-        return True
+        return not self.isomorphism or len(set(self.mapping)) == src.size
 
 
 @dataclass(frozen=True)

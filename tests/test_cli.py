@@ -335,6 +335,18 @@ class TestHugeLiterals:
         assert result.stderr == f"{prefix}: {err}{suffix}\n"
         assert result.stdout == ""
 
+    def test_overlong_literal_is_a_parse_error(self):
+        """Past Python's 4,300-digit limit on int(), a literal is a parse error, not a traceback."""
+        text = "Z/" + "1" * 5000
+        result = subprocess.run(
+            [sys.executable, "-m", "comaximal.cli", "ring", text],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: modulus has too many digits (at position 2) in {text!r}\n"
+
 
 class TestEntryPoint:
     def test_console_script(self):

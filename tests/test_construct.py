@@ -1,6 +1,8 @@
 """Expression language and table file tests."""
 
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +92,7 @@ class TestParser:
             "Z/2 Z/3",
             "",
             "table:",
+            pytest.param("Z/" + "1" * 5000, id="overlong-literal"),
         ],
     )
     def test_rejects(self, text):
@@ -196,6 +199,22 @@ class TestBuilders:
         with pytest.raises(ParseError):
             ring_from_text("GF(2^13) x Z/1")
         assert ring_from_text("GF(2^13)", max_size=8192).size == 8192
+        with pytest.raises(CapacityError, match="size 5000 "):
+            ring_from_text("Z/5000 x Z/2[x]/(x^13)")
+        with pytest.raises(ParseError):
+            ring_from_text("Z/2[x]/(x^3000000) x Z/1")
+
+    def test_huge_exponent_builds_no_coefficient_tuple(self):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CapacityError, match=r"ring of size 2\^1000000000 exceeds"):
+                ring_from_text("Z/2[x]/(x^1000000000)")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert peak < 1 << 20
 
 
 def z3_table() -> dict:
@@ -252,11 +271,16 @@ class TestTableFiles:
 
     def test_out_of_range_entry_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps({"size": 2, "one": 1, "add": [0, 1, 1, 9], "mul": [0, 0, 0, 1]})
-        )
-        with pytest.raises(TableFormatError):
-            load_table_ring(str(path))
+        # each first offender sits after valid entries
+        for add, mul, offender in (
+            ([0, 1, 1, 9], [0, 0, 0, 1], "add table entry 9 "),
+            ([0, 1, -1, 0], [0, 0, 0, 1], "add table entry -1 "),
+            ([0, 1, 1, 0], [0, 0, 0, 1.0], "mul table entry 1.0 "),
+            ([0, 1, 1, 0], [0, 0, 2**70, 1], f"mul table entry {2**70} "),
+        ):
+            path.write_text(json.dumps({"size": 2, "one": 1, "add": add, "mul": mul}))
+            with pytest.raises(TableFormatError, match=offender + "out of range"):
+                load_table_ring(str(path))
 
     @pytest.mark.parametrize(
         "field, message",

@@ -194,6 +194,9 @@ class TestGraphProperties:
             assert [[bool(adj[i, j]) for j in range(n)] for i in range(n)] == [
                 [g.has_edge(i, j) for j in range(n)] for i in range(n)
             ]
+            width = (n + 7) // 8
+            assert g.packed.shape == (n, width) and not g.packed.flags.writeable
+            assert [bytes(row) for row in g.packed] == [r.to_bytes(width, "little") for r in rows]
 
     @given(random_graph_strategy(7))
     def test_exact_solvers_match_brute_force(self, spec):

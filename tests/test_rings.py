@@ -1,5 +1,7 @@
 """Ring kernel tests against hand-derived and brute-force values."""
 
+import time
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -232,6 +234,14 @@ class TestQuotient:
         r = zn(4)
         q, _ = r.quotient(r.jacobson_radical)
         assert q.size == 2
+
+    def test_projection_verifies_on_whole_tables(self):
+        r = ring_from_text("Z/2 x Z/1024")
+        q, proj = r.quotient(r.jacobson_radical)
+        start = time.perf_counter()
+        assert proj.verify()
+        assert time.perf_counter() - start < 2
+        assert not replace(proj, mapping=proj.mapping[:-1] + (q.size,)).verify()
 
     def test_mod_zero_is_identity(self):
         r = zn(9)
