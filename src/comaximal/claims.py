@@ -49,7 +49,7 @@ from .limits import (
     DEFAULT_MAX_RING_SIZE,
     DEFAULT_RING_ISO_CAP,
 )
-from .rings import RingTable, _blocks, _lowest, ring_isomorphic
+from .rings import RingTable, _blocks, _lowest, _unpack, ring_isomorphic
 from .version import __version__
 
 
@@ -127,11 +127,11 @@ class RingAnalysis:
         reps, rep_of = self.ring.coset_representatives(self.ring.jacobson_radical)
         coset = np.searchsorted(reps, rep_of)
         k, n = len(reps), len(coset)
-        adj = self.graph("full").adjacency()
+        packed = self.graph("full").packed
         edges = np.zeros(k * k, dtype=np.int64)
-        for block in _blocks(n, n):  # rows at a time, so the pair indices stay small
+        for block in _blocks(n, n):  # rows at a time, so the pair indices and bits stay small
             pairs = coset[block, None] * k + coset
-            edges += np.bincount(pairs[adj[block]], minlength=k * k)
+            edges += np.bincount(pairs[_unpack(packed[block], n)], minlength=k * k)
         return reps, coset, edges.reshape(k, k)
 
     @cached_property
@@ -569,7 +569,8 @@ def _check_quotient_graph(a: RingAnalysis):
     reps = [int(r) for r in reps]
     if [proj(r) for r in reps] != list(range(len(reps))):
         raise InternalConsistencyError("representative order must match quotient element order")
-    ring_adj = a.graph("full").adjacency()[np.ix_(reps, reps)]
+    g = a.graph("full")
+    ring_adj = _unpack(g.packed[reps], g.n)[:, reps]
     quot_adj = build_comaximal_graph(quotient, "full").adjacency()
     diff = np.flatnonzero(np.triu(ring_adj != quot_adj, 1))
     if len(diff):

@@ -10,17 +10,20 @@ n x n matrix `adjacency()`, which whole-graph comparisons read instead of
 per-edge Python.  A comaximal graph's rows depend only on each element's
 maximal-ideal signature, so `build_comaximal_graph` builds one row per signature.
 
-The invariants read `twin_classes`: the classes of equal open rows (false
-twins: independent sets of interchangeable vertices), the universal
-vertices U, and the quotient on one vertex per class.  Lifting is exact:
+The invariants read `twin_classes`: the universal vertices U (adjacent to
+every other vertex; in a full comaximal graph, the units), and the twin quotient
+of G - U: the classes of equal open rows (false twins: independent sets of
+interchangeable vertices) and the graph on one vertex per class.  G is K_U
+joined with G - U, and lifting is exact:
 
-- omega and chi are |U| plus those of the quotient of G - U;
+- omega and chi are |U| plus those of the quotient;
 - with U nonempty, G is connected with diameter 1 (complete) or 2;
   otherwise one BFS per class gives every distance, and two members of a
   class are at distance 2 when it has a neighbour, unreachable otherwise;
-- a 2-colouring of the quotient gives each member its class's colour, and
-  G is complete multipartite, with the classes as parts, exactly when the
-  quotient is complete.
+- the twin classes of G are those of G - U plus one singleton per
+  universal vertex; a 2-colouring of their quotient gives each member its
+  class's colour, and G is complete multipartite, with these classes as
+  parts, exactly when that quotient is complete.
 
 Results keep vertex indices and per-vertex tie-breaks (see `metrics`).
 """
@@ -159,9 +162,11 @@ def _induced_rows(packed: np.ndarray, n: int, keep: Sequence[int]) -> list[int]:
 
 
 class TwinClasses(NamedTuple):
-    """`classes` of equal open rows, members ascending, ordered by first member;
-    the `universal` vertices, each a class of its own; and the quotient
-    `rows`, where bit j of rows[i] means classes i and j are adjacent.
+    """The twin quotient of G - U, where U is the set of universal vertices.
+
+    `classes` are the classes of equal open rows of G - U, members
+    ascending, ordered by first member; `universal` lists U ascending; bit j
+    of the quotient row `rows[i]` means classes i and j are adjacent.
     """
 
     classes: list[list[int]]
@@ -171,21 +176,16 @@ class TwinClasses(NamedTuple):
 
 def twin_classes(g: SimpleGraph) -> TwinClasses:
     by_row: dict[int, list[int]] = {}
+    universal: list[int] = []
     for v, row in enumerate(g.rows):
-        by_row.setdefault(row, []).append(v)
+        if row.bit_count() == g.n - 1:
+            universal.append(v)
+        else:
+            by_row.setdefault(row, []).append(v)
     classes = list(by_row.values())
-    universal = [v for v, row in enumerate(g.rows) if row.bit_count() == g.n - 1]
     if len(classes) == g.n:
         return TwinClasses(classes, universal, list(g.rows))
     return TwinClasses(classes, universal, _induced_rows(g.packed, g.n, [c[0] for c in classes]))
-
-
-def _without_universal(t: TwinClasses) -> tuple[list[int], list[int]]:
-    """First members and quotient rows of the classes of G - U."""
-    universal = set(t.universal)
-    keep = [i for i, c in enumerate(t.classes) if c[0] not in universal]
-    rows = _induced_rows(_pack(t.rows, len(t.rows)), len(t.rows), keep) if universal else t.rows
-    return [t.classes[i][0] for i in keep], rows
 
 
 def build_comaximal_graph(ring: RingTable, selector: str = "full") -> SimpleGraph:
@@ -411,8 +411,7 @@ def max_clique(g: SimpleGraph, cap: int = DEFAULT_EXACT_VERTEX_CAP) -> list[int]
             lower=len(_greedy_clique(g.rows)),
         )
     t = twin_classes(g)
-    reps, rows = _without_universal(t)
-    return sorted(t.universal + [reps[v] for v in _clique(rows)])
+    return sorted(t.universal + [t.classes[v][0] for v in _clique(t.rows)])
 
 
 def _clique(rows: list[int]) -> list[int]:
@@ -509,8 +508,7 @@ def chromatic_number(g: SimpleGraph, cap: int = DEFAULT_EXACT_VERTEX_CAP) -> int
             upper=upper,
         )
     t = twin_classes(g)
-    _, rows = _without_universal(t)
-    n = len(rows)
+    rows, n = t.rows, len(t.rows)
     clique = _clique(rows)
     upper, _ = _dsatur_greedy(rows, n)
     k = next((k for k in range(len(clique), upper) if _colourable(rows, n, k, clique)), upper)
@@ -546,20 +544,24 @@ def _two_colouring(rows: list[int]) -> list[int] | None:
 
 
 def multipartite_structure(g: SimpleGraph) -> PartitionStructure:
-    """The bipartition and the complete-multipartite parts, from the twin quotient."""
+    """The bipartition and the complete-multipartite parts, from the twin classes of G:
+    those of G - U, and each universal vertex on its own."""
     if g.n == 0:
         return PartitionStructure(((), ()), ())
-    t = twin_classes(g)
-    colour = _two_colouring(t.rows)
+    classes, universal, rows = twin_classes(g)
+    if universal:
+        classes = sorted(classes + [[u] for u in universal], key=lambda c: c[0])
+        rows = _induced_rows(g.packed, g.n, [c[0] for c in classes])
+    colour = _two_colouring(rows)
     bipartition = None
     if colour is not None:
         sides: tuple[list[int], list[int]] = ([], [])
-        for c, members in zip(colour, t.classes):
+        for c, members in zip(colour, classes):
             sides[c].extend(members)
         bipartition = (tuple(sorted(sides[0])), tuple(sorted(sides[1])))
-    k = len(t.rows)
-    complete = all(row.bit_count() == k - 1 for row in t.rows)
-    parts = tuple(tuple(members) for members in t.classes) if complete else None
+    k = len(rows)
+    complete = all(row.bit_count() == k - 1 for row in rows)
+    parts = tuple(tuple(members) for members in classes) if complete else None
     return PartitionStructure(bipartition, parts)
 
 

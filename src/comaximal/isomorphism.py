@@ -5,12 +5,16 @@ neighbour colour multisets until stable).  The refinement assigns
 canonical colour ids from globally sorted keys, so the ids are
 comparable across graphs.
 
-`are_isomorphic` searches on the twin quotients of `graphs.twin_classes`:
-G and H are isomorphic exactly when their quotients are, by a map that
-keeps class sizes.  Classes are matched smallest refinement class first,
-then by colour and index, and a class's members are paired in ascending
-order.  `verify_isomorphism` checks the lifted mapping on the whole
-adjacency matrices, independently of the quotient and the search.
+`are_isomorphic` reads `graphs.twin_classes`: the universal vertices U
+and the twin quotient of G - U.  G is K_U joined with G - U, so G and H are
+isomorphic exactly when |U_G| = |U_H| and their quotients are isomorphic
+by a map that keeps class sizes.  The search runs on the quotients only:
+classes are matched smallest refinement class first, then by colour and
+index, and a class's members are paired in ascending order.  The lift
+pairs the i-th universal vertex of G with the i-th of H, which is the
+whole map when the quotients are empty (complete graphs).
+`verify_isomorphism` checks the lifted mapping on the whole adjacency
+matrices, independently of the quotient and the search.
 """
 
 from __future__ import annotations
@@ -89,8 +93,9 @@ def are_isomorphic(
 ) -> tuple[int, ...] | None:
     """A vertex mapping g1 -> g2 if one exists, else None.
 
-    Any witness found on the twin quotients is lifted to the vertices and
-    must pass `verify_isomorphism`, or InternalConsistencyError is raised.
+    The universal vertices are paired in ascending order, and a search on
+    the twin quotients of G - U maps the rest.  The lifted mapping must pass
+    `verify_isomorphism`, or InternalConsistencyError is raised.
     """
     if g1.n != g2.n:
         return None
@@ -101,7 +106,10 @@ def are_isomorphic(
         raise CapacityError(f"graph isomorphism capped at {cap} vertices (graphs have {n})")
     if g1.edge_count != g2.edge_count:
         return None
-    (members1, _, rows1), (members2, _, rows2) = twin_classes(g1), twin_classes(g2)
+    members1, universal1, rows1 = twin_classes(g1)
+    members2, universal2, rows2 = twin_classes(g2)
+    if len(universal1) != len(universal2):
+        return None
     weights1, weights2 = [len(c) for c in members1], [len(c) for c in members2]
     k = len(rows1)
     if len(rows2) != k or sorted(weights1) != sorted(weights2):
@@ -137,12 +145,20 @@ def are_isomorphic(
         )
 
     def lift() -> tuple[int, ...]:
+        """The verified mapping: U paired in order, each class's members paired with its image's."""
         mapping = [-1] * n
+        for a, b in zip(universal1, universal2):
+            mapping[a] = b
         for ci, cw in enumerate(fwd):
             for a, b in zip(members1[ci], members2[cw]):
                 mapping[a] = b
-        return tuple(mapping)
+        witness = tuple(mapping)
+        if not verify_isomorphism(g1, g2, witness):
+            raise InternalConsistencyError("search returned a bad witness")
+        return witness
 
+    if k == 0:
+        return lift()
     depth = 0
     iters[0] = make_iter(0)
     while depth >= 0:
@@ -164,10 +180,7 @@ def are_isomorphic(
         mapped2 |= 1 << w
         chosen[depth] = w
         if depth + 1 == k:
-            mapping = lift()
-            if not verify_isomorphism(g1, g2, mapping):
-                raise InternalConsistencyError("search returned a bad witness")
-            return mapping
+            return lift()
         depth += 1
         iters[depth] = make_iter(depth)
     return None

@@ -5,6 +5,7 @@ the collected lines in the terminal summary so they are visible in normal
 captured runs. Stated runtime budgets are enforced with assertions.
 """
 
+import hashlib
 import json
 import time
 from functools import lru_cache
@@ -200,6 +201,10 @@ def test_criterion_5_reduced_rigidity_desk_check():
     assert not failures, failures[:10]
 
 
+# sha256 of the JSON list [ring, ring, witness] over criterion 6's isomorphic pairs, in its order.
+CRITERION_6_WITNESS_SHA256 = "0d29c01c7d1f2c437827be189353419e887a98098e76d7db5af45eb553ca945f"
+
+
 def test_criterion_6_residue_transfer_across_isomorphic_graphs():
     start = time.monotonic()
     failures = []
@@ -211,14 +216,17 @@ def test_criterion_6_residue_transfer_across_isomorphic_graphs():
         groups.setdefault(key, []).append(spec)
 
     iso_pairs = []
+    witnesses = []
     for members in groups.values():
         if len(members) < 2:
             continue
         analyses = [RingAnalysis(ring_from_text(s), text=s) for s in members]
         for (sa, aa), (sb, ab) in combinations(zip(members, analyses), 2):
-            if are_isomorphic(aa.graph("full"), ab.graph("full")) is None:
+            witness = are_isomorphic(aa.graph("full"), ab.graph("full"))
+            if witness is None:
                 continue
             iso_pairs.append((sa, sb))
+            witnesses.append([sa, sb, list(witness)])
             if sorted(aa.ring.residue_field_sizes) != sorted(ab.ring.residue_field_sizes):
                 failures.append(f"{sa} vs {sb}: residue field multisets differ")
                 continue
@@ -232,9 +240,12 @@ def test_criterion_6_residue_transfer_across_isomorphic_graphs():
     for pair in expected_pairs:
         if pair not in found and (pair[1], pair[0]) not in found:
             failures.append(f"known isomorphic-graph pair missing: {pair}")
-    ok = not failures and len(iso_pairs) >= 5
+    digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()
+    ok = not failures and len(iso_pairs) >= 5 and digest == CRITERION_6_WITNESS_SHA256
     announce(6, ok, elapsed, f"pairs={len(iso_pairs)}")
     assert len(iso_pairs) >= 5
+    # The witnesses themselves are pinned: a faster search must find the same maps.
+    assert digest == CRITERION_6_WITNESS_SHA256
     assert not failures, failures[:10]
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,25 @@ class TestSingleClaims:
         report = one_report("Z/2 x Z/8", "P4.7c")
         assert report.outcome == "pass"
         assert report.witness["quotient_size"] == 4
+
+    def test_coset_claims_unpack_the_full_graph_in_blocks(self):
+        # The full graph of Z/2 x Z/2048 unpacks to a 16.8 MB matrix; P4.7a/b/c read it in blocks.
+        a = RingAnalysis(ring_from_text("Z/2 x Z/2048"), text="Z/2 x Z/2048")
+        a.graph("full")
+        a.ring.quotient(a.ring.jacobson_radical)
+        tracemalloc.start()
+        try:
+            reports = verify_ring(a, ["P4.7a", "P4.7b", "P4.7c"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.outcome for r in reports] == ["pass"] * 3
+        assert [r.witness for r in reports] == [
+            {"cosets": 4},
+            {"cosets": 4, "unit_cosets": 1},
+            {"quotient_size": 4},
+        ]
+        assert peak < 4_000_000
 
     def test_capacity_becomes_skip(self):
         caps = Caps(max_exact_vertices=2)

@@ -182,8 +182,15 @@ class TestIso:
         )
         assert code == 0
         payload = json.loads(target.read_text())
-        assert sorted(payload["mapping"]) == [0, 1, 2, 3]
+        assert payload["mapping"] == [0, 1, 2, 3]
         assert payload["rings"] == ["Z/4", "Z/2[x]/(x^2)"]
+
+    def test_witness_file_keeps_the_product_pair_mapping(self, capsys, tmp_path):
+        target = tmp_path / "wit.json"
+        code, _, _ = run_cli(capsys, "iso", "Z/2 x Z/8", "Z/4 x Z/4", "--witness", str(target))
+        assert code == 0
+        mapping = json.loads(target.read_text())["mapping"]
+        assert mapping == [0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7, 12, 13, 14, 15]
 
     def test_core_selector(self, capsys):
         code, out, _ = run_cli(capsys, "iso", "Z/2 x Z/8", "Z/4 x Z/4", "--graph", "core")

@@ -84,6 +84,32 @@ class TestAreIsomorphic:
             for seed in (1, 2, 3):
                 assert are_isomorphic(g, shuffled(g, seed)) is not None
 
+    @pytest.mark.parametrize(
+        "first, second, expected",
+        [
+            ("Z/2 x Z/8", "Z/4 x Z/4", [0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7, 12, 13, 14, 15]),
+            ("Z/6", "Z/2 x Z/3", [0, 4, 1, 3, 2, 5]),
+            ("Z/5", "GF(5)", [0, 1, 2, 3, 4]),  # every vertex is universal
+        ],
+    )
+    def test_pinned_witnesses(self, first, second, expected):
+        assert are_isomorphic(graph_of(first), graph_of(second)) == tuple(expected)
+
+    def test_universal_vertices_paired_in_ascending_order(self):
+        rest = random_graph(5, 0.5, 3)
+        assert max(rest.degrees()) < 4  # so U is exactly the K_3
+        g = join(SimpleGraph.complete(3), rest)
+        h = join(rest, SimpleGraph.complete(3))
+        witness = are_isomorphic(g, h)
+        assert witness is not None and witness[:3] == (5, 6, 7)
+
+    def test_universal_count_mismatch(self):
+        star = SimpleGraph.complete_multipartite([1, 3])
+        triangle_and_point = disjoint_union(SimpleGraph.complete(3), SimpleGraph.edgeless(1))
+        assert star.edge_count == triangle_and_point.edge_count == 3
+        assert are_isomorphic(star, triangle_and_point) is None
+        assert are_isomorphic(triangle_and_point, star) is None
+
     def test_matches_bruteforce_on_random_pairs(self):
         cases = []
         for seed in range(12):
@@ -91,6 +117,14 @@ class TestAreIsomorphic:
         for seed in range(6):
             g = random_graph(6, 0.5, seed + 200)
             cases.append((g, shuffled(g, seed)))
+        # Graphs joined with K_u: u universal vertices, placed first or shuffled in.
+        for seed in range(24):
+            u = seed % 4
+            g = join(SimpleGraph.complete(u), random_graph(5, 0.5, seed + 300))
+            other = join(SimpleGraph.complete(u), random_graph(5, 0.5, seed + 400))
+            cases.append((g, other))
+            cases.append((g, shuffled(g, seed)))
+            cases.append((shuffled(g, seed + 1), shuffled(other, seed + 2)))
         for g1, g2 in cases:
             got = are_isomorphic(g1, g2)
             expected = brute_isomorphic(g1, g2)
@@ -152,14 +186,28 @@ class TestSelfCheck:
         with pytest.raises(InternalConsistencyError, match="bad witness"):
             are_isomorphic(graph_of("Z/6"), graph_of("Z/2 x Z/3"))
 
-    def test_rejected_witness_survives_python_O(self, python_O):
-        plant = (
+    def test_rejected_witness_raises_without_search(self, monkeypatch):
+        # Every vertex of Z/5's graph is universal: no search runs, the pairing is the witness.
+        monkeypatch.setattr("comaximal.isomorphism.verify_isomorphism", lambda g1, g2, m: False)
+        with pytest.raises(InternalConsistencyError, match="bad witness"):
+            are_isomorphic(graph_of("Z/5"), graph_of("GF(5)"))
+
+    @staticmethod
+    def plant(first: str, second: str) -> str:
+        return (
             "import comaximal.isomorphism as isomorphism\n"
             "from comaximal import build_comaximal_graph, ring_from_text\n"
             "isomorphism.verify_isomorphism = lambda g1, g2, m: False\n"
-            "g1, g2 = (build_comaximal_graph(ring_from_text(t)) for t in ('Z/6', 'Z/2 x Z/3'))\n"
+            f"g1, g2 = (build_comaximal_graph(ring_from_text(t)) for t in {(first, second)!r})\n"
         )
-        out = python_O(plant, "isomorphism.are_isomorphic(g1, g2)")
+
+    def test_rejected_witness_survives_python_O(self, python_O):
+        out = python_O(self.plant("Z/6", "Z/2 x Z/3"), "isomorphism.are_isomorphic(g1, g2)")
+        assert out.startswith("raised 1 "), out
+        assert "bad witness" in out
+
+    def test_rejected_witness_without_search_survives_python_O(self, python_O):
+        out = python_O(self.plant("Z/5", "GF(5)"), "isomorphism.are_isomorphic(g1, g2)")
         assert out.startswith("raised 1 "), out
         assert "bad witness" in out
 

@@ -110,6 +110,22 @@ class TestIdeals:
         assert r.is_ideal(good)
         assert not r.is_ideal(bad)
 
+    def test_member_flags_unpacked_once_and_read_only(self):
+        ideal = zn(12).principal_ideal(3)
+        flags = ideal.member_flags()
+        assert ideal.member_flags() is flags
+        assert np.flatnonzero(flags).tolist() == [0, 3, 6, 9]
+        with pytest.raises(ValueError):
+            flags[1] = True
+
+    def test_cached_flags_leave_equality_and_hash_alone(self):
+        mask = sum(1 << x for x in (0, 3, 6, 9))
+        read, fresh = IdealSet(12, mask), IdealSet(12, mask)
+        read.member_flags()
+        assert read == fresh and hash(read) == hash(fresh)
+        assert len({read, fresh}) == 1
+        assert read != IdealSet(12, mask | 1 << 1)
+
 
 class TestComaximality:
     def test_z12_samples(self):
