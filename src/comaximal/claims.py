@@ -2,7 +2,9 @@
 
 Each claim has a stable id and a checker that returns pass, fail, or
 skip.  A fail always carries a witness dict of concrete elements or
-counts.  `revalidate_report` audits a report entry by recomputing it
+counts.  Checkers read the ring structure the kernel certifies (units,
+maximal ideals, primitive idempotents) rather than rebuilding rings to
+rederive it.  `revalidate_report` audits a report entry by recomputing it
 from the ring text and the caps and requiring the same JSON, whatever
 the outcome.  Where a fail witness names concrete elements, the claim
 also registers an audit, defined just above its checker, that rechecks
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
@@ -49,7 +51,7 @@ from .limits import (
     DEFAULT_MAX_RING_SIZE,
     DEFAULT_RING_ISO_CAP,
 )
-from .rings import RingTable, _blocks, _lowest, _unpack, ring_isomorphic
+from .rings import RingTable, _blocks, _distinct, _lowest, _unpack, ring_isomorphic
 from .version import __version__
 
 
@@ -134,16 +136,10 @@ class RingAnalysis:
             edges += np.bincount(pairs[_unpack(packed[block], n)], minlength=k * k)
         return reps, coset, edges.reshape(k, k)
 
-    @cached_property
+    @property
     def is_z2xz2(self) -> bool:
-        if self.ring.size != 4:
-            return False
-        return ring_isomorphic(self.ring, _z2xz2(), cap=4) is not None
-
-
-@lru_cache(maxsize=1)
-def _z2xz2() -> RingTable:
-    return ring_from_text("Z/2 x Z/2")
+        # R/J = F_2 x F_2 has four elements, so a ring of size 4 has J = 0 and is R/J.
+        return self.ring.size == 4 and self.ring.residue_field_sizes == (2, 2)
 
 
 # -- registry -------------------------------------------------------------------
@@ -365,12 +361,10 @@ def _check_clean_decomposition(a: RingAnalysis):
         if a.core_clique != t:
             return _failed({"kind": "clique_mismatch", "clique": a.core_clique, "expected": t})
     # The kernel certifies the primitive idempotents orthogonal with sum 1, one per maximal ideal.
-    sizes = []
-    for e in ring.primitive_idempotents:
-        component = ring.idempotent_component(e)
-        sizes.append(component.size)
-        if component.maximal_ideal_count != 1:
-            return _failed({"kind": "factor_not_local", "idempotent": e})
+    # Each e*R is local: an idempotent f of e*R outside {0, e} would make f + (1 - e) lie in
+    # no M_j, so the kernel would claim it a unit, yet it kills e - f; the unit certificate
+    # u**|U| == 1 (read by clean_decomposition above) raises on such a zero divisor.
+    sizes = (len(_distinct(ring.mul_row(e), ring.size)) for e in ring.primitive_idempotents)
     witness["local_factor_sizes"] = sorted(sizes)
     return _passed(witness)
 

@@ -517,6 +517,8 @@ def load_table_ring(path: str) -> RingTable:
     one = data["one"]
     if not _is_json_int(one) or not 0 <= one < size:
         raise TableFormatError("one must be an element index")
+    if one == 0:
+        raise TableFormatError("one must not be element 0, the additive identity")
     for key in ("add", "mul"):
         table = data[key]
         if not isinstance(table, list) or len(table) != size * size:

@@ -779,21 +779,9 @@ def ring_isomorphic(
         raise CapacityError(
             f"ring isomorphism undecided: size {n} exceeds the cap ({cap})"
         )
-    coarse = (
-        r1.characteristic,
-        r1.unit_count,
-        len(r1.idempotent_elements),
-        len(r1.nilpotent_elements),
-        r1.residue_field_sizes,
-    )
-    if coarse != (
-        r2.characteristic,
-        r2.unit_count,
-        len(r2.idempotent_elements),
-        len(r2.nilpotent_elements),
-        r2.residue_field_sizes,
-    ):
+    if r1.residue_field_sizes != r2.residue_field_sizes:
         return None
+    # Equal profile multisets imply equal characteristic, unit, idempotent and nilpotent counts.
     prof1 = _element_profiles(r1)
     prof2 = _element_profiles(r2)
     if sorted(prof1) != sorted(prof2):

@@ -1,5 +1,6 @@
-"""Shared pytest wiring: acceptance verdict lines in the summary, and a
-fixture that runs a fault-planting script under `python -O`."""
+"""Shared pytest wiring: acceptance verdict lines in the summary, a helper
+that runs a fresh interpreter on the package under test, and a fixture that
+runs a fault-planting script under `python -O`."""
 
 import os
 import subprocess
@@ -22,6 +23,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with `args`, importing the same `comaximal` as these tests.
+
+    The imported package's source tree leads PYTHONPATH, so neither an installed
+    copy nor a missing one changes what the subprocess runs.
+    """
+    src = str(Path(comaximal.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
+
+
 def _run_python_O(plant: str, expression: str) -> str:
     """stdout of a `python -O` run that executes `plant`, then evaluates `expression`.
 
@@ -39,14 +52,7 @@ def _run_python_O(plant: str, expression: str) -> str:
         "else:\n"
         "    print('returned', type(result).__name__)\n"
     )
-    src = str(Path(comaximal.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    result = run_python("-O", "-c", script)
     assert result.returncode == 0, result.stderr
     return result.stdout
 

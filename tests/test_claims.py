@@ -3,12 +3,8 @@
 import copy
 import dataclasses
 import json
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -24,6 +20,7 @@ from comaximal import (
     product_family,
     revalidate_report,
     ring_from_text,
+    ring_isomorphic,
     save_report,
     sweep,
     verify_pair,
@@ -33,6 +30,7 @@ from comaximal import (
 from comaximal.claims import CLAIM_ORDER, PAIR_CLAIMS, SINGLE_CLAIMS, _sweep_one
 from comaximal.rings import RingTable
 
+from conftest import run_python
 from oracles import (
     coset_lifting_witness,
     coset_units_witness,
@@ -235,6 +233,48 @@ class TestSingleClaims:
         second = verify_ring(analysis, ["T3.1"])
         assert first[0].outcome == "pass"
         assert second[0].outcome == "pass"
+
+
+# The single-ring claims that apply to every ring, as the corpus benchmark runs them.
+STRUCTURE_CLAIMS = [
+    "L2.1a", "L2.1b", "JOIN", "T2.2", "P2.3", "P2.4a", "T2.5",
+    "T3.1", "L3.2", "P3.3b", "P4.7a", "P4.7b", "P4.7c", "SB-chi",
+]
+
+
+class TestStructureFromKernel:
+    """T2.5, L3.2 and P3.3b read the kernel's certified structure instead of building rings."""
+
+    @pytest.mark.parametrize("text", ["Z/4", "GF(4)", "Z/2[x]/(x^2)", "Z/2 x Z/2"])
+    def test_is_z2xz2_matches_ring_isomorphism(self, text):
+        ring = ring_from_text(text)
+        expected = ring_isomorphic(ring, ring_from_text("Z/2 x Z/2")) is not None
+        assert RingAnalysis(ring).is_z2xz2 is expected
+        assert expected is (text == "Z/2 x Z/2")
+
+    @pytest.mark.parametrize("text", ["Z/2", "Z/3", "Z/6", "Z/8", "Z/2 x Z/4", "Z/2 x Z/2 x Z/2"])
+    def test_is_z2xz2_false_for_other_sizes(self, text):
+        assert RingAnalysis(ring_from_text(text)).is_z2xz2 is False
+
+    @pytest.mark.parametrize("text", ["Z/2 x Z/2", "Z/12", "GF(4) x Z/9"])
+    def test_structure_claims_build_no_rings(self, text, monkeypatch):
+        calls = []
+
+        def logged(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return call
+
+        component = RingTable.idempotent_component
+        monkeypatch.setattr(RingTable, "idempotent_component", logged("component", component))
+        for module in (comaximal.rings, comaximal.claims):
+            monkeypatch.setattr(module, "ring_isomorphic", logged("isomorphic", ring_isomorphic))
+        reports = verify_ring(ring_from_text(text), STRUCTURE_CLAIMS, text=text)
+        assert [r.claim for r in reports] == STRUCTURE_CLAIMS
+        assert all(r.outcome != "fail" for r in reports)
+        assert calls == []
 
 
 class TestPairClaims:
@@ -740,14 +780,7 @@ def loaded_after(statement: str, packages: tuple[str, ...]) -> list[str]:
         f"print([m for m in sorted(sys.modules) "
         f"if any(m == p or m.startswith(p + '.') for p in {packages!r})])"
     )
-    src = str(Path(comaximal.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    result = run_python("-c", script)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.replace("'", '"'))
 

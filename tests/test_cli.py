@@ -1,12 +1,12 @@
 """CLI behaviour: outputs, formats, exit codes, determinism."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
 from comaximal.cli import main
+
+from conftest import run_python
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +41,14 @@ class TestRing:
         path.write_text(json.dumps(table))
         code, out, err = run_cli(capsys, "ring", f"table:{path}")
         assert (code, out, err) == (2, "", "error: one must be an element index\n")
+
+    def test_one_at_zero_exit_2(self, capsys, tmp_path):
+        table = {"size": 2, "one": 0, "add": [0, 1, 1, 0], "mul": [0, 0, 0, 1]}
+        path = tmp_path / "z2.json"
+        path.write_text(json.dumps(table))
+        code, out, err = run_cli(capsys, "ring", f"table:{path}")
+        assert (code, out) == (2, "")
+        assert err == "error: one must not be element 0, the additive identity\n"
 
     def test_cap_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "ring", "Z/9999")
@@ -330,12 +338,7 @@ class TestHugeLiterals:
     @pytest.mark.parametrize("text", list(CASES))
     def test_ring_exit_code(self, text):
         code, err = self.CASES[text]
-        result = subprocess.run(
-            [sys.executable, "-m", "comaximal.cli", "ring", text],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
+        result = run_python("-m", "comaximal.cli", "ring", text, timeout=10)
         assert result.returncode == code
         prefix = "capability" if code == 3 else "error"
         suffix = " the size cap (4096)" if code == 3 else f" in {text!r}"
@@ -345,39 +348,22 @@ class TestHugeLiterals:
     def test_overlong_literal_is_a_parse_error(self):
         """Past Python's 4,300-digit limit on int(), a literal is a parse error, not a traceback."""
         text = "Z/" + "1" * 5000
-        result = subprocess.run(
-            [sys.executable, "-m", "comaximal.cli", "ring", text],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
+        result = run_python("-m", "comaximal.cli", "ring", text, timeout=10)
         assert result.returncode == 2
         assert result.stderr == f"error: modulus has too many digits (at position 2) in {text!r}\n"
 
 
 class TestEntryPoint:
     def test_console_script(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "comaximal.cli", "invariants", "Z/30", "--select", "core"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_python("-m", "comaximal.cli", "invariants", "Z/30", "--select", "core")
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "connected=true diameter=3 clique=3 chromatic=3"
 
     def test_usage_error_exit_2(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "comaximal.cli", "graph", "Z/4", "--format", "yaml"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_python("-m", "comaximal.cli", "graph", "Z/4", "--format", "yaml")
         assert result.returncode == 2
 
     def test_version_flag(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "comaximal.cli", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_python("-m", "comaximal.cli", "--version")
         assert result.returncode == 0
         assert result.stdout.startswith("comaximal ")

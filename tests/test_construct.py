@@ -269,6 +269,12 @@ class TestTableFiles:
         with pytest.raises(TableFormatError):
             load_table_ring(str(path))
 
+    def test_one_at_zero_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"size": 2, "one": 0, "add": [0, 1, 1, 0], "mul": [0, 0, 0, 1]}))
+        with pytest.raises(TableFormatError, match="one must not be element 0"):
+            load_table_ring(str(path))
+
     def test_out_of_range_entry_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         # each first offender sits after valid entries

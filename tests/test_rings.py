@@ -20,6 +20,7 @@ from comaximal import (
     ring_from_text,
     ring_isomorphic,
     validate_ring_axioms,
+    verify_ring,
 )
 from comaximal.limits import TABLE_LIMIT
 from comaximal.rings import RingTable
@@ -567,6 +568,17 @@ class TestDerivedForms:
             assert (r.mul_row(u) == r.one).any()
 
 
+class TestLocalFactors:
+    def test_t25_factor_sizes_match_components(self, derived_ring):
+        """T2.5 reads |e*R| off e's row; building each e*R as a ring gives the same sizes."""
+        r = derived_ring
+        (report,) = verify_ring(r, ["T2.5"])
+        assert report.outcome == "pass"
+        components = [r.idempotent_component(e) for e in r.primitive_idempotents]
+        assert all(c.maximal_ideal_count == 1 for c in components)
+        assert report.witness["local_factor_sizes"] == sorted(c.size for c in components)
+
+
 class TestStructureReferences:
     """Units, radical, nilpotents, maximal ideals in order and signatures from the definitions."""
 
@@ -618,6 +630,16 @@ def _corrupting_power(real):
     return corrupt
 
 
+def _merging_first_two(real):
+    """`primitive_idempotents` with the first two replaced by their sum, a non-local e*R."""
+
+    def merged(self):
+        first, second, *rest = real.func(self)
+        return (self.add(first, second), *rest)
+
+    return property(merged)
+
+
 # Certificate faults planted in Z/100: the RingTable attribute replaced, the
 # wrapper that breaks it, the property that must raise and its message.
 # Z/100 is above CROSSCHECK_LIMIT, so the brute-force comparison cannot catch
@@ -651,6 +673,37 @@ class TestSelfChecks:
         monkeypatch.setattr(RingTable, name, wrapper(RingTable.__dict__[name]))
         with pytest.raises(InternalConsistencyError, match=message):
             getattr(zn(100), attribute)
+
+    # Two primitive idempotents merged into one, so that its e*R is not local.  In Z/6 the
+    # brute-force comparison catches it; in Z/2 x Z/50, above CROSSCHECK_LIMIT, the unit
+    # certificate does, since e*R's idempotents give claimed units that are zero divisors.
+    MERGED_IDEMPOTENTS = {"Z/6": "brute force", "Z/2 x Z/50": "claimed unit"}
+    MERGED_TARGETS = ["ring.unit_flags", "verify_ring(ring, ['T2.5'])"]
+
+    @pytest.mark.parametrize("target", MERGED_TARGETS)
+    @pytest.mark.parametrize("text", list(MERGED_IDEMPOTENTS))
+    def test_merged_idempotents_raise(self, text, target, monkeypatch):
+        real = RingTable.__dict__["primitive_idempotents"]
+        monkeypatch.setattr(RingTable, "primitive_idempotents", _merging_first_two(real))
+        ring = ring_from_text(text)
+        with pytest.raises(InternalConsistencyError, match=self.MERGED_IDEMPOTENTS[text]):
+            eval(target, {"ring": ring, "verify_ring": verify_ring})
+
+    @pytest.mark.parametrize("target", MERGED_TARGETS)
+    @pytest.mark.parametrize("text", list(MERGED_IDEMPOTENTS))
+    def test_merged_idempotents_survive_python_O(self, text, target, python_O):
+        plant = RING_PLANT + (
+            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+            "import test_rings\n"
+            "from comaximal import verify_ring\n"
+            "table = rings.RingTable\n"
+            "table.primitive_idempotents = test_rings._merging_first_two(\n"
+            "    table.__dict__['primitive_idempotents'])\n"
+            f"ring = ring_from_text({text!r})\n"
+        )
+        out = python_O(plant, target)
+        assert out.startswith("raised 1 "), out
+        assert self.MERGED_IDEMPOTENTS[text] in out
 
     @pytest.mark.parametrize("fault", list(CERTIFICATE_FAULTS))
     def test_certificates_survive_python_O(self, fault, python_O):
