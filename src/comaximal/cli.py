@@ -57,11 +57,20 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
-ENV_CAPS = {
-    "max_ring_size": "COMAXIMAL_MAX_RING_SIZE",
-    "max_exact_vertices": "COMAXIMAL_MAX_EXACT_VERTICES",
-    "max_ringiso_size": "COMAXIMAL_MAX_RINGISO_SIZE",
-}
+# Each cap the CLI sets: its Caps field (flag --field-with-dashes), env variable and help text.
+_CAP_OPTIONS = (
+    ("max_ring_size", "COMAXIMAL_MAX_RING_SIZE", "largest ring the builder will materialise"),
+    (
+        "max_exact_vertices",
+        "COMAXIMAL_MAX_EXACT_VERTICES",
+        "largest graph handed to the exact clique/coloring solvers",
+    ),
+    (
+        "max_ringiso_size",
+        "COMAXIMAL_MAX_RINGISO_SIZE",
+        "largest ring size attempted by the ring isomorphism search",
+    ),
+)
 
 ELEMENT_LIST_LIMIT = 32
 
@@ -73,21 +82,16 @@ class CliError(Exception):
 
 
 def _effective_caps(args: argparse.Namespace) -> Caps:
-    defaults = Caps()
     values = {}
-    for field, env_name in ENV_CAPS.items():
-        flag = getattr(args, field, None)
-        if flag is not None:
-            values[field] = flag
-            continue
+    for field, env_name, _ in _CAP_OPTIONS:
         raw = os.environ.get(env_name)
-        if raw is None:
-            values[field] = getattr(defaults, field)
-            continue
-        try:
-            values[field] = int(raw)
-        except ValueError:
-            raise CliError(f"{env_name} must be an integer, got {raw!r}") from None
+        if getattr(args, field, None) is not None:
+            values[field] = getattr(args, field)
+        elif raw is not None:
+            try:
+                values[field] = int(raw)
+            except ValueError:
+                raise CliError(f"{env_name} must be an integer, got {raw!r}") from None
     for field, value in values.items():
         if value < 1:
             raise CliError(f"--{field.replace('_', '-')} must be positive, got {value}")
@@ -95,24 +99,13 @@ def _effective_caps(args: argparse.Namespace) -> Caps:
 
 
 def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-ring-size",
-        type=int,
-        metavar="N",
-        help="largest ring the builder will materialise (default 4096)",
-    )
-    parser.add_argument(
-        "--max-exact-vertices",
-        type=int,
-        metavar="N",
-        help="largest graph handed to the exact clique/coloring solvers (default 512)",
-    )
-    parser.add_argument(
-        "--max-ringiso-size",
-        type=int,
-        metavar="N",
-        help="largest ring size attempted by the ring isomorphism search (default 32)",
-    )
+    for field, _, text in _CAP_OPTIONS:
+        parser.add_argument(
+            "--" + field.replace("_", "-"),
+            type=int,
+            metavar="N",
+            help=f"{text} (default {getattr(Caps(), field)})",
+        )
 
 
 def _build_ring(text: str, caps: Caps) -> RingTable:

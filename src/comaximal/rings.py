@@ -354,16 +354,15 @@ class RingTable:
     # -- ideals ------------------------------------------------------------
 
     def is_ideal(self, ideal: IdealSet) -> bool:
+        """0 is a member, the additive-generator walk over the members stays inside, and
+        h * r is a member for each generator h and every r: r * (sum c_k h_k) = sum c_k (r * h_k)
+        by the distributive law, which `validate_ring_axioms` proves for table files.
+        """
         if ideal.ring_size != self.size or 0 not in ideal:
             return False
         flags = ideal.member_flags()
-        members = np.flatnonzero(flags)
-        for a in self._row_blocks(members):
-            if not flags[self.add_op(a, members)].all():
-                return False
-            if not flags[self.mul_op(a, self._idx)].all():
-                return False
-        return True
+        gens = _additive_generators(self, flags)
+        return gens is not None and all(flags[self.mul_row(h)].all() for h in gens)
 
     def is_proper_ideal(self, ideal: IdealSet) -> bool:
         return self.one not in ideal and self.is_ideal(ideal)
@@ -734,29 +733,30 @@ def _element_profiles(ring: RingTable) -> list[tuple[int, ...]]:
     return list(zip(order.tolist(), *flags.tolist(), ann.tolist()))
 
 
-def _additive_generators(ring: RingTable) -> list[int]:
-    """Greedy additive generating set, identity first."""
-    n = ring.size
-    span = np.zeros(n, dtype=bool)
+def _additive_generators(ring: RingTable, within: np.ndarray | None = None) -> list[int] | None:
+    """Greedy additive generating set: the identity, then the lowest element not yet spanned.
+
+    Each generator g grows the span S to S + <g> by doubling: S u (S + g), then that
+    u (that + 2g), ..., until the next translate 2^j g is spanned.  The cosets S + kg,
+    k < 2^j, are distinct until ord(g mod S) of them are spanned, and 2^j g lies among
+    them exactly then, so the walk stops at S + <g>: O(n log n) operations in all.
+    With `within` (membership flags), generators are its lowest unspanned members, and None
+    is returned once a step leaves it, which happens exactly when it is not an additive group.
+    """
+    span = np.zeros(ring.size, dtype=bool)
     span[0] = True
+    draw = ~span if within is None else within
     gens: list[int] = []
-
-    def grow(g: int) -> None:
-        frontier = [g]
-        span[g] = True
-        while frontier:
-            x = frontier.pop()
-            row = ring.add_row(x)[span]
-            fresh = _distinct(row[~span[row]], n)
-            span[fresh] = True
-            frontier.extend(fresh.tolist())
-
-    grow(ring.one)
-    gens.append(ring.one)
-    for a in range(n):
-        if not span[a]:
-            gens.append(a)
-            grow(a)
+    while len(rest := np.flatnonzero(draw & ~span)):
+        step = int(rest[0]) if gens or within is not None else ring.one
+        gens.append(step)
+        while not span[step]:
+            moved = ring.add_op(np.flatnonzero(span), step)
+            if within is not None and not within[moved].all():
+                return None
+            span[moved] = True
+            span[step] = True  # already set when 0 + step == step; a malformed table cannot loop
+            step = int(ring.add_op(step, step))
     return gens
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import gcd
 
+import numpy as np
+
 from comaximal import SimpleGraph, maximal_ideals_bruteforce
 
 
@@ -376,3 +378,52 @@ def sqz_product(p: int, k: int, a: int, b: int) -> int:
     t, *w = [b // p ** (k - i) % p for i in range(k + 1)]
     digits = [s * t % p] + [(s * wi + t * vi) % p for vi, wi in zip(v, w)]
     return sum(x * p ** (k - i) for i, x in enumerate(digits))
+
+
+def additive_generators_bfs(ring) -> list[int]:
+    """Greedy additive generating set: the identity, then each element not yet spanned.
+
+    Each new generator's span is grown breadth first: every element reached
+    is added to the whole span so far, until nothing new appears.
+    """
+    n = ring.size
+    span = np.zeros(n, dtype=bool)
+    span[0] = True
+    gens = []
+    for g in [ring.one, *range(n)]:
+        if span[g]:
+            continue
+        gens.append(g)
+        span[g] = True
+        frontier = [g]
+        while frontier:
+            row = ring.add_row(frontier.pop())[span]
+            fresh = sorted(set(row[~span[row]].tolist()))
+            span[fresh] = True
+            frontier.extend(fresh)
+    return gens
+
+
+def additive_span(ring, elements) -> set[int]:
+    """The additive group generated by `elements`: {0}, closed under adding each of them."""
+    rows = [ring.add_row(g).tolist() for g in elements]
+    span, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for row in rows:
+            if row[x] not in span:
+                span.add(row[x])
+                frontier.append(row[x])
+    return span
+
+
+def is_ideal_by_definition(ring, members) -> bool:
+    """0 is a member, and so are a + b and r * a for all members a, b and every r."""
+    inside = set(members)
+    if 0 not in inside:
+        return False
+    for a in inside:
+        sums, products = ring.add_row(a).tolist(), ring.mul_row(a).tolist()
+        if any(sums[b] not in inside for b in inside) or not inside.issuperset(products):
+            return False
+    return True

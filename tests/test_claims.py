@@ -132,6 +132,33 @@ class TestSingleClaims:
         assert report.outcome == "pass"
         assert report.witness["ring_isomorphism"] == "verified"
 
+    def test_p24b_verified_above_the_ring_isomorphism_cap(self):
+        report = one_report("Z/2 x GF(64)", "P2.4b")
+        assert report.outcome == "pass"
+        assert report.witness == {
+            "universal_vertices": 1,
+            "field_size": 64,
+            "ring_isomorphism": "verified",
+        }
+
+    @pytest.mark.parametrize("text", ["Z/2 x GF(4)", "Z/34", "Z/2 x GF(64)", "Z/12", "Z/30"])
+    def test_p24b_ignores_the_ring_isomorphism_cap(self, text):
+        ring = ring_from_text(text)
+        (capped,) = verify_ring(ring, ["P2.4b"], text=text, caps=Caps(max_ringiso_size=2))
+        (default,) = verify_ring(ring, ["P2.4b"], text=text)
+        assert capped.to_json() == default.to_json()
+
+    @pytest.mark.parametrize("text", ["Z/2 x GF(4)", "Z/106"])
+    def test_p24b_builds_and_searches_no_ring(self, text, monkeypatch):
+        ring = ring_from_text(text)
+        calls = []
+        for name in ("ring_from_text", "ring_isomorphic"):
+            monkeypatch.setattr(comaximal.claims, name, lambda *a, name=name, **k: calls.append(name))
+        (report,) = verify_ring(ring, ["P2.4b"], text=text)
+        assert report.outcome == "pass"
+        assert report.witness["ring_isomorphism"] == "verified"
+        assert calls == []
+
     def test_p24b_no_universal_vertex(self):
         report = one_report("Z/30", "P2.4b")
         assert report.outcome == "pass"

@@ -1,11 +1,13 @@
 """Property-based checks over randomly generated rings and graphs."""
 
 import math
+from functools import lru_cache
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from comaximal import (
+    IdealSet,
     SimpleGraph,
     are_isomorphic,
     build_comaximal_graph,
@@ -22,11 +24,13 @@ from comaximal import (
 )
 
 from oracles import (
+    additive_span,
     brute_chromatic,
     brute_clique,
     brute_diameter,
     brute_metrics,
     brute_partitions,
+    is_ideal_by_definition,
     maps_edges,
     structure_by_definition,
     structure_of,
@@ -112,6 +116,48 @@ class TestRingStructureProperties:
         assert structure_of(ring) == reference
         radical = tuple(x for x, member in enumerate(reference["radical"]) if member)
         assert ring.nilpotent_elements == radical
+
+
+# Rings of 12 to 243 elements: cyclic, local, reduced and mixed, with several additive shapes.
+IDEAL_RINGS = (
+    "Z/12", "Z/64", "Z/2 x Z/4", "Z/9 x Z/3", "GF(4) x Z/4", "SQZ(2,3)",
+    "Z/2[x]/(x^6)", "Z/8 x GF(4)", "Z/2 x Z/2 x Z/3", "Z/9 x SQZ(3,2)",
+)
+
+
+@lru_cache(maxsize=None)
+def _built(text):
+    return ring_from_text(text)
+
+
+@st.composite
+def ring_subsets(draw):
+    """A ring and a subset of it: a kernel ideal, a principal ideal, a random set with 0,
+    the additive span of random elements, or the union of two principal ideals."""
+    ring = _built(draw(st.sampled_from(IDEAL_RINGS)))
+    element = st.integers(0, ring.size - 1)
+    kind = draw(st.sampled_from(["kernel", "principal", "random", "span", "union"]))
+    if kind == "kernel":
+        members = draw(st.sampled_from([ring.jacobson_radical, *ring.maximal_ideals])).members()
+    elif kind == "principal":
+        members = ring.principal_ideal(draw(element)).members()
+    elif kind == "random":
+        members = {0} | draw(st.sets(element, max_size=ring.size))
+    elif kind == "span":
+        members = additive_span(ring, draw(st.lists(element, min_size=1, max_size=3)))
+    else:
+        a, b = draw(element), draw(element)
+        members = {*ring.principal_ideal(a).members(), *ring.principal_ideal(b).members()}
+    return ring, sorted(members)
+
+
+class TestIdealProperties:
+    @settings(max_examples=300)
+    @given(ring_subsets())
+    def test_is_ideal_matches_pairwise_definition(self, case):
+        ring, members = case
+        ideal = IdealSet(ring.size, sum(1 << x for x in members))
+        assert ring.is_ideal(ideal) == is_ideal_by_definition(ring, members)
 
 
 class TestParserProperties:

@@ -23,9 +23,10 @@ from comaximal import (
     verify_ring,
 )
 from comaximal.limits import TABLE_LIMIT
-from comaximal.rings import RingTable
+from comaximal.rings import RingTable, _additive_generators
 
 from oracles import (
+    additive_generators_bfs,
     polyquot_product,
     sqz_product,
     structure_by_definition,
@@ -33,6 +34,7 @@ from oracles import (
     zn_comaximal,
     zn_unit,
 )
+from test_acceptance import corpus_specs
 
 
 def zn(n: int) -> RingTable:
@@ -590,10 +592,44 @@ class TestStructureReferences:
         assert r.nilpotent_elements == radical
 
 
+# Rings of 2,187 and 4,096 elements with large radicals and cyclic to elementary abelian
+# additive groups: a radical check or span that scans pairs costs a whole table here.
+LARGE_LOCAL = ["Z/2[x]/(x^12)", "SQZ(2,11)", "Z/3[x]/(x^7)", "Z/64 x Z/64"]
+
+
+class TestAdditiveGenerators:
+    """The doubling walk gives the breadth-first oracle's generator list."""
+
+    def test_matches_bfs_on_derived_rings(self, derived_ring):
+        assert _additive_generators(derived_ring) == additive_generators_bfs(derived_ring)
+
+    def test_matches_bfs_on_corpus(self):
+        for text in corpus_specs():
+            ring = ring_from_text(text)
+            assert _additive_generators(ring) == additive_generators_bfs(ring), text
+
+    @pytest.mark.parametrize("text", LARGE_LOCAL)
+    def test_matches_bfs_on_large_rings(self, text):
+        ring = ring_from_text(text)
+        assert _additive_generators(ring) == additive_generators_bfs(ring)
+
+    def test_within_stops_outside_a_subgroup(self):
+        r = zn(12)
+        flags = np.isin(np.arange(12), [0, 4, 8, 6])
+        assert _additive_generators(r, flags) is None
+        assert _additive_generators(r, np.isin(np.arange(12), [0, 3, 6, 9])) == [3]
+        assert _additive_generators(r, np.arange(12) == 0) == []
+
+    def test_ends_on_a_table_without_a_zero_identity(self):
+        r = RingTable(3, 1, [[1, 2, 0], [1, 2, 0], [1, 2, 0]], [[0, 0, 0], [0, 1, 2], [0, 2, 1]])
+        assert _additive_generators(r) == [1]
+        assert not r.is_ideal(IdealSet(3, 0b101))
+
+
 class TestStructureWork:
     """The ring structure costs O(n log n + m n) ring operations, not a whole-table scan."""
 
-    @pytest.mark.parametrize("text", ["Z/1000", "Z/4095", "GF(2^12)"])
+    @pytest.mark.parametrize("text", ["Z/1000", "Z/4095", "GF(2^12)", *LARGE_LOCAL])
     def test_evaluates_under_a_quarter_of_the_table(self, text):
         r = ring_from_text(text)
         evaluated = 0
@@ -638,6 +674,29 @@ def _merging_first_two(real):
         return (self.add(first, second), *rest)
 
     return property(merged)
+
+
+def _unit_three_nilpotent(real):
+    """`_nth_powers` with 3**size replaced by 0: the unit 3 joins the claimed radical."""
+
+    def planted(self):
+        out = real.func(self).copy()
+        out[3] = 0
+        return out
+
+    return property(planted)
+
+
+def _constants_nilpotent(real):
+    """`_nth_powers` zero exactly at 0 and 1: in Z/2[x]/(x^12) the claimed radical is then
+    the constants, an additive group that is not closed under multiplication by x."""
+
+    def planted(self):
+        out = np.full(self.size, self.one)
+        out[[0, self.one]] = 0
+        return out
+
+    return property(planted)
 
 
 # Certificate faults planted in Z/100: the RingTable attribute replaced, the
@@ -704,6 +763,32 @@ class TestSelfChecks:
         out = python_O(plant, target)
         assert out.startswith("raised 1 "), out
         assert self.MERGED_IDEMPOTENTS[text] in out
+
+    # The claimed radical is checked to be an ideal: a planted unit leaves the additive walk,
+    # and the constants of Z/2[x]/(x^12) fail the multiplication check.
+    RADICAL_FAULTS = [
+        ("Z/100", _unit_three_nilpotent),
+        ("Z/2[x]/(x^12)", _unit_three_nilpotent),
+        ("Z/2[x]/(x^12)", _constants_nilpotent),
+    ]
+
+    @pytest.mark.parametrize("text,wrapper", RADICAL_FAULTS)
+    def test_radical_fault_raises(self, text, wrapper, monkeypatch):
+        monkeypatch.setattr(RingTable, "_nth_powers", wrapper(RingTable.__dict__["_nth_powers"]))
+        with pytest.raises(InternalConsistencyError, match="radical is not an ideal"):
+            ring_from_text(text).jacobson_radical
+
+    @pytest.mark.parametrize("text,wrapper", RADICAL_FAULTS)
+    def test_radical_fault_survives_python_O(self, text, wrapper, python_O):
+        plant = RING_PLANT + (
+            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+            "import test_rings\n"
+            "table = rings.RingTable\n"
+            f"table._nth_powers = test_rings.{wrapper.__name__}(table.__dict__['_nth_powers'])\n"
+        )
+        out = python_O(plant, f"ring_from_text({text!r}).jacobson_radical")
+        assert out.startswith("raised 1 "), out
+        assert "radical is not an ideal" in out
 
     @pytest.mark.parametrize("fault", list(CERTIFICATE_FAULTS))
     def test_certificates_survive_python_O(self, fault, python_O):
