@@ -318,7 +318,7 @@ def _check_universal_vertex(a: RingAnalysis):
         if not any(m.mask == mask for m in ring.maximal_ideals):
             return _failed({"kind": "pair_ideal_missing", "vertex": x})
     # J = 0, and the kernel certifies R = eR x (1-e)R with each factor local, so both are
-    # fields and M_e = (1-e)R.  A maximal ideal {0, x} has two elements: R = Z/2 x GF(|R|/2).
+    # fields and M_e = (1-e)R.  The two-element M_e = {0, x} makes R = GF(|R|/2) x Z/2.
     witness = {"universal_vertices": len(universal), "field_size": ring.size // 2}
     return _passed({**witness, "ring_isomorphism": "verified"})
 
