@@ -547,12 +547,10 @@ def _audit_quotient_graph(witness: dict, ring: RingTable) -> bool:
 )
 def _check_quotient_graph(a: RingAnalysis):
     ring = a.ring
-    radical = ring.jacobson_radical
-    quotient, proj = ring.quotient(radical)
+    quotient, proj = ring.quotient(ring.jacobson_radical)
     if quotient is ring:
         return _passed({"note": "radical is zero; the quotient is the ring itself"})
-    reps, _ = ring.coset_representatives(radical)
-    reps = [int(r) for r in reps]
+    reps = a.radical_cosets[0].tolist()
     if [proj(r) for r in reps] != list(range(len(reps))):
         raise InternalConsistencyError("representative order must match quotient element order")
     g = a.graph("full")

@@ -18,8 +18,9 @@ joined with G - U, and lifting is exact:
 
 - omega and chi are |U| plus those of the quotient;
 - with U nonempty, G is connected with diameter 1 (complete) or 2;
-  otherwise one BFS per class gives every distance, and two members of a
-  class are at distance 2 when it has a neighbour, unreachable otherwise;
+  otherwise the balls of all classes, grown together one radius a round,
+  give every eccentricity, and two members of a class are at distance 2
+  when it has a neighbour, unreachable otherwise;
 - the twin classes of G are those of G - U plus one singleton per
   universal vertex; a 2-colouring of their quotient gives each member its
   class's colour, and G is complete multipartite, with these classes as
@@ -31,6 +32,8 @@ Results keep vertex indices and per-vertex tie-breaks (see `metrics`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -297,14 +300,6 @@ def _layers(rows: list[int], source: int) -> Iterator[int]:
         yield frontier
 
 
-def _bfs(rows: list[int], source: int) -> tuple[int, int, int]:
-    """Return (eccentricity, visited_mask, lowest vertex of the last layer)."""
-    depth, visited, last = 0, 1 << source, 1 << source
-    for depth, last in enumerate(_layers(rows, source), 1):
-        visited |= last
-    return depth, visited, _lowest(last)
-
-
 def metrics(g: SimpleGraph) -> GraphMetrics:
     """Connectivity, components, diameter, and a witness pair.
 
@@ -315,9 +310,11 @@ def metrics(g: SimpleGraph) -> GraphMetrics:
 
     A graph with a universal vertex is connected, with diameter 1 when it
     is complete and 2 otherwise.  Any other graph is read off its twin
-    quotient, one BFS per class: two vertices of different classes are as
-    far apart as their classes, and two members of one class are at
-    distance 2 when the class has a neighbour and unreachable otherwise.
+    quotient.  One BFS per component counts the components; on a connected
+    quotient, the balls of all classes grow together to give every
+    eccentricity.  Two vertices of different classes are as far apart as
+    their classes, and two members of one class are at distance 2 when the
+    class has a neighbour and unreachable otherwise.
     """
     n = g.n
     if n == 0:
@@ -332,29 +329,38 @@ def metrics(g: SimpleGraph) -> GraphMetrics:
         return GraphMetrics(n, edges, True, 1, 2, (v, far))
 
     classes, rows = t.classes, t.rows
-    seen = components = 0
+    starts, seen, components = [], 0, 0
     for c, members in enumerate(classes):
         if not seen >> c & 1:
-            _, visited, _ = _bfs(rows, c)
-            seen |= visited
+            starts.append(c)
+            seen |= reduce(or_, _layers(rows, c), 1 << c)
             components += 1 if rows[c] else len(members)
     if components > 1:
-        _, visited, _ = _bfs(rows, 0)
-        unreached = ((1 << len(rows)) - 1) & ~visited
-        other = classes[_lowest(unreached)][0] if rows[0] else 1
+        # The second BFS starts at the lowest class that class 0 cannot reach.
+        other = classes[starts[1]][0] if rows[0] else 1
         return GraphMetrics(n, edges, False, components, None, (0, other))
 
-    best = (0, (0, 0))
-    for c, members in enumerate(classes):
-        ecc, _, last = _bfs(rows, c)
-        far = classes[last][0]
-        if len(members) > 1 and ecc <= 2:
-            far = members[1] if ecc < 2 else min(far, members[1])
-            ecc = 2
-        if ecc > best[0]:
-            best = (ecc, (members[0], far))
-    diameter, pair = best
-    return GraphMetrics(n, edges, True, 1, diameter, pair)
+    # Connected, with two or more classes: ball[c] is the ball of radius ecc[c] around c.  The
+    # next radius's ball, the union of the neighbours' balls, is larger until it is everything.
+    full = (1 << len(rows)) - 1
+    ball = [row | 1 << c for c, row in enumerate(rows)]
+    ecc = [1] * len(rows)
+    growing = [c for c, b in enumerate(ball) if b != full]
+    while growing:
+        before = ball.copy()
+        for c in growing:
+            ball[c] = reduce(or_, (before[d] for d in _iter_bits(rows[c])))
+            ecc[c] += 1
+        growing = [c for c in growing if ball[c] != full]
+    # Two members of one class are 2 apart, so a class of twins reads at least 2.
+    score = [max(e, 2) if len(members) > 1 else e for e, members in zip(ecc, classes)]
+    w = score.index(max(score))
+    *_, last = _layers(rows, w)
+    members = classes[w]
+    far = classes[_lowest(last)][0]
+    if len(members) > 1 and ecc[w] <= 2:
+        far = members[1] if ecc[w] < 2 else min(far, members[1])
+    return GraphMetrics(n, edges, True, 1, score[w], (members[0], far))
 
 
 def distance(g: SimpleGraph, u: int, v: int) -> int | None:

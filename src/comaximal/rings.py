@@ -20,6 +20,7 @@ of row i: the one packed form numpy code reads.  `_unpack` reads it back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, Sequence
@@ -578,19 +579,11 @@ def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> 
     if len(rings) < 2:
         raise ValueError("direct product needs at least two factors")
     sizes = [r.size for r in rings]
-    total = 1
-    for s in sizes:
-        total *= s
-        if total > max_size:
-            raise CapacityError(
-                f"product ring would exceed the size cap ({max_size})"
-            )
+    total = math.prod(sizes)
+    if total > max_size:
+        raise CapacityError(f"product ring would exceed the size cap ({max_size})")
     # digits[i][a] is factor i's component of element a.
-    digits = []
-    idx = np.arange(total)
-    for s in reversed(sizes):
-        digits.insert(0, idx % s)
-        idx //= s
+    digits = np.unravel_index(np.arange(total), sizes)
 
     def mixed_radix(ops: list[Op]) -> Op:
         def op(a, b):
@@ -606,12 +599,9 @@ def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> 
         "(" + ",".join(r.labels[d] for r, d in zip(rings, parts)) + ")"
         for parts in zip(*(d.tolist() for d in digits))
     ]
-    one = 0
-    for s, r in zip(sizes, rings):
-        one = one * s + r.one
     return RingTable(
         total,
-        one,
+        int(np.ravel_multi_index([r.one for r in rings], sizes)),
         mixed_radix([r.add_op for r in rings]),
         mixed_radix([r.mul_op for r in rings]),
         labels=labels,

@@ -784,6 +784,22 @@ class TestGraphPathsMatchReference:
             outcomes.add(report.outcome)
         assert outcomes == {"pass", "fail"}
 
+    @pytest.mark.parametrize("text", ["Z/12", "SQZ(2,3)", "Z/8 x Z/9"])
+    def test_coset_claims_scan_the_cosets_twice(self, text, monkeypatch):
+        """P4.7c reads the representatives P4.7a cached; only `quotient` scans again."""
+        calls = []
+        scan = RingTable.coset_representatives
+
+        def counted(self, ideal):
+            calls.append(len(ideal))
+            return scan(self, ideal)
+
+        monkeypatch.setattr(RingTable, "coset_representatives", counted)
+        ring = ring_from_text(text)
+        reports = verify_ring(ring, ["P4.7a", "P4.7b", "P4.7c"], text=text)
+        assert [r.outcome for r in reports] == ["pass"] * 3
+        assert calls == [len(ring.jacobson_radical)] * 2 and calls[0] > 1
+
     @pytest.mark.parametrize("flip", [0, 1, 12, 13, 25])
     def test_coset_witnesses_on_tampered_units(self, flip):
         ring = ring_from_text("Z/8 x Z/9")

@@ -1,5 +1,8 @@
 """Graph construction, metrics, and exact solver tests."""
 
+import random
+import time
+
 import pytest
 
 from comaximal import (
@@ -253,6 +256,76 @@ class TestMetrics:
         g = path_graph(4)
         assert distance(g, 0, 3) == 3
         assert distance(g, 2, 2) == 0
+
+
+def boolean_core(k: int) -> SimpleGraph:
+    """The core graph of (Z/2)^k: twin-free, with diameter 3 for k >= 3."""
+    return build_comaximal_graph(ring_from_text(" x ".join(["Z/2"] * k)), "core")
+
+
+def twin_free(g: SimpleGraph) -> SimpleGraph:
+    """`g` less one vertex of each pair with equal rows, until no such pair is left."""
+    while True:
+        first: dict[int, int] = {}
+        keep = [v for v, row in enumerate(g.rows) if first.setdefault(row, v) == v]
+        if len(keep) == g.n:
+            return g
+        g = g.induced_subgraph(keep)
+
+
+def random_twin_free(seed: int) -> SimpleGraph:
+    rng = random.Random(seed)
+    n, p = rng.randint(20, 60), rng.uniform(0.05, 0.5)
+    g = SimpleGraph.from_edges(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    )
+    if seed % 3 == 0:  # a second component, whatever the density
+        g = disjoint_union(g, path_graph(rng.randint(4, 8)))
+    return twin_free(g)
+
+
+def metrics_tuple(g: SimpleGraph) -> tuple:
+    m = metrics(g)
+    return (m.vertex_count, m.edge_count, m.connected, m.components, m.diameter, m.witness_pair)
+
+
+class TestMetricsOnTwinFreeGraphs:
+    """`metrics` on graphs whose twin quotient is the graph itself, against one BFS per vertex."""
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_boolean_cores(self, k):
+        g = boolean_core(k)
+        assert len(set(g.rows)) == g.n
+        got = metrics_tuple(g)
+        assert got == brute_metrics(g)
+        assert got[4] == 3  # diameter
+
+    def test_union_of_two_boolean_cores(self):
+        g = disjoint_union(boolean_core(4), boolean_core(5))
+        got = metrics_tuple(g)
+        assert got == brute_metrics(g)
+        assert got[3] == 2  # components
+
+    def test_random_graphs(self):
+        connected = set()
+        for seed in range(60):
+            g = random_twin_free(seed)
+            got = metrics_tuple(g)
+            assert got == brute_metrics(g), seed
+            connected.add(got[2])
+        assert connected == {True, False}
+
+    def test_boolean_core_of_4094_vertices_is_fast(self):
+        r = ring_from_text(" x ".join(["Z/2"] * 12))
+        core, nonunits = build_comaximal_graph(r, "core"), build_comaximal_graph(r, "nonunits")
+        start = time.perf_counter()
+        m = metrics(core)
+        assert time.perf_counter() - start < 5
+        assert (m.vertex_count, m.diameter) == (4094, 3)
+        start = time.perf_counter()
+        m = metrics(nonunits)
+        assert time.perf_counter() - start < 0.5
+        assert (m.connected, m.components) == (False, 2)
 
 
 class TestExactSolvers:

@@ -308,6 +308,38 @@ class TestDirectProduct:
         with pytest.raises(CapacityError):
             direct_product(zn(100), zn(100), max_size=4096)
 
+    def test_whole_product_over_cap(self):
+        # Each partial product is within the cap until the last factor.
+        with pytest.raises(CapacityError, match=r"exceed the size cap \(4096\)"):
+            direct_product(zn(64), zn(64), zn(2), max_size=4096)
+
+    def test_four_factors_componentwise(self):
+        factors = [zn(2), zn(3), zn(4), ring_from_text("GF(4)")]
+        r = direct_product(*factors)
+        assert r.size == 96
+
+        def parts(a: int) -> list[int]:
+            digits = []
+            for f in reversed(factors):
+                a, d = divmod(a, f.size)
+                digits.insert(0, d)
+            return digits
+
+        def index(digits: list[int]) -> int:
+            a = 0
+            for f, d in zip(factors, digits):
+                a = a * f.size + d
+            return a
+
+        assert parts(r.one) == [f.one for f in factors]
+        for a in range(r.size):
+            pa = parts(a)
+            assert r.labels[a] == "(" + ",".join(f.labels[d] for f, d in zip(factors, pa)) + ")"
+            for b in range(r.size):
+                pb = parts(b)
+                assert r.add(a, b) == index([f.add(x, y) for f, x, y in zip(factors, pa, pb)])
+                assert r.mul(a, b) == index([f.mul(x, y) for f, x, y in zip(factors, pa, pb)])
+
     def test_tables_use_smallest_index_type(self):
         idx = np.arange(TABLE_LIMIT)
         assert zn(TABLE_LIMIT).mul_op(idx[:, None], idx).dtype == np.uint8
