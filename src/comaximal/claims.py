@@ -119,22 +119,27 @@ class RingAnalysis:
         return chromatic_number(self.graph("core"), self.caps.max_exact_vertices)
 
     @cached_property
-    def radical_cosets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(reps, coset, edges) for the cosets of the Jacobson radical.
+    def radical_cosets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(reps, coset) for the cosets of the Jacobson radical.
 
-        `reps` are the sorted coset representatives, `coset[x]` is the
-        index of the coset of element x, and `edges[i, j]` counts the
-        full-graph edges from coset i to coset j (inner edges twice).
+        `reps` are the sorted coset representatives and `coset[x]` is the
+        index of the coset of element x.
         """
         reps, rep_of = self.ring.coset_representatives(self.ring.jacobson_radical)
-        coset = np.searchsorted(reps, rep_of)
+        return reps, np.searchsorted(reps, rep_of)
+
+    @cached_property
+    def coset_edges(self) -> np.ndarray:
+        """`coset_edges[i, j]` counts the full-graph edges from radical coset i to coset j
+        (inner edges twice)."""
+        reps, coset = self.radical_cosets
         k, n = len(reps), len(coset)
         packed = self.graph("full").packed
         edges = np.zeros(k * k, dtype=np.int64)
         for block in _blocks(n, n):  # rows at a time, so the pair indices and bits stay small
             pairs = coset[block, None] * k + coset
             edges += np.bincount(pairs[_unpack(packed[block], n)], minlength=k * k)
-        return reps, coset, edges.reshape(k, k)
+        return edges.reshape(k, k)
 
     @property
     def is_z2xz2(self) -> bool:
@@ -452,7 +457,7 @@ def _check_coset_lifting(a: RingAnalysis):
     ring = a.ring
     if len(ring.jacobson_radical) == 1:
         return _passed({"cosets": ring.size, "note": "radical is zero; cosets are singletons"})
-    reps, coset, edges = a.radical_cosets
+    (reps, coset), edges = a.radical_cosets, a.coset_edges
     sizes = np.bincount(coset)
     mixed = (edges != 0) & (edges != np.outer(sizes, sizes))
     bad = np.flatnonzero(np.triu(mixed, 1))
@@ -498,7 +503,7 @@ def _check_coset_units(a: RingAnalysis):
     ring = a.ring
     if len(ring.jacobson_radical) == 1:
         return _passed({"cosets": ring.size, "note": "radical is zero; cosets are singletons"})
-    reps, coset, edges = a.radical_cosets
+    (reps, coset), edges = a.radical_cosets, a.coset_edges
     units = ring.unit_flags
     sizes = np.bincount(coset)
     unit_counts = np.bincount(coset[units], minlength=len(reps))

@@ -410,9 +410,17 @@ def _polyquot_ring(p: int, coeffs: tuple[int, ...], max_size: int) -> RingTable:
     by_x = [[powers[i + j] for j in range(deg)] for i in range(deg)]
 
     def mul(digits):
-        # times[a][j]: a * x^j; both contractions stay in the digits' type
-        times = (digits @ np.array(by_x, digits.dtype).reshape(deg, -1)).reshape(-1, deg, deg)
-        times %= p
+        # times[a][j]: a * x^j, filled one digit position at a time, in n * deg^2 steps: for
+        # r < p^i, times[c * p^i + r] = times[r] + c * by_x[i] (mod p).  A sum is at most
+        # p * (p - 1), so it stays in the digits' type, and so does the product's contraction.
+        by = np.array(by_x, digits.dtype)
+        times = np.zeros((len(digits), deg, deg), digits.dtype)
+        for i in range(deg):
+            low = times[: p**i]
+            for c in range(1, p):
+                high = times[c * p**i : (c + 1) * p**i]
+                np.add(low, c * by[i], out=high)
+                high %= p
         return lambda a, b: (digits[b][..., None, :] @ times[a])[..., 0, :]
 
     return _digit_ring(p, deg, 1, mul, _monomials(deg), f"Z/{p}[x]/({_poly_str(coeffs)})")

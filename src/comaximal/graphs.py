@@ -2,19 +2,32 @@
 
 Adjacency rows are Python integers used as bitsets.  Vertices are 0..n-1
 in a fixed order; comaximal graphs remember which ring element each vertex
-came from in `vertex_keys`.  Each construction packs the rows once, in the
-layout of `rings._pack`, into the read-only `SimpleGraph.packed`: the
-graph's one packed form.  Every numpy reader of the graph reads it: the
-symmetry check, one row block and the matching columns at a time, and the
-n x n matrix `adjacency()`, which whole-graph comparisons read instead of
-per-edge Python.  A comaximal graph's rows depend only on each element's
-maximal-ideal signature, so `build_comaximal_graph` builds one row per signature.
+came from in `vertex_keys`.  A comaximal graph's rows depend only on each
+element's maximal-ideal signature, so `build_comaximal_graph` builds one
+row per signature, and a graph has few distinct rows.
 
-The invariants read `twin_classes`: the universal vertices U (adjacent to
-every other vertex; in a full comaximal graph, the units), and the twin quotient
-of G - U: the classes of equal open rows (false twins: independent sets of
-interchangeable vertices) and the graph on one vertex per class.  G is K_U
-joined with G - U, and lifting is exact:
+Construction groups the rows into classes of equal rows, ordered by first
+member, in one dict pass, packs one row per class in the layout of
+`rings._pack`, and gathers them into the read-only `SimpleGraph.packed`:
+the graph's one packed form, which every numpy reader reads (the n x n
+matrix `adjacency()`, which whole-graph comparisons read instead of
+per-edge Python, among them).  The checks read the classes.  Write c(i)
+for the class of vertex i, r_a for the row of class a, and Q for the class
+quotient, Q[a][b] = bit b_0 of r_a with b_0 the first member of class b.
+The adjacency matrix A is symmetric exactly when every class row is
+constant on every class and Q is symmetric: then A[i][j] = Q[c(i)][c(j)] =
+Q[c(j)][c(i)] = A[j][i]; conversely, for i in class a,
+r_a[j] = A[i][j] = A[j][i] = r_c(j)[i], which is the same for every j of
+one class.  So symmetry is checked on Q, in row blocks, and a loop, with
+every class row constant, is a diagonal bit of Q.  A twin-free graph is its
+own quotient.  Only a failed check loops over the rows, to word its message.
+
+The invariants read `twin_classes`, made from the same classes once per
+graph: the universal vertices U (adjacent to every other vertex; in a full
+comaximal graph, the units), and the twin quotient of G - U: the classes of
+equal open rows (false twins: independent sets of interchangeable vertices)
+and the graph on one vertex per class.  G is K_U joined with G - U, and
+lifting is exact:
 
 - omega and chi are |U| plus those of the quotient;
 - with U nonempty, G is connected with diameter 1 (complete) or 2;
@@ -33,20 +46,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapacityError
 from .limits import DEFAULT_EXACT_VERTEX_CAP
-from .rings import RingTable, _blocks, _iter_bits, _lowest, _mask_from_bool, _pack, _unpack
+from .rings import (
+    RingTable, _blocks, _distinct, _iter_bits, _lowest, _mask_from_bool, _pack, _unpack
+)
 
 
 class SimpleGraph:
-    """Loop-free undirected graph with bitset adjacency rows."""
+    """Loop-free undirected graph with bitset adjacency rows.
 
-    __slots__ = ("n", "rows", "labels", "vertex_keys", "packed")
+    The rows are grouped into classes of equal rows, and the checks read
+    the class rows: A is symmetric exactly when every class row is constant
+    on every class and the class quotient Q is symmetric, for then
+    A[i][j] = Q[c(i)][c(j)], and conversely A[i][j] = A[j][i] = r_c(j)[i]
+    does not depend on which member of its class j is (see the module
+    docstring).  The twin quotient of G - U is kept for `twin_classes` and
+    `edge_count`.  Labels not given are made when first read.
+    """
+
+    __slots__ = ("n", "rows", "vertex_keys", "packed", "_labels", "_twins")
 
     def __init__(
         self,
@@ -59,26 +84,53 @@ class SimpleGraph:
             raise ValueError("need one adjacency row per vertex")
         self.n = n
         self.rows = list(rows)
-        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
-        if len(self.labels) != n:
-            raise ValueError("need one label per vertex")
+        self._labels: tuple[str, ...] | Callable[[], Iterable[str]] | None = None
+        if labels is not None:
+            self._labels = tuple(labels)
+            if len(self._labels) != n:
+                raise ValueError("need one label per vertex")
         self.vertex_keys = tuple(vertex_keys) if vertex_keys is not None else tuple(range(n))
-        full = (1 << n) - 1
-        for i, row in enumerate(self.rows):
-            if row >> i & 1:
-                raise ValueError(f"vertex {i} has a loop")
-            if row & ~full:
-                raise ValueError(f"adjacency row {i} mentions nonexistent vertices")
-        self.packed = _pack(self.rows, n)
-        # Blocks of a multiple of 8 rows, about _BLOCK entries, so that the
-        # block's columns are whole bytes of the packed rows.
-        for part in _blocks(n, n, 8):
-            block = _unpack(self.packed[part], n)
-            columns = _unpack(self.packed[:, part.start // 8 : part.stop // 8], len(block))
-            one_way = np.flatnonzero(block & ~columns.T)
-            if len(one_way):
-                i, j = divmod(int(one_way[0]), n)
-                raise ValueError(f"edge {part.start + i}-{j} is not symmetric")
+        if len(self.vertex_keys) != n:
+            raise ValueError("need one vertex key per vertex")
+        by_row: dict[int, list[int]] = {}
+        for v, row in enumerate(self.rows):
+            by_row.setdefault(row, []).append(v)
+        class_rows, classes = list(by_row), list(by_row.values())
+        k = len(classes)
+        try:
+            class_packed = _pack(class_rows, n)
+        except OverflowError:  # a negative row, or one far past n
+            raise ValueError(_row_defect(self.rows, n)) from None
+        if k == n:
+            self.packed = quotient = class_packed
+        else:
+            class_of = np.empty(n, dtype=np.intp)
+            members = np.fromiter(chain.from_iterable(classes), dtype=np.intp, count=n)
+            class_of[members] = np.repeat(np.arange(k), [len(c) for c in classes])
+            self.packed = class_packed[class_of]
+            self.packed.flags.writeable = False
+            quotient = _class_quotient(class_packed, n, classes, class_of)
+        # Bits past n sit in the last byte's spare bits; a loop, with every class row constant on
+        # every class, is a diagonal bit of the quotient.
+        spare = n & 7 and (class_packed[:, -1] >> (n & 7)).any()
+        if quotient is None or spare or _defect(quotient, k):
+            # The per-row loop words loops and bits past n; A itself names the first one-way pair.
+            message = _row_defect(self.rows, n)
+            raise ValueError(message or "edge %d-%d is not symmetric" % _defect(self.packed, n))
+        # What `twin_classes` needs, until it replaces this with the TwinClasses it makes.
+        self._twins: TwinClasses | tuple = (class_rows, classes, quotient)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """One label per vertex: those given, or else made when first read."""
+        if not isinstance(self._labels, tuple):
+            make = self._labels
+            self._labels = tuple(make()) if make is not None else tuple(map(str, range(self.n)))
+        return self._labels
+
+    def __getstate__(self):
+        self.labels  # made before pickling: what makes them may not pickle
+        return None, {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod
     def from_edges(
@@ -132,7 +184,9 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(self.degrees()) // 2
+        classes, universal, _ = twin_classes(self)
+        degrees = sum(len(c) * self.rows[c[0]].bit_count() for c in classes)
+        return (degrees + len(universal) * (self.n - 1)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -159,9 +213,60 @@ def _induced_rows(packed: np.ndarray, n: int, keep: Sequence[int]) -> list[int]:
     columns = np.asarray(keep, dtype=np.int64)
     out: list[int] = []
     for block in _blocks(len(keep), n):
-        bits = _unpack(packed[columns[block]], n)
-        out.extend(_mask_from_bool(row) for row in bits[:, columns])
+        bits = _unpack(packed[columns[block]], n)[:, columns]
+        out.extend(_masks(np.packbits(bits, axis=1, bitorder="little")))
     return out
+
+
+def _masks(packed: np.ndarray) -> list[int]:
+    """The rows of a packed matrix as masks: the inverse of `_pack`."""
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _row_defect(rows: list[int], n: int) -> str | None:
+    """The message for the first row, in order, with a loop or a bit past n, if any."""
+    full = (1 << n) - 1
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            return f"vertex {i} has a loop"
+        if row & ~full:
+            return f"adjacency row {i} mentions nonexistent vertices"
+    return None
+
+
+def _class_quotient(
+    class_packed: np.ndarray, n: int, classes: list[list[int]], class_of: np.ndarray
+) -> np.ndarray | None:
+    """The packed k x k quotient of the k class rows over n vertices, read at each class's first
+    member, or None when some class row is not constant on some class."""
+    reps = np.array([c[0] for c in classes])
+    blocks = []
+    for part in _blocks(len(reps), n):
+        bits = _unpack(class_packed[part], n)
+        quotient = bits[:, reps]
+        if (bits != quotient[:, class_of]).any():
+            return None
+        blocks.append(np.packbits(quotient, axis=1, bitorder="little"))
+    return np.concatenate(blocks)
+
+
+def _defect(packed: np.ndarray, n: int) -> tuple[int, int] | None:
+    """The first (i, j), row by row, with bit j of row i set and bit i of row j clear, or with
+    i == j and bit i of row i set (a loop); None when the matrix is symmetric and loop-free.
+
+    Reads blocks of a multiple of 8 rows, about _BLOCK entries, so that the
+    block's columns are whole bytes of the packed rows."""
+    for part in _blocks(n, n, 8):
+        block = _unpack(packed[part], n)
+        columns = _unpack(packed[:, part.start // 8 : part.stop // 8], len(block))
+        defects = block > columns.T
+        # Bit i of row i sits at flat position (i - start) * (n + 1) + start of the block.
+        defects.ravel()[part.start :: n + 1] = block.ravel()[part.start :: n + 1]
+        if defects.any():
+            i, j = divmod(int(defects.argmax()), n)
+            return part.start + i, j
+    return None
 
 
 class TwinClasses(NamedTuple):
@@ -178,17 +283,19 @@ class TwinClasses(NamedTuple):
 
 
 def twin_classes(g: SimpleGraph) -> TwinClasses:
-    by_row: dict[int, list[int]] = {}
-    universal: list[int] = []
-    for v, row in enumerate(g.rows):
-        if row.bit_count() == g.n - 1:
-            universal.append(v)
-        else:
-            by_row.setdefault(row, []).append(v)
-    classes = list(by_row.values())
-    if len(classes) == g.n:
-        return TwinClasses(classes, universal, list(g.rows))
-    return TwinClasses(classes, universal, _induced_rows(g.packed, g.n, [c[0] for c in classes]))
+    """The twin quotient of G - U, made when first read from the classes of equal rows and the
+    quotient that construction found: U is the classes whose rows have n - 1 bits, one member each.
+    """
+    if isinstance(g._twins, TwinClasses):
+        return g._twins
+    class_rows, classes, quotient = g._twins
+    k = len(classes)
+    universal = [row.bit_count() == g.n - 1 for row in class_rows]
+    keep = [c for c in range(k) if not universal[c]]
+    rows = list(g.rows) if len(keep) == g.n else _induced_rows(quotient, k, keep)
+    universal_members = [classes[c][0] for c in range(k) if universal[c]]
+    g._twins = TwinClasses([classes[c] for c in keep], universal_members, rows)
+    return g._twins
 
 
 def build_comaximal_graph(ring: RingTable, selector: str = "full") -> SimpleGraph:
@@ -212,20 +319,17 @@ def build_comaximal_graph(ring: RingTable, selector: str = "full") -> SimpleGrap
         raise ValueError(f"unknown selector {selector!r}")
     keys = np.flatnonzero(keep)
     sub = sig[keys]
-    # Adjacency depends only on the signature: one packed row per class.
-    classes, class_of = np.unique(sub, return_inverse=True)
-    class_rows = [_mask_from_bool((sub & s) == 0) for s in classes]
-    rows = [class_rows[c] for c in class_of.tolist()]
+    # Adjacency depends only on the signature: one row per signature.
+    classes = _distinct(sub, all_ideals + 1)
+    class_rows = [_mask_from_bool((sub & s) == 0) for s in classes.tolist()]
+    rows = [class_rows[c] for c in np.searchsorted(classes, sub).tolist()]
     # Only units (signature 0) are disjoint from themselves; drop their self-bit.
     for i in np.flatnonzero(sub == 0).tolist():
         rows[i] ^= 1 << i
-    keys = keys.tolist()
-    return SimpleGraph(
-        len(keys),
-        rows,
-        labels=[ring.labels[k] for k in keys],
-        vertex_keys=keys,
-    )
+    g = SimpleGraph(len(keys), rows, vertex_keys=keys.tolist())
+    keys = g.vertex_keys
+    g._labels = lambda: (ring.labels[k] for k in keys)  # the elements' labels, when first read
+    return g
 
 
 # -- combinators ------------------------------------------------------------
@@ -238,22 +342,16 @@ def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     right = ((1 << n2) - 1) << n1
     rows = [r | right for r in g1.rows]
     rows += [(r << n1) | left for r in g2.rows]
-    return SimpleGraph(
-        n1 + n2,
-        rows,
-        labels=list(g1.labels) + list(g2.labels),
-        vertex_keys=list(g1.vertex_keys) + list(g2.vertex_keys),
-    )
+    g = SimpleGraph(n1 + n2, rows, vertex_keys=g1.vertex_keys + g2.vertex_keys)
+    g._labels = lambda: g1.labels + g2.labels
+    return g
 
 
 def disjoint_union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     rows = list(g1.rows) + [r << g1.n for r in g2.rows]
-    return SimpleGraph(
-        g1.n + g2.n,
-        rows,
-        labels=list(g1.labels) + list(g2.labels),
-        vertex_keys=list(g1.vertex_keys) + list(g2.vertex_keys),
-    )
+    g = SimpleGraph(g1.n + g2.n, rows, vertex_keys=g1.vertex_keys + g2.vertex_keys)
+    g._labels = lambda: g1.labels + g2.labels
+    return g
 
 
 def complement(g: SimpleGraph) -> SimpleGraph:
@@ -322,9 +420,9 @@ def metrics(g: SimpleGraph) -> GraphMetrics:
     edges = g.edge_count
     t = twin_classes(g)
     if t.universal:
-        v = next((u for u in range(n) if g.rows[u].bit_count() < n - 1), None)
-        if v is None:
+        if not t.classes:
             return GraphMetrics(n, edges, True, 1, min(n - 1, 1), (0, 1) if n > 1 else None)
+        v = t.classes[0][0]  # the first vertex that is not universal
         far = _lowest(((1 << n) - 1) & ~g.rows[v] & ~(1 << v))
         return GraphMetrics(n, edges, True, 1, 2, (v, far))
 

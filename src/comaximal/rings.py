@@ -194,9 +194,7 @@ class RingTable:
         self.one = one
         self.name = name or f"ring[{size}]"
 
-        if labels is None:
-            self.labels: tuple[str, ...] = tuple(str(i) for i in range(size))
-        else:
+        if labels is not None:
             if len(labels) != size:
                 raise ValueError("label count does not match ring size")
             self.labels = tuple(str(x) for x in labels)
@@ -220,6 +218,11 @@ class RingTable:
         table = np.ascontiguousarray(arr, dtype=np.min_scalar_type(self.size - 1))
         table.setflags(write=False)
         return lambda a, b: table[a, b]
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """One label per element: those given, or else the indices, made when first read."""
+        return tuple(map(str, range(self.size)))
 
     def __repr__(self) -> str:
         return f"RingTable({self.name!r}, size={self.size})"

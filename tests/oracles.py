@@ -139,6 +139,36 @@ def brute_partitions(g: SimpleGraph) -> tuple:
     return bipartition, (tuple(parts) if transitive else None)
 
 
+def brute_twin_classes(g: SimpleGraph) -> tuple:
+    """(classes, universal, quotient rows, edge count) by comparing open neighbourhoods.
+
+    U is the set of vertices adjacent to every other vertex.  Two vertices
+    of G - U are twins when their open neighbourhoods in G - U are equal,
+    found by comparing each vertex with the first member of every class so
+    far.  Classes list their members ascending, ordered by first member; bit
+    j of quotient row i means classes i and j are adjacent.  The edge count
+    counts the pairs u < v with an edge.
+    """
+    n = g.n
+    universal = [u for u in range(n) if all(g.has_edge(u, v) for v in range(n) if v != u)]
+    rest = [u for u in range(n) if u not in universal]
+    neighbours = {u: {v for v in rest if g.has_edge(u, v)} for u in rest}
+    classes: list[list[int]] = []
+    for u in rest:
+        for members in classes:
+            if neighbours[members[0]] == neighbours[u]:
+                members.append(u)
+                break
+        else:
+            classes.append([u])
+    rows = [
+        sum(1 << j for j, other in enumerate(classes) if g.has_edge(members[0], other[0]))
+        for members in classes
+    ]
+    edges = sum(1 for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v))
+    return classes, universal, rows, edges
+
+
 def maps_edges(g1: SimpleGraph, g2: SimpleGraph, mapping) -> bool:
     """Whether `mapping` is a bijection that carries g1's edge set onto g2's."""
     if g1.n != g2.n or sorted(mapping) != list(range(g1.n)):

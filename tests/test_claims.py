@@ -800,12 +800,22 @@ class TestGraphPathsMatchReference:
         assert [r.outcome for r in reports] == ["pass"] * 3
         assert calls == [len(ring.jacobson_radical)] * 2 and calls[0] > 1
 
+    @pytest.mark.parametrize("text", ["Z/12", "SQZ(2,3)", "Z/8 x Z/9"])
+    def test_quotient_claim_counts_no_coset_edges(self, text):
+        """P4.7c run alone reads the coset representatives, not the edge counts P4.7a/b read."""
+        a = RingAnalysis(ring_from_text(text), text=text)
+        (report,) = verify_ring(a, ["P4.7c"])
+        assert report.outcome == "pass"
+        assert "radical_cosets" in vars(a) and "coset_edges" not in vars(a)
+        verify_ring(a, ["P4.7a"])
+        assert "coset_edges" in vars(a)
+
     @pytest.mark.parametrize("flip", [0, 1, 12, 13, 25])
     def test_coset_witnesses_on_tampered_units(self, flip):
         ring = ring_from_text("Z/8 x Z/9")
         a = RingAnalysis(ring, text="Z/8 x Z/9")
         _, rep_of = ring.coset_representatives(ring.jacobson_radical)
-        a.radical_cosets  # graph and cosets from the true unit flags
+        a.radical_cosets, a.coset_edges  # graph and cosets from the true unit flags
         units = ring.unit_flags.copy()
         units[flip] = not units[flip]
         ring.__dict__["unit_flags"] = units

@@ -1,5 +1,7 @@
 """Graph construction, metrics, and exact solver tests."""
 
+import json
+import pickle
 import random
 import time
 
@@ -22,11 +24,14 @@ from comaximal import (
     ring_from_text,
 )
 
+from comaximal.graphs import twin_classes
+from conftest import run_python
 from oracles import (
     brute_chromatic,
     brute_clique,
     brute_diameter,
     brute_metrics,
+    brute_twin_classes,
     comaximal_rows,
     validate_rows,
 )
@@ -97,6 +102,90 @@ class TestSimpleGraph:
         with pytest.raises(ValueError) as exc:
             SimpleGraph(n, rows)
         assert str(exc.value) == expected
+
+    @staticmethod
+    def twin_heavy(case: str) -> tuple[int, list[int]]:
+        """A complete tripartite graph on 600 vertices (parts 0-199, 200-399, 400-599), three
+        twin classes, with the defect `case` names, if any; "universal" adds K_3 before the parts."""
+        g = SimpleGraph.complete_multipartite([200, 200, 200])
+        rows = list(g.rows)
+        if case == "bit_inside_a_part":  # row 450 leaves its class and is not constant on 400-599
+            rows[450] |= 1 << 460
+        elif case == "part_misses_one_vertex":  # class 0's row is not constant on class 1
+            for i in range(200):
+                rows[i] ^= 1 << 350
+        elif case == "one_way_between_classes":  # constant rows, but Q[2][1] = 0 and Q[1][2] = 1
+            for i in range(400, 600):
+                rows[i] &= ~(((1 << 200) - 1) << 200)
+        elif case == "universal":  # K_3 joined on; class 2 forgets universal vertex 1
+            g = join(SimpleGraph.complete(3), g)
+            rows = list(g.rows)
+            for i in range(403, 603):
+                rows[i] ^= 1 << 1
+        return len(rows), rows
+
+    TWIN_HEAVY = [
+        "bit_inside_a_part", "part_misses_one_vertex", "one_way_between_classes", "universal"
+    ]
+
+    @pytest.mark.parametrize("case", TWIN_HEAVY)
+    def test_asymmetry_found_in_twin_classes(self, case):
+        n, rows = self.twin_heavy(case)
+        assert len(set(rows)) <= 6  # a handful of classes, so the check reads the quotient
+        expected = validate_rows(n, rows)
+        assert expected is not None and expected.endswith("is not symmetric")
+        with pytest.raises(ValueError) as exc:
+            SimpleGraph(n, rows)
+        assert str(exc.value) == expected
+
+    def test_loops_of_a_whole_class_found(self):
+        # Every vertex of part 0 has a loop and its part as neighbours: its class row is constant
+        # on every class and the quotient is symmetric, so only the quotient's diagonal shows it.
+        n, rows = self.twin_heavy("none")
+        rows = [row | ((1 << 200) - 1) if i < 200 else row for i, row in enumerate(rows)]
+        assert len(set(rows)) == 3 and validate_rows(n, rows) == "vertex 0 has a loop"
+        with pytest.raises(ValueError, match="^vertex 0 has a loop$"):
+            SimpleGraph(n, rows)
+
+    def test_asymmetry_in_twin_classes_survives_python_O(self):
+        script = (
+            "import json, sys\n"
+            "from comaximal import SimpleGraph\n"
+            "for n, rows in json.load(sys.stdin):\n"
+            "    try:\n"
+            "        SimpleGraph(n, rows)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+            "    else:\n"
+            "        print('accepted')\n"
+        )
+        cases = [self.twin_heavy(case) for case in self.TWIN_HEAVY]
+        result = run_python("-O", "-c", script, input=json.dumps(cases))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [validate_rows(n, rows) for n, rows in cases]
+
+    def test_rejects_vertex_keys_of_wrong_length(self):
+        with pytest.raises(ValueError, match="one vertex key per vertex"):
+            SimpleGraph(2, [0b10, 0b01], vertex_keys=[5])
+        with pytest.raises(ValueError, match="one label per vertex"):
+            SimpleGraph(2, [0b10, 0b01], labels=["a", "b", "c"])
+        assert SimpleGraph(2, [0b10, 0b01], labels="ab", vertex_keys=[5, 7]).vertex_keys == (5, 7)
+
+    def test_labels_made_on_demand(self):
+        assert SimpleGraph.complete(3).labels == ("0", "1", "2")
+        ring = ring_from_text("Z/6")
+        core = build_comaximal_graph(ring, "core")
+        metrics(core)
+        assert "labels" not in vars(ring)  # neither the ring's labels nor the graph's are made yet
+        joined = join(SimpleGraph.complete(1), core)
+        assert joined.labels == ("0", "2", "3", "4") and core.labels == ("2", "3", "4")
+        assert disjoint_union(core, core).labels == ("2", "3", "4") * 2
+
+    def test_pickles_with_labels_made_on_demand(self):
+        g = build_comaximal_graph(ring_from_text("Z/12"), "full")
+        copy = pickle.loads(pickle.dumps(g))
+        assert (copy.rows, copy.labels, copy.vertex_keys) == (g.rows, g.labels, g.vertex_keys)
+        assert twin_classes(copy) == twin_classes(g) and copy.packed.tobytes() == g.packed.tobytes()
 
     def test_induced_subgraph(self):
         g = SimpleGraph.complete(4)
@@ -188,6 +277,17 @@ def test_rows_match_pairwise_signatures(text):
         assert list(g.vertex_keys) == keys
         assert g.rows == rows
         assert not any(row >> i & 1 for i, row in enumerate(g.rows))
+
+
+@pytest.mark.parametrize(
+    "text", ["Z/12", "Z/30", "Z/2 x Z/2 x Z/3", "GF(4) x Z/9", "SQZ(2,2) x Z/3", "Z/8 x Z/9"]
+)
+def test_twin_classes_match_neighbourhood_oracle(text):
+    ring = ring_from_text(text)
+    for selector in ("full", "units", "nonunits", "core"):
+        g = build_comaximal_graph(ring, selector)
+        classes, universal, rows = twin_classes(g)
+        assert (classes, universal, rows, g.edge_count) == brute_twin_classes(g)
 
 
 class TestMetrics:

@@ -22,6 +22,7 @@ from comaximal import (
     parse_expression,
     ring_from_text,
 )
+from comaximal.graphs import twin_classes
 
 from oracles import (
     additive_span,
@@ -30,6 +31,7 @@ from oracles import (
     brute_diameter,
     brute_metrics,
     brute_partitions,
+    brute_twin_classes,
     is_ideal_by_definition,
     maps_edges,
     structure_by_definition,
@@ -276,6 +278,12 @@ class TestGraphProperties:
         relabelled = SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         mapping = are_isomorphic(g, relabelled)
         assert mapping is not None and maps_edges(g, relabelled, mapping)
+
+    @settings(max_examples=300)
+    @given(planted_twin_graphs(max_n=14))
+    def test_twin_classes_match_neighbourhood_oracle(self, g):
+        classes, universal, rows = twin_classes(g)
+        assert (classes, universal, rows, g.edge_count) == brute_twin_classes(g)
 
     @given(random_graph_strategy(7), st.randoms(use_true_random=False))
     def test_certificate_invariant_under_relabeling(self, spec, rng):

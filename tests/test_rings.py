@@ -555,6 +555,19 @@ class TestDerivedForms:
         assert block.tolist() == [[oracle(a, b) for b in top] for a in top]
         assert r.mul_row(n - 1)[-625:].tolist() == [oracle(n - 1, b) for b in range(n - 625, n)]
 
+    @pytest.mark.parametrize(
+        "text", ["Z/7[x]/(x+3)", "Z/3[x]/(x^4+2x+1)", "GF(5^3)", "Z/5[x]/(x^5)", "Z/2[x]/(x^12)"]
+    )
+    def test_times_table_matches_digit_oracle(self, text):
+        # Degrees 1 to 12: the a * x^j table is filled one digit position at a time.
+        r = ring_from_text(text)
+        expr = parse_expression(r.name)
+        oracle = partial(polyquot_product, expr.p, expr.coeffs)
+        step = max(1, r.size // 40)
+        rows, columns = np.arange(0, r.size, step), np.arange(r.size - 1, -1, -step)
+        block = r.mul_op(rows[:, None], columns)
+        assert block.tolist() == [[oracle(a, b) for b in columns.tolist()] for a in rows.tolist()]
+
     def test_rows_match_scalars(self, derived_ring):
         r = derived_ring
         n = r.size
