@@ -43,6 +43,7 @@ from .graphs import (
     join,
     metrics,
     multipartite_structure,
+    twin_classes,
 )
 from .isomorphism import are_isomorphic
 from .limits import (
@@ -310,7 +311,7 @@ def _check_universal_vertex(a: RingAnalysis):
     if ring.maximal_ideal_count < 2:
         return _skipped("stated for rings with at least two maximal ideals")
     g = a.graph("core")
-    universal = [i for i in range(g.n) if g.rows[i].bit_count() == g.n - 1]
+    universal = twin_classes(g).universal
     if not universal:
         return _passed({"universal_vertices": 0})
     if len(ring.jacobson_radical) != 1:

@@ -39,6 +39,13 @@ lifting is exact:
   class's colour, and G is complete multipartite, with these classes as
   parts, exactly when that quotient is complete.
 
+The exact solvers read only the quotient.  The chromatic number comes from
+one DSATUR branch and bound (Brelaz 1979) on an explicit stack, from a
+precoloured maximum clique, checked proper.  Above the vertex cap the
+bounds are |U| plus a greedy clique (as on G: each universal vertex joins
+every greedy clique, the lowest allowed vertex heads the lowest allowed
+class) and |U| plus the search's first leaf, the greedy DSATUR colouring.
+
 Results keep vertex indices and per-vertex tie-breaks (see `metrics`).
 """
 
@@ -52,7 +59,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, InternalConsistencyError
 from .limits import DEFAULT_EXACT_VERTEX_CAP
 from .rings import (
     RingTable, _blocks, _distinct, _iter_bits, _lowest, _mask_from_bool, _pack, _unpack
@@ -64,10 +71,8 @@ class SimpleGraph:
 
     The rows are grouped into classes of equal rows, and the checks read
     the class rows: A is symmetric exactly when every class row is constant
-    on every class and the class quotient Q is symmetric, for then
-    A[i][j] = Q[c(i)][c(j)], and conversely A[i][j] = A[j][i] = r_c(j)[i]
-    does not depend on which member of its class j is (see the module
-    docstring).  The twin quotient of G - U is kept for `twin_classes` and
+    on every class and the class quotient is symmetric (the module docstring
+    proves it).  The twin quotient of G - U is kept for `twin_classes` and
     `edge_count`.  Labels not given are made when first read.
     """
 
@@ -189,16 +194,15 @@ class SimpleGraph:
         return (degrees + len(universal) * (self.n - 1)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i, row in enumerate(self.rows):
-            out.extend((i, j) for j in _iter_bits(row >> (i + 1) << (i + 1)))
-        return out
+        return [(i, j) for i, r in enumerate(self.rows) for j in _iter_bits(r >> i + 1 << i + 1)]
 
     def neighbors(self, i: int) -> list[int]:
         return list(_iter_bits(self.rows[i]))
 
     def induced_subgraph(self, vertices: Sequence[int]) -> "SimpleGraph":
         vs = list(vertices)
+        if not all(0 <= v < self.n for v in vs) or len(set(vs)) < len(vs):
+            raise ValueError(f"induced subgraph needs distinct vertices in 0..{self.n - 1}")
         return SimpleGraph(
             len(vs),
             _induced_rows(self.packed, self.n, vs),
@@ -337,18 +341,16 @@ def build_comaximal_graph(ring: RingTable, selector: str = "full") -> SimpleGrap
 
 def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     """Disjoint union plus every edge between the two sides."""
-    n1, n2 = g1.n, g2.n
-    left = (1 << n1) - 1
-    right = ((1 << n2) - 1) << n1
-    rows = [r | right for r in g1.rows]
-    rows += [(r << n1) | left for r in g2.rows]
-    g = SimpleGraph(n1 + n2, rows, vertex_keys=g1.vertex_keys + g2.vertex_keys)
-    g._labels = lambda: g1.labels + g2.labels
-    return g
+    left, right = (1 << g1.n) - 1, ((1 << g2.n) - 1) << g1.n
+    return _union(g1, g2, [r | right for r in g1.rows] + [r << g1.n | left for r in g2.rows])
 
 
 def disjoint_union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
-    rows = list(g1.rows) + [r << g1.n for r in g2.rows]
+    return _union(g1, g2, list(g1.rows) + [r << g1.n for r in g2.rows])
+
+
+def _union(g1: SimpleGraph, g2: SimpleGraph, rows: list[int]) -> SimpleGraph:
+    """The graph on g1's vertices, then g2's, with these rows."""
     g = SimpleGraph(g1.n + g2.n, rows, vertex_keys=g1.vertex_keys + g2.vertex_keys)
     g._labels = lambda: g1.labels + g2.labels
     return g
@@ -487,34 +489,30 @@ def _greedy_clique(rows: list[int]) -> list[int]:
     return sorted(best)
 
 
-def _colour_order(rows: list[int], cand: int) -> tuple[list[int], list[int]]:
-    """Greedy colour classes of the candidate set; returns vertices ordered
-    by colour with the colour index as a clique-size bound."""
-    order: list[int] = []
-    bounds: list[int] = []
+def _colour_order(rows: list[int], cand: int) -> list[tuple[int, int]]:
+    """Greedy colour classes of the candidate set, as (vertex, colour) in colour order: no clique
+    among a vertex and those before it has more vertices than its colour."""
+    order: list[tuple[int, int]] = []
     colour = 0
-    remaining = cand
-    while remaining:
+    while cand:
         colour += 1
-        cls = remaining
-        while cls:
-            v = _lowest(cls)
-            order.append(v)
-            bounds.append(colour)
-            cls &= ~rows[v]
-            cls &= ~(1 << v)
-            remaining &= ~(1 << v)
-    return order, bounds
+        free = cand
+        while free:
+            v = _lowest(free)
+            order.append((v, colour))
+            free &= ~rows[v] & ~(1 << v)
+            cand &= ~(1 << v)
+    return order
 
 
 def max_clique(g: SimpleGraph, cap: int = DEFAULT_EXACT_VERTEX_CAP) -> list[int]:
     """A maximum clique, exactly: U plus branch and bound with colour bounds on the rest."""
+    t = twin_classes(g)
     if g.n > cap:
         raise CapacityError(
             f"clique solver capped at {cap} vertices (graph has {g.n})",
-            lower=len(_greedy_clique(g.rows)),
+            lower=len(t.universal) + len(_greedy_clique(t.rows)),
         )
-    t = twin_classes(g)
     return sorted(t.universal + [t.classes[v][0] for v in _clique(t.rows)])
 
 
@@ -523,11 +521,9 @@ def _clique(rows: list[int]) -> list[int]:
 
     def expand(cand: int, current: list[int]) -> None:
         nonlocal best
-        order, bounds = _colour_order(rows, cand)
-        for i in range(len(order) - 1, -1, -1):
-            if len(current) + bounds[i] <= len(best):
+        for v, bound in reversed(_colour_order(rows, cand)):
+            if len(current) + bound <= len(best):
                 return
-            v = order[i]
             current.append(v)
             nxt = cand & rows[v]
             if nxt:
@@ -545,78 +541,77 @@ def clique_number(g: SimpleGraph, cap: int = DEFAULT_EXACT_VERTEX_CAP) -> int:
     return len(max_clique(g, cap))
 
 
-def _dsatur_greedy(rows: list[int], n: int) -> tuple[int, list[int]]:
-    colours = [-1] * n
-    neighbour_colours: list[set[int]] = [set() for _ in range(n)]
-    degrees = [rows[v].bit_count() for v in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colours[u] == -1),
-            key=lambda u: (len(neighbour_colours[u]), degrees[u], -u),
-        )
-        c = 0
-        while c in neighbour_colours[v]:
-            c += 1
-        colours[v] = c
+def _colouring(rows: list[int], clique: list[int], enough: int) -> list[int]:
+    """A proper colouring, one colour per vertex, by DSATUR branch and bound on an explicit
+    stack: the first found with at most `enough` colours, or else one with the fewest.
+
+    The clique takes colours 0, 1, ...; then the uncoloured vertex with the most distinct
+    neighbour colours, then the most neighbours, then the lowest index, tries each colour its
+    neighbours lack, lowest first, up to one new colour and below the best count so far.  So the
+    first leaf is the greedy DSATUR colouring.
+    """
+    n = len(rows)
+    colour = [-1] * n
+    # seen[c][v] counts v's neighbours of colour c, for each colour in use and the next one.
+    seen = [[0] * n for _ in range(len(clique) + 1)]
+    # The selection order as one integer: distinct neighbour colours, then degree, then the lower
+    # index.  Colouring a vertex sinks it below every uncoloured one.
+    scale, sink = n * n, (n + 1) ** 3
+    priority = [row.bit_count() * n + n - 1 - v for v, row in enumerate(rows)]
+
+    def paint(v: int, c: int, step: int) -> None:  # step 1 gives v colour c; -1 takes it back
+        colour[v] = c if step > 0 else -1
+        priority[v] -= step * sink
         for u in _iter_bits(rows[v]):
-            neighbour_colours[u].add(c)
-    return max(colours) + 1 if n else 0, colours
+            seen[c][u] += step
+            if seen[c][u] == (step > 0):  # the count went 0 -> 1, or 1 -> 0
+                priority[u] += step * scale
 
-
-def _colourable(rows: list[int], n: int, k: int, clique: list[int]) -> bool:
-    """Exact k-colourability with the clique precoloured."""
-    if len(clique) > k:
-        return False
-    colours = [-1] * n
-    for idx, v in enumerate(clique):
-        colours[v] = idx
-    used = len(clique)
-
-    def pick() -> int:
-        bestv, bestkey = -1, (-1, -1)
-        for v in range(n):
-            if colours[v] != -1:
-                continue
-            sat = len({colours[u] for u in _iter_bits(rows[v]) if colours[u] != -1})
-            key = (sat, rows[v].bit_count())
-            if key > bestkey:
-                bestv, bestkey = v, key
-        return bestv
-
-    def solve(assigned: int, used: int) -> bool:
-        if assigned == n:
-            return True
-        v = pick()
-        banned = {colours[u] for u in _iter_bits(rows[v]) if colours[u] != -1}
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if c in banned:
-                continue
-            colours[v] = c
-            if solve(assigned + 1, max(used, c + 1)):
-                return True
-            colours[v] = -1
-        return False
-
-    return solve(len(clique), used)
+    for c, v in enumerate(clique):
+        paint(v, c, 1)
+    best: list[int] = []
+    bound, used = n + 1, len(clique)
+    stack: list[tuple[int, int]] = []  # (vertex, colours in use before it)
+    while True:
+        if len(stack) < n - len(clique):
+            stack.append((max(range(n), key=priority.__getitem__), used))
+        else:
+            best, bound = colour.copy(), used
+            if bound <= enough:
+                return best
+        while stack:  # the top vertex takes its next colour; those with none left are popped
+            v, before = stack[-1]
+            c = colour[v] + 1
+            if c:
+                paint(v, c - 1, -1)
+            stop = min(before + 1, bound - 1) if before < bound else 0
+            while c < stop and seen[c][v]:
+                c += 1
+            if c < stop:
+                paint(v, c, 1)
+                used = max(before, c + 1)
+                if used == len(seen):
+                    seen.append([0] * n)
+                break
+            stack.pop()
+        else:
+            return best
 
 
 def chromatic_number(g: SimpleGraph, cap: int = DEFAULT_EXACT_VERTEX_CAP) -> int:
-    """Exact chromatic number: |U| plus clique bound, DSATUR bound, then search on the rest."""
+    """Exact chromatic number: |U| plus that of the twin quotient, found by `_colouring`."""
+    t = twin_classes(g)
     if g.n > cap:
-        lower = len(_greedy_clique(g.rows))
-        upper, _ = _dsatur_greedy(g.rows, g.n)
         raise CapacityError(
             f"colouring solver capped at {cap} vertices (graph has {g.n})",
-            lower=lower,
-            upper=upper,
+            lower=len(t.universal) + len(_greedy_clique(t.rows)),
+            upper=len(t.universal) + len(set(_colouring(t.rows, [], len(t.rows)))),
         )
-    t = twin_classes(g)
-    rows, n = t.rows, len(t.rows)
-    clique = _clique(rows)
-    upper, _ = _dsatur_greedy(rows, n)
-    k = next((k for k in range(len(clique), upper) if _colourable(rows, n, k, clique)), upper)
-    return len(t.universal) + k
+    clique = _clique(t.rows)
+    colour = _colouring(t.rows, clique, len(clique))
+    if any(colour[u] == c for v, c in enumerate(colour) for u in _iter_bits(t.rows[v])):
+        raise InternalConsistencyError("the colouring gives two adjacent classes one colour")
+    return len(t.universal) + len(set(colour))
 
 
 @dataclass(frozen=True)
@@ -663,8 +658,7 @@ def multipartite_structure(g: SimpleGraph) -> PartitionStructure:
         for c, members in zip(colour, classes):
             sides[c].extend(members)
         bipartition = (tuple(sorted(sides[0])), tuple(sorted(sides[1])))
-    k = len(rows)
-    complete = all(row.bit_count() == k - 1 for row in rows)
+    complete = all(row.bit_count() == len(rows) - 1 for row in rows)
     parts = tuple(tuple(members) for members in classes) if complete else None
     return PartitionStructure(bipartition, parts)
 

@@ -208,7 +208,11 @@ class RingTable:
             if self.size > TABLE_LIMIT:
                 return law
             law = law(self._idx[:, None], self._idx)
-        arr = np.asarray(law, dtype=np.int32)
+        arr = np.asarray(law)
+        if arr.dtype.kind not in "biu":
+            if not all(float(x).is_integer() for x in arr.flat):  # NaN and infinities fail too
+                raise ValueError(f"{which} table entries must be integers")
+            arr = arr.astype(np.int64)
         if arr.shape == (self.size * self.size,):
             arr = arr.reshape(self.size, self.size)
         elif arr.shape != (self.size, self.size):

@@ -4,11 +4,13 @@ import json
 import pickle
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from comaximal import (
     CapacityError,
+    InternalConsistencyError,
     SimpleGraph,
     build_comaximal_graph,
     chromatic_number,
@@ -192,6 +194,11 @@ class TestSimpleGraph:
         h = g.induced_subgraph([1, 3])
         assert h.n == 2
         assert h.edges() == [(0, 1)]
+
+    @pytest.mark.parametrize("vertices", [[-1], [5], [0, 3], [0, 0], [2, 1, 2]])
+    def test_induced_subgraph_rejects_bad_vertices(self, vertices):
+        with pytest.raises(ValueError, match=r"needs distinct vertices in 0\.\.2"):
+            SimpleGraph.complete(3).induced_subgraph(vertices)
 
     def test_neighbors(self):
         g = path_graph(3)
@@ -475,6 +482,62 @@ class TestExactSolvers:
     def test_large_structured_graph_fast(self):
         g = build_comaximal_graph(ring_from_text("Z/210"), "full")
         assert clique_number(g) == chromatic_number(g)
+
+    def test_groetzsch_graph_needs_two_colours_above_its_clique(self):
+        # Mycielski's graph of C_5: triangle-free, yet 4-chromatic.
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+        edges += [(10, 5 + i) for i in range(5)]
+        g = SimpleGraph.from_edges(11, edges)
+        assert (clique_number(g), chromatic_number(g)) == (2, 4) == (brute_clique(g), brute_chromatic(g))
+
+    def test_long_odd_cycle_needs_no_recursion(self):
+        assert chromatic_number(cycle_graph(1201), cap=5000) == 3
+
+    def test_boolean_core_of_1022_classes(self):
+        g = build_comaximal_graph(ring_from_text(" x ".join(["Z/2"] * 10)), "core")
+        start = time.perf_counter()
+        assert chromatic_number(g, cap=5000) == 10
+        assert time.perf_counter() - start < 2.0
+
+    def test_colouring_memory_follows_colours_not_degrees(self):
+        g = build_comaximal_graph(ring_from_text(" x ".join(["Z/2"] * 10)), "core")
+        twin_classes(g)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as err:
+                chromatic_number(g, cap=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A count per vertex and degree would take 1,022 x 512 entries, over 4 MB.
+        assert err.value.upper == 10 and peak < 1 << 20
+
+    def test_over_cap_bounds_read_off_the_quotient(self):
+        g = build_comaximal_graph(ring_from_text("Z/4095"), "full")
+        for solve, what, upper in ((clique_number, "clique", None), (chromatic_number, "colouring", 1732)):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError) as err:
+                solve(g)
+            assert time.perf_counter() - start < 0.5
+            assert str(err.value) == f"{what} solver capped at 512 vertices (graph has 4095)"
+            assert (err.value.lower, err.value.upper) == (1732, upper)
+
+    def test_improper_colouring_raises(self, monkeypatch):
+        monkeypatch.setattr("comaximal.graphs._colouring", lambda rows, clique, enough: [0] * len(rows))
+        with pytest.raises(InternalConsistencyError, match="two adjacent classes one colour"):
+            chromatic_number(cycle_graph(5))
+
+    def test_improper_colouring_survives_python_O(self, python_O):
+        plant = (
+            "import comaximal.graphs as graphs\n"
+            "from comaximal import SimpleGraph\n"
+            "graphs._colouring = lambda rows, clique, enough: [0] * len(rows)\n"
+            "g = SimpleGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])\n"
+        )
+        out = python_O(plant, "graphs.chromatic_number(g)")
+        assert out.startswith("raised 1 "), out
+        assert "two adjacent classes one colour" in out
 
 
 class TestMultipartite:

@@ -3,10 +3,12 @@
 import math
 from functools import lru_cache
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from comaximal import (
+    CapacityError,
     IdealSet,
     SimpleGraph,
     are_isomorphic,
@@ -22,7 +24,7 @@ from comaximal import (
     parse_expression,
     ring_from_text,
 )
-from comaximal.graphs import twin_classes
+from comaximal.graphs import _greedy_clique, twin_classes
 
 from oracles import (
     additive_span,
@@ -271,6 +273,13 @@ class TestGraphProperties:
         assert len(clique) == clique_number(g) == brute_clique(g)
         assert all(g.has_edge(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :])
         assert chromatic_number(g) == brute_chromatic(g)
+        with pytest.raises(CapacityError) as clique_err:
+            max_clique(g, cap=g.n - 1)
+        with pytest.raises(CapacityError) as colour_err:
+            chromatic_number(g, cap=g.n - 1)
+        lower, upper = colour_err.value.lower, colour_err.value.upper
+        assert clique_err.value.lower == lower == len(_greedy_clique(g.rows))
+        assert lower <= brute_clique(g) <= brute_chromatic(g) <= upper
         parts = multipartite_structure(g)
         assert (parts.bipartition, parts.multipartite_parts) == brute_partitions(g)
         perm = list(range(g.n))

@@ -68,6 +68,20 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             RingTable(2, 0, [0, 1, 1, 0], [0, 0, 0, 1])
 
+    @pytest.mark.parametrize("entry", [0.5, 1.25, float("nan"), float("inf")])
+    def test_constructor_rejects_non_integral_entries(self, entry):
+        with pytest.raises(ValueError, match="add table entries must be integers"):
+            RingTable(2, 1, [0, 1, 1, entry], [0, 0, 0, 1])
+        with pytest.raises(ValueError, match="mul table entries must be integers"):
+            RingTable(2, 1, [0, 1, 1, 0], np.array([[0, 0], [0, entry]]))
+        # Integral values of a float table are accepted, as before.
+        assert RingTable(2, 1, [0.0, 1.0, 1.0, 0.0], [0, 0, 0, 1]).add(1, 1) == 0
+
+    def test_constructor_range_checks_wide_integers_uncast(self):
+        # 2**32 once wrapped to 0 in an int32 cast and passed the range check.
+        with pytest.raises(ValueError, match="add table entry out of range"):
+            RingTable(2, 1, np.array([0, 1, 1, 2**32], dtype=np.int64), [0, 0, 0, 1])
+
 
 class TestUnits:
     def test_z12(self):
