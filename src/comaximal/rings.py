@@ -768,6 +768,16 @@ def ring_isomorphic(
     Returns a verified ElementMap, or None when the rings are provably
     non-isomorphic.  Raises CapacityError for same-size rings above the
     cap; a size mismatch is always a definite negative.
+
+    An isomorphism is additive, so the images of r1's additive generators fix it.
+    The search maps them in order, so its domain is the span of those mapped.
+    A generator g goes to phi(a) * phi(b) alone when g = a * b for mapped a and b,
+    and else to any unused element of r2 with g's profile; r1's one goes to r2's,
+    the only idempotent unit.  Each image h extends phi by phi(x + g) = phi(x) + h
+    along the walk x -> x + g from the domain, and is dropped when the walk
+    revisits an element with another image, two images collide, or phi(a) * phi(b)
+    != phi(ab) for mapped a, b and ab.  The search is complete: a true isomorphism
+    passes every check, and its image of g is always among the candidates.
     """
     if r1.size != r2.size:
         return None
@@ -783,62 +793,51 @@ def ring_isomorphic(
     prof2 = _element_profiles(r2)
     if sorted(prof1) != sorted(prof2):
         return None
-    by_profile: dict[tuple[int, ...], list[int]] = {}
-    for b, p in enumerate(prof2):
-        by_profile.setdefault(p, []).append(b)
-
     gens = _additive_generators(r1)
 
-    def propagate(fwd: np.ndarray, rev: np.ndarray, x: int, y: int) -> bool:
-        """Force phi(x)=y and close under both operations.
+    def candidates(phi: np.ndarray, g: int) -> list[int]:
+        dom = np.flatnonzero(phi >= 0)
+        for a in r1._row_blocks(dom):
+            i, j = np.nonzero(r1.mul_op(a, dom) == g)
+            if len(i):
+                return [int(r2.mul_op(phi[a[i[0], 0]], phi[dom[j[0]]]))]
+        unused = np.flatnonzero(np.bincount(phi[dom], minlength=n) == 0).tolist()
+        return [h for h in unused if prof2[h] == prof1[g]]
 
-        The closure does not depend on the order pairs leave the queue, so
-        each newly fixed pair is combined with the whole defined domain at once.
+    def extend(phi: np.ndarray, g: int, h: int) -> np.ndarray | None:
+        """phi and phi(x + g) = phi(x) + h along the walk x -> x + g, or None at a conflict.
+
+        Both laws commute, so products are checked on the pairs with a new element.
         """
-        queue = [(x, y)]
-        while queue:
-            u, v = queue.pop()
-            if fwd[u] != -1:
-                if fwd[u] != v:
-                    return False
-                continue
-            if rev[v] != -1:
-                return False
-            if prof1[u] != prof2[v]:
-                return False
-            fwd[u] = v
-            rev[v] = u
-            dom = np.flatnonzero(fwd != -1)
-            img = fwd[dom]
-            queue.extend(zip(r1.add_op(u, dom).tolist(), r2.add_op(v, img).tolist()))
-            queue.extend(zip(r1.mul_op(u, dom).tolist(), r2.mul_op(v, img).tolist()))
-        return True
-
-    def search(fwd: np.ndarray, rev: np.ndarray, gi: int) -> np.ndarray | None:
-        if gi == len(gens):
-            if (fwd == -1).any():
+        grown = phi.copy()
+        frontier = np.flatnonzero(phi >= 0)
+        while len(frontier):
+            step, image = r1.add_op(frontier, g), r2.add_op(grown[frontier], h)
+            seen = grown[step] >= 0
+            if (grown[step[seen]] != image[seen]).any():
                 return None
-            return fwd
-        g = gens[gi]
-        if fwd[g] != -1:
-            candidates = [fwd[g]]
-        elif g == r1.one:
-            candidates = [r2.one]
-        else:
-            candidates = [b for b in by_profile.get(prof1[g], ()) if rev[b] == -1]
-        for c in candidates:
-            nfwd, nrev = fwd.copy(), rev.copy()
-            if fwd[g] != -1 or propagate(nfwd, nrev, g, c):
-                result = search(nfwd, nrev, gi + 1)
-                if result is not None:
-                    return result
+            frontier = step[~seen]
+            grown[frontier] = image[~seen]
+        dom = np.flatnonzero(grown >= 0)
+        if len(_distinct(grown[dom], n)) < len(dom):
+            return None
+        for a in r1._row_blocks(np.flatnonzero(grown != phi)):
+            ab = grown[r1.mul_op(a, dom)]
+            if ((ab != r2.mul_op(grown[a], grown[dom])) & (ab >= 0)).any():
+                return None
+        return grown
+
+    def search(phi: np.ndarray, level: int) -> np.ndarray | None:
+        if level == len(gens):
+            return phi
+        for h in candidates(phi, gens[level]):
+            grown = extend(phi, gens[level], h)
+            found = None if grown is None else search(grown, level + 1)
+            if found is not None:
+                return found
         return None
 
-    fwd = np.full(n, -1, dtype=np.int64)
-    rev = np.full(n, -1, dtype=np.int64)
-    fwd[0] = 0
-    rev[0] = 0
-    mapping = search(fwd, rev, 0)
+    mapping = search(np.array([0] + [-1] * (n - 1)), 0)
     if mapping is None:
         return None
     iso = ElementMap(r1, r2, tuple(mapping.tolist()), isomorphism=True)

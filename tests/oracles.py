@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from comaximal import SimpleGraph, maximal_ideals_bruteforce
+from comaximal import RingTable, SimpleGraph, maximal_ideals_bruteforce
 
 
 def brute_clique(g: SimpleGraph) -> int:
@@ -457,3 +457,74 @@ def is_ideal_by_definition(ring, members) -> bool:
         if any(sums[b] not in inside for b in inside) or not inside.issuperset(products):
             return False
     return True
+
+
+def _cayley(ring) -> tuple[list[list[int]], list[list[int]]]:
+    """Both Cayley tables as nested lists, one scalar operation per entry."""
+    n = ring.size
+    add = [[ring.add(a, b) for b in range(n)] for a in range(n)]
+    mul = [[ring.mul(a, b) for b in range(n)] for a in range(n)]
+    return add, mul
+
+
+def _keeps_laws(mapping, tables1, tables2) -> bool:
+    """mapping(a + b) == mapping(a) + mapping(b), and the same for products, on every pair."""
+    (add1, mul1), (add2, mul2) = tables1, tables2
+    n = len(mapping)
+    return all(
+        mapping[add1[a][b]] == add2[mapping[a]][mapping[b]]
+        and mapping[mul1[a][b]] == mul2[mapping[a]][mapping[b]]
+        for a in range(n)
+        for b in range(n)
+    )
+
+
+def is_ring_isomorphism(r1, r2, mapping) -> bool:
+    """mapping is a bijection r1 -> r2 that fixes 0 and 1 and keeps both laws, pair by pair."""
+    n = r1.size
+    if r2.size != n or sorted(mapping) != list(range(n)):
+        return False
+    if mapping[0] != 0 or mapping[r1.one] != r2.one:
+        return False
+    return _keeps_laws(mapping, _cayley(r1), _cayley(r2))
+
+
+def brute_ring_isomorphic(r1, r2) -> tuple[int, ...] | None:
+    """The first bijection r1 -> r2 fixing 0 and 1 that keeps both laws, or None.
+
+    Every such bijection is tried, so only rings of at most 8 elements are accepted.
+    """
+    n = r1.size
+    if n > 8:
+        raise ValueError("brute_ring_isomorphic tries every bijection: at most 8 elements")
+    if r2.size != n:
+        return None
+    tables1, tables2 = _cayley(r1), _cayley(r2)
+    rest1 = [a for a in range(1, n) if a != r1.one]
+    rest2 = [b for b in range(1, n) if b != r2.one]
+    for images in permutations(rest2):
+        mapping = [0] * n
+        mapping[r1.one] = r2.one
+        for a, b in zip(rest1, images):
+            mapping[a] = b
+        if _keeps_laws(mapping, tables1, tables2):
+            return tuple(mapping)
+    return None
+
+
+def relabelled(ring, rng):
+    """The same ring with its nonzero indices permuted at random, built from its tables.
+
+    Index 0 stays the additive identity; element a of `ring` is element
+    perm[a] of the copy, so perm is an isomorphism onto it.
+    """
+    n = ring.size
+    perm = [0] + [int(x) + 1 for x in rng.permutation(n - 1)]
+    add, mul = _cayley(ring)
+    new_add = [[0] * n for _ in range(n)]
+    new_mul = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            new_add[perm[a]][perm[b]] = perm[add[a][b]]
+            new_mul[perm[a]][perm[b]] = perm[mul[a][b]]
+    return RingTable(n, perm[ring.one], new_add, new_mul, name=f"relabelled {ring.name}")

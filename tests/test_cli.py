@@ -171,6 +171,14 @@ class TestIso:
         assert code == 0
         assert out.splitlines() == ["isomorphic", "rings: isomorphic"]
 
+    def test_rings_above_default_cap(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "iso", "GF(256)", "Z/2[x]/(x^8+x^7+x^2+x+1)",
+            "--rings", "--max-ringiso-size", "256",
+        )
+        assert code == 0
+        assert out.splitlines() == ["isomorphic", "rings: isomorphic"]
+
     def test_rings_differ(self, capsys):
         code, out, _ = run_cli(capsys, "iso", "Z/2 x Z/8", "Z/4 x Z/4", "--rings")
         assert code == 1

@@ -3,6 +3,7 @@
 import time
 from dataclasses import replace
 from functools import partial
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from comaximal import (
     RingAxiomError,
     SqzExpr,
     direct_product,
+    expression_size,
     maximal_ideals_bruteforce,
     parse_expression,
     ring_from_text,
@@ -27,7 +29,10 @@ from comaximal.rings import RingTable, _additive_generators
 
 from oracles import (
     additive_generators_bfs,
+    brute_ring_isomorphic,
+    is_ring_isomorphism,
     polyquot_product,
+    relabelled,
     sqz_product,
     structure_by_definition,
     structure_of,
@@ -39,6 +44,21 @@ from test_acceptance import corpus_specs
 
 def zn(n: int) -> RingTable:
     return ring_from_text(f"Z/{n}")
+
+
+def corpus_up_to(size: int) -> list[str]:
+    return [s for s in corpus_specs() if expression_size(parse_expression(s)) <= size]
+
+
+def _z6_with_wrong_sum() -> RingTable:
+    """Z/6 with 2 + 3 recorded as 0.
+
+    A map from Z/6 onto it walks x -> x + 1 only, so the search completes and
+    leaves the wrong entry for the final verification.
+    """
+    add = [[(a + b) % 6 for b in range(6)] for a in range(6)]
+    add[2][3] = 0
+    return RingTable(6, 1, add, [[a * b % 6 for b in range(6)] for a in range(6)])
 
 
 class TestArithmetic:
@@ -464,6 +484,39 @@ class TestRingIsomorphism:
         assert ring_isomorphic(zn(9), ring_from_text("Z/3 x Z/3")) is None
         assert ring_isomorphic(zn(8), ring_from_text("Z/2[x]/(x^3)")) is None
 
+    def test_agrees_with_brute_force_oracle(self):
+        specs = [*corpus_up_to(8), "Z/2[x]/(x^2+x+1)", "Z/2[x]/(x^3)"]
+        rings = {s: ring_from_text(s) for s in specs}
+        pairs = [
+            (a, b)
+            for a, b in combinations_with_replacement(specs, 2)
+            if rings[a].size == rings[b].size
+        ]
+        for named in [("Z/4", "Z/2[x]/(x^2)"), ("GF(4)", "Z/2[x]/(x^2+x+1)"),
+                      ("SQZ(2,2)", "Z/2[x]/(x^3)")]:
+            assert named in pairs
+        for a, b in pairs:
+            iso = ring_isomorphic(rings[a], rings[b])
+            assert (iso is None) == (brute_ring_isomorphic(rings[a], rings[b]) is None), (a, b)
+            assert iso is None or is_ring_isomorphism(rings[a], rings[b], iso.mapping), (a, b)
+
+    # Presentations where a wrong image of x forces an image of x^2 that is already taken.
+    RELABELLED_EXTRAS = ("Z/2[x]/(x^4+1)", "Z/2[x]/(x^5+x)")
+
+    def test_relabelled_corpus(self):
+        start = time.monotonic()
+        rings = [ring_from_text(s) for s in (*corpus_up_to(32), *self.RELABELLED_EXTRAS)]
+        copies = [[relabelled(r, np.random.default_rng(seed)) for seed in (1, 4)] for r in rings]
+        for r, pair in zip(rings, copies):
+            for copy in pair:
+                iso = ring_isomorphic(r, copy)
+                assert iso is not None and iso.verify(), r.name
+        for i, j in combinations(range(len(rings)), 2):
+            if rings[i].size == rings[j].size:
+                plain = ring_isomorphic(rings[i], rings[j]) is None
+                assert (ring_isomorphic(rings[i], copies[j][0]) is None) == plain, (i, j)
+        assert time.monotonic() - start < 3.0
+
 
 class TestIdempotentComponents:
     def test_z12_split(self):
@@ -848,6 +901,19 @@ class TestSelfChecks:
         out = python_O(plant, f"ring_from_text({text!r}).jacobson_radical")
         assert out.startswith("raised 1 "), out
         assert "radical is not an ideal" in out
+
+    def test_unverified_ring_isomorphism_raises(self):
+        with pytest.raises(InternalConsistencyError) as err:
+            ring_isomorphic(zn(6), _z6_with_wrong_sum())
+        assert str(err.value) == "search produced a mapping that fails verification"
+
+    def test_unverified_ring_isomorphism_survives_python_O(self, python_O):
+        plant = RING_PLANT + (
+            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+            "import test_rings\n"
+        )
+        out = python_O(plant, "rings.ring_isomorphic(test_rings.zn(6), test_rings._z6_with_wrong_sum())")
+        assert out == "raised 1 search produced a mapping that fails verification\n"
 
     @pytest.mark.parametrize("fault", list(CERTIFICATE_FAULTS))
     def test_certificates_survive_python_O(self, fault, python_O):
