@@ -2,27 +2,34 @@
 
 Adjacency rows are Python integers used as bitsets.  Vertices are 0..n-1
 in a fixed order; comaximal graphs remember which ring element each vertex
-came from in `vertex_keys`.  A comaximal graph's rows depend only on each
-element's maximal-ideal signature, so `build_comaximal_graph` builds one
-row per signature, and a graph has few distinct rows.
+came from in `vertex_keys`.
 
-Construction groups the rows into classes of equal rows, ordered by first
-member, in one dict pass, packs one row per class in the layout of
-`rings._pack`, and gathers them into the read-only `SimpleGraph.packed`:
-the graph's one packed form, which every numpy reader reads (the n x n
-matrix `adjacency()`, which whole-graph comparisons read instead of
-per-edge Python, among them).  The checks read the classes.  Write c(i)
-for the class of vertex i, r_a for the row of class a, and Q for the class
-quotient, Q[a][b] = bit b_0 of r_a with b_0 the first member of class b.
-The adjacency matrix A is symmetric exactly when every class row is
-constant on every class and Q is symmetric: then A[i][j] = Q[c(i)][c(j)] =
-Q[c(j)][c(i)] = A[j][i]; conversely, for i in class a,
-r_a[j] = A[i][j] = A[j][i] = r_c(j)[i], which is the same for every j of
-one class.  So symmetry is checked on Q, in row blocks, and a loop, with
-every class row constant, is a diagonal bit of Q.  A twin-free graph is its
-own quotient.  Only a failed check loops over the rows, to word its message.
+Every graph is kept as its classes of equal rows, numbered by first member,
+and its class quotient.  Write c(i) for the class of vertex i, r_a for the
+row of class a, and Q for the quotient, Q[a][b] = bit b_0 of r_a with b_0
+the first member of class b, packed in the layout of `rings._pack`.  The
+adjacency matrix A is symmetric exactly when every class row is constant on
+every class and Q is symmetric: then A[i][j] = Q[c(i)][c(j)] = Q[c(j)][c(i)]
+= A[j][i]; conversely, for i in class a, r_a[j] = A[i][j] = A[j][i] =
+r_c(j)[i], which is the same for every j of one class.  So symmetry is
+checked on Q, in row blocks, and a loop, with every class row constant, is a
+diagonal bit of Q.  A twin-free graph is its own quotient.
 
-The invariants read `twin_classes`, made from the same classes once per
+A comaximal graph's rows depend only on each element's maximal-ideal
+signature, and a unit's row lacks only the unit itself.  So
+`build_comaximal_graph` makes one class per nonunit signature and one per
+unit, and Q straight from the signatures: classes a != b are adjacent when
+their signatures share no maximal ideal.  Rows read off classes are constant
+on every class by construction, so only Q is checked, and a defect there is
+an InternalConsistencyError.  Such a graph makes `rows` and the read-only
+packed matrix `packed` (which every numpy reader reads, the n x n
+`adjacency()` among them) when first read; `edge_count`, `twin_classes` and
+`metrics` read only the classes and Q.  `SimpleGraph(n, rows)` groups the
+rows it is given into classes in one dict pass, checks that every class row
+is constant on every class, then checks Q, and raises ValueError; only a
+failed check loops over the rows, to word its message.
+
+The invariants read `twin_classes`, made from the classes and Q once per
 graph: the universal vertices U (adjacent to every other vertex; in a full
 comaximal graph, the units), and the twin quotient of G - U: the classes of
 equal open rows (false twins: independent sets of interchangeable vertices)
@@ -54,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import or_
+from operator import mul, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -62,21 +69,24 @@ import numpy as np
 from .errors import CapacityError, InternalConsistencyError
 from .limits import DEFAULT_EXACT_VERTEX_CAP
 from .rings import (
-    RingTable, _blocks, _distinct, _iter_bits, _lowest, _mask_from_bool, _pack, _unpack
+    RingTable, _blocks, _iter_bits, _lowest, _masks, _pack, _unpack
 )
 
 
 class SimpleGraph:
     """Loop-free undirected graph with bitset adjacency rows.
 
-    The rows are grouped into classes of equal rows, and the checks read
-    the class rows: A is symmetric exactly when every class row is constant
-    on every class and the class quotient is symmetric (the module docstring
-    proves it).  The twin quotient of G - U is kept for `twin_classes` and
-    `edge_count`.  Labels not given are made when first read.
+    Every graph is kept as its classes of equal rows: the class of each
+    vertex, classes numbered by first member, and the packed class quotient
+    Q.  A is symmetric and loop-free exactly when Q is, given rows constant
+    on every class (the module docstring proves it).  `SimpleGraph(n, rows)`
+    groups and checks the rows it is given; `build_comaximal_graph` gives
+    the classes and Q directly, and then `rows` and `packed` are made when
+    first read.  Labels not given are made when first read too.
     """
 
-    __slots__ = ("n", "rows", "vertex_keys", "packed", "_labels", "_twins")
+    __slots__ = ("n", "vertex_keys", "_labels", "_class_of", "_quotient", "_rows", "_packed",
+                 "_twins", "_edges")
 
     def __init__(
         self,
@@ -87,43 +97,91 @@ class SimpleGraph:
     ):
         if len(rows) != n:
             raise ValueError("need one adjacency row per vertex")
-        self.n = n
-        self.rows = list(rows)
+        rows = list(rows)
         self._labels: tuple[str, ...] | Callable[[], Iterable[str]] | None = None
         if labels is not None:
             self._labels = tuple(labels)
             if len(self._labels) != n:
                 raise ValueError("need one label per vertex")
-        self.vertex_keys = tuple(vertex_keys) if vertex_keys is not None else tuple(range(n))
-        if len(self.vertex_keys) != n:
+        vertex_keys = tuple(vertex_keys) if vertex_keys is not None else tuple(range(n))
+        if len(vertex_keys) != n:
             raise ValueError("need one vertex key per vertex")
         by_row: dict[int, list[int]] = {}
-        for v, row in enumerate(self.rows):
+        for v, row in enumerate(rows):
             by_row.setdefault(row, []).append(v)
         class_rows, classes = list(by_row), list(by_row.values())
         k = len(classes)
         try:
             class_packed = _pack(class_rows, n)
         except OverflowError:  # a negative row, or one far past n
-            raise ValueError(_row_defect(self.rows, n)) from None
+            raise ValueError(_row_defect(rows, n)) from None
         if k == n:
-            self.packed = quotient = class_packed
+            packed = quotient = class_packed
+            class_of = np.arange(n)
         else:
             class_of = np.empty(n, dtype=np.intp)
             members = np.fromiter(chain.from_iterable(classes), dtype=np.intp, count=n)
             class_of[members] = np.repeat(np.arange(k), [len(c) for c in classes])
-            self.packed = class_packed[class_of]
-            self.packed.flags.writeable = False
+            packed = class_packed[class_of]
+            packed.flags.writeable = False
             quotient = _class_quotient(class_packed, n, classes, class_of)
         # Bits past n sit in the last byte's spare bits; a loop, with every class row constant on
         # every class, is a diagonal bit of the quotient.
         spare = n & 7 and (class_packed[:, -1] >> (n & 7)).any()
         if quotient is None or spare or _defect(quotient, k):
             # The per-row loop words loops and bits past n; A itself names the first one-way pair.
-            message = _row_defect(self.rows, n)
-            raise ValueError(message or "edge %d-%d is not symmetric" % _defect(self.packed, n))
-        # What `twin_classes` needs, until it replaces this with the TwinClasses it makes.
-        self._twins: TwinClasses | tuple = (class_rows, classes, quotient)
+            message = _row_defect(rows, n)
+            raise ValueError(message or "edge %d-%d is not symmetric" % _defect(packed, n))
+        self._adopt(n, vertex_keys, class_of, quotient)
+        self._rows, self._packed = rows, packed
+
+    def _adopt(
+        self, n: int, vertex_keys: tuple[int, ...], class_of: np.ndarray, quotient: np.ndarray
+    ) -> None:
+        """Keep the classes and Q that both constructors make; the rest is made when first read."""
+        self.n, self.vertex_keys = n, vertex_keys
+        self._class_of, self._quotient = class_of, quotient
+        self._rows = self._packed = self._twins = self._edges = None
+
+    @classmethod
+    def _from_classes(
+        cls, class_of: np.ndarray, quotient: np.ndarray, vertex_keys: tuple[int, ...]
+    ) -> "SimpleGraph":
+        """The graph with A[i][j] = Q[c(i)][c(j)], for classes c numbered by first member.
+
+        Such rows are constant on every class, so Q alone is checked: symmetric and with no
+        diagonal bit, or InternalConsistencyError.
+        """
+        defect = _defect(quotient, len(quotient))
+        if defect is not None:
+            a, b = defect
+            raise InternalConsistencyError(
+                f"class {a} has a loop" if a == b else f"class quotient is not symmetric at {a}-{b}"
+            )
+        g = cls.__new__(cls)
+        g._labels = None
+        g._adopt(len(class_of), vertex_keys, class_of, quotient)
+        return g
+
+    @property
+    def rows(self) -> list[int]:
+        """One adjacency mask per vertex, made when first read."""
+        if self._rows is None:
+            self._rows = _masks(self.packed)
+        return self._rows
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The rows packed as by `rings._pack`, read-only, made when first read."""
+        if self._packed is None:
+            k, n = len(self._quotient), self.n
+            class_rows = np.empty((k, (n + 7) // 8), dtype=np.uint8)  # bit j of row a: Q[a][c(j)]
+            for part in _blocks(k, n):
+                bits = _unpack(self._quotient[part], k)[:, self._class_of]
+                class_rows[part] = np.packbits(bits, axis=1, bitorder="little")
+            self._packed = class_rows[self._class_of]
+            self._packed.flags.writeable = False
+        return self._packed
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -189,9 +247,8 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        classes, universal, _ = twin_classes(self)
-        degrees = sum(len(c) * self.rows[c[0]].bit_count() for c in classes)
-        return (degrees + len(universal) * (self.n - 1)) // 2
+        twin_classes(self)
+        return self._edges
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, r in enumerate(self.rows) for j in _iter_bits(r >> i + 1 << i + 1)]
@@ -220,12 +277,6 @@ def _induced_rows(packed: np.ndarray, n: int, keep: Sequence[int]) -> list[int]:
         bits = _unpack(packed[columns[block]], n)[:, columns]
         out.extend(_masks(np.packbits(bits, axis=1, bitorder="little")))
     return out
-
-
-def _masks(packed: np.ndarray) -> list[int]:
-    """The rows of a packed matrix as masks: the inverse of `_pack`."""
-    raw, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
 def _row_defect(rows: list[int], n: int) -> str | None:
@@ -263,7 +314,8 @@ def _defect(packed: np.ndarray, n: int) -> tuple[int, int] | None:
     block's columns are whole bytes of the packed rows."""
     for part in _blocks(n, n, 8):
         block = _unpack(packed[part], n)
-        columns = _unpack(packed[:, part.start // 8 : part.stop // 8], len(block))
+        whole = len(block) == n  # then the block is the whole matrix, its own columns
+        columns = block if whole else _unpack(packed[:, part.start // 8 : part.stop // 8], len(block))
         defects = block > columns.T
         # Bit i of row i sits at flat position (i - start) * (n + 1) + start of the block.
         defects.ravel()[part.start :: n + 1] = block.ravel()[part.start :: n + 1]
@@ -287,18 +339,32 @@ class TwinClasses(NamedTuple):
 
 
 def twin_classes(g: SimpleGraph) -> TwinClasses:
-    """The twin quotient of G - U, made when first read from the classes of equal rows and the
-    quotient that construction found: U is the classes whose rows have n - 1 bits, one member each.
+    """The twin quotient of G - U, made when first read from the graph's classes and Q.
+
+    Class a has degree d_a = sum of |b| over the classes b with Q[a][b]; U is
+    the classes of degree n - 1, one member each, and 2|E| = sum of |a| d_a.
     """
-    if isinstance(g._twins, TwinClasses):
-        return g._twins
-    class_rows, classes, quotient = g._twins
-    k = len(classes)
-    universal = [row.bit_count() == g.n - 1 for row in class_rows]
-    keep = [c for c in range(k) if not universal[c]]
-    rows = list(g.rows) if len(keep) == g.n else _induced_rows(quotient, k, keep)
-    universal_members = [classes[c][0] for c in range(k) if universal[c]]
-    g._twins = TwinClasses([classes[c] for c in keep], universal_members, rows)
+    if g._twins is None:
+        n, class_of, quotient = g.n, g._class_of, g._quotient
+        k = len(quotient)
+        counts = np.bincount(class_of, minlength=k)
+        degree: list[int] = []
+        for part in _blocks(k, k):
+            degree += (_unpack(quotient[part], k) @ counts).tolist()
+        sizes = counts.tolist()
+        g._edges = sum(map(mul, sizes, degree)) // 2
+        members = np.argsort(class_of, kind="stable").tolist()
+        classes, universal, keep = [], [], []
+        start = 0
+        for c, (size, d) in enumerate(zip(sizes, degree)):
+            if d == n - 1:
+                universal.append(members[start])
+            else:
+                classes.append(members[start : start + size])
+                keep.append(c)
+            start += size
+        rows = _masks(quotient) if len(keep) == k else _induced_rows(quotient, k, keep)
+        g._twins = TwinClasses(classes, universal, rows)
     return g._twins
 
 
@@ -308,32 +374,59 @@ def build_comaximal_graph(ring: RingTable, selector: str = "full") -> SimpleGrap
     Selectors: "full" (all elements), "units", "nonunits", and "core"
     (nonunits outside the Jacobson radical).  A local ring has an empty
     core graph, which is a legitimate graph, not an error.
+
+    The graph is built from its classes of equal rows: one per nonunit
+    signature and one per unit (units differ in their self-bit only), and
+    the quotient on them.  Two nonunit signatures differ on an ideal i in
+    one only, and 1 - e_i, in M_i alone, is adjacent to one class and not
+    the other.
     """
     sig = ring.signature_array
     all_ideals = (1 << len(ring.maximal_ideals)) - 1
     if selector == "full":
-        keep = np.ones(ring.size, dtype=bool)
+        keys = np.arange(ring.size)
     elif selector == "units":
-        keep = sig == 0
+        keys = (sig == 0).nonzero()[0]
     elif selector == "nonunits":
-        keep = sig != 0
+        keys = sig.nonzero()[0]
     elif selector == "core":
-        keep = (sig != 0) & (sig != all_ideals)
+        keys = ((sig != 0) & (sig != all_ideals)).nonzero()[0]
     else:
         raise ValueError(f"unknown selector {selector!r}")
-    keys = np.flatnonzero(keep)
-    sub = sig[keys]
-    # Adjacency depends only on the signature: one row per signature.
-    classes = _distinct(sub, all_ideals + 1)
-    class_rows = [_mask_from_bool((sub & s) == 0) for s in classes.tolist()]
-    rows = [class_rows[c] for c in np.searchsorted(classes, sub).tolist()]
-    # Only units (signature 0) are disjoint from themselves; drop their self-bit.
-    for i in np.flatnonzero(sub == 0).tolist():
-        rows[i] ^= 1 << i
-    g = SimpleGraph(len(keys), rows, vertex_keys=keys.tolist())
+    class_of, class_sig = _signature_classes(sig[keys], all_ideals)
+    # The quotient's k x k `&` reads the signatures in the fewest bytes.
+    quotient = _comaximal_quotient(class_sig.astype(np.min_scalar_type(all_ideals)))
+    g = SimpleGraph._from_classes(class_of, quotient, tuple(keys.tolist()))
     keys = g.vertex_keys
     g._labels = lambda: (ring.labels[k] for k in keys)  # the elements' labels, when first read
     return g
+
+
+def _signature_classes(sig: np.ndarray, all_ideals: int) -> tuple[np.ndarray, np.ndarray]:
+    """The class of each vertex, numbered by first member, and each class's signature: one class
+    per nonunit signature, and one per unit (signature 0)."""
+    n = len(sig)
+    vertex = np.arange(n)
+    if not sig.any():  # units alone: each vertex is a class
+        return vertex, sig
+    first = np.full(all_ideals + 1, n)
+    np.minimum.at(first, sig, vertex)
+    head = first[sig]  # the first vertex with each vertex's signature
+    if first[0] < n:  # units: each heads a class of its own
+        np.copyto(head, vertex, where=sig == 0)
+    starts = head == vertex
+    return starts.cumsum()[head] - 1, sig[starts]
+
+
+def _comaximal_quotient(class_sig: np.ndarray) -> np.ndarray:
+    """The packed quotient: classes a != b are adjacent when their signatures share no ideal."""
+    k = len(class_sig)
+    packed = np.empty((k, (k + 7) // 8), dtype=np.uint8)
+    for part in _blocks(k, k):
+        bits = (class_sig[part, None] & class_sig) == 0
+        bits.ravel()[part.start :: k + 1] = False  # a unit is disjoint from itself, but no loop
+        packed[part] = np.packbits(bits, axis=1, bitorder="little")
+    return packed
 
 
 # -- combinators ------------------------------------------------------------
@@ -424,9 +517,12 @@ def metrics(g: SimpleGraph) -> GraphMetrics:
     if t.universal:
         if not t.classes:
             return GraphMetrics(n, edges, True, 1, min(n - 1, 1), (0, 1) if n > 1 else None)
-        v = t.classes[0][0]  # the first vertex that is not universal
-        far = _lowest(((1 << n) - 1) & ~g.rows[v] & ~(1 << v))
-        return GraphMetrics(n, edges, True, 1, 2, (v, far))
+        # The first vertex that is not universal, and the lowest other vertex it misses: a twin,
+        # or the first member of the lowest class that its class misses.
+        members = t.classes[0]
+        missed = ((1 << len(t.classes)) - 1) & ~t.rows[0] & ~1
+        far = min(members[1:2] + ([t.classes[_lowest(missed)][0]] if missed else []))
+        return GraphMetrics(n, edges, True, 1, 2, (members[0], far))
 
     classes, rows = t.classes, t.rows
     starts, seen, components = [], 0, 0
@@ -648,9 +744,9 @@ def multipartite_structure(g: SimpleGraph) -> PartitionStructure:
     if g.n == 0:
         return PartitionStructure(((), ()), ())
     classes, universal, rows = twin_classes(g)
-    if universal:
+    if universal:  # then the classes of G, in order of first member, are those Q numbers
         classes = sorted(classes + [[u] for u in universal], key=lambda c: c[0])
-        rows = _induced_rows(g.packed, g.n, [c[0] for c in classes])
+        rows = _masks(g._quotient)
     colour = _two_colouring(rows)
     bipartition = None
     if colour is not None:

@@ -7,11 +7,13 @@ elements, the construction's own broadcasting function above it.
 Scalars, rows and whole-ring scans (in row blocks, so memory stays
 linear in n) are all read from that one operation.
 
-The ring structure is read from one array, a**n for every a (n the size).
-A finite ring is Artinian, so J is the nilradical {a : a**n == 0}; it is
-the product of local rings eR over its primitive idempotents e, so its
-maximal ideals are M_e = {a : e * a**n == 0}, ordered by min(e + J), and
-its units are the elements in no M_e.
+The ring structure is read from one array, a**N for every a, with N the
+bit length of the size (`_nth_powers` proves N enough).  A finite ring is
+Artinian, so J is the nilradical {a : a**N == 0}; it is the product of
+local rings eR over its primitive idempotents e, so its maximal ideals are
+M_e = {a : e * a**N == 0}, ordered by min(e + J).  That m x n membership
+matrix is evaluated once: the ideals' masks, the units (the elements in no
+M_e) and the signatures are all read from it.
 
 A mask is a Python int whose bit j marks index j.  `_pack` lays masks out
 as the rows of a uint8 matrix, bit j of mask i at bit j % 8 of byte j // 8
@@ -51,6 +53,14 @@ def _pack(masks: Sequence[int], n: int) -> np.ndarray:
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
     """The first n bits of each row of a packed matrix, as a bool matrix."""
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _masks(packed: np.ndarray) -> list[int]:
+    """The rows of a packed matrix as masks: the inverse of `_pack`."""
+    raw, width = packed.tobytes(), packed.shape[1]
+    if not width:
+        return [0] * len(packed)
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
 def _distinct(values: np.ndarray, n: int) -> np.ndarray:
@@ -223,10 +233,15 @@ class RingTable:
         table.setflags(write=False)
         return lambda a, b: table[a, b]
 
+    # Makes the labels when none were given: set by `direct_product` and `_image`.
+    _make_labels: Callable[[], Iterable[str]] | None = None
+
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        """One label per element: those given, or else the indices, made when first read."""
-        return tuple(map(str, range(self.size)))
+        """One label per element: those given, or else made when first read, from the factors'
+        or the parent ring's labels, or else the indices."""
+        make = self._make_labels
+        return tuple(make()) if make is not None else tuple(map(str, range(self.size)))
 
     def __repr__(self) -> str:
         return f"RingTable({self.name!r}, size={self.size})"
@@ -285,11 +300,9 @@ class RingTable:
     def unit_flags(self) -> np.ndarray:
         """Invertible elements: those in no M_e.  u**|U| == 1 certifies each one.
 
-        A non-unit a is certified by e * a**size == 0 for some e != 0.
+        A non-unit a is certified by e * a**N == 0 for some e != 0.
         """
-        flags = np.ones(self.size, dtype=bool)
-        for ideal in self.maximal_ideals:
-            flags &= ~ideal.member_flags()
+        flags = ~self._membership.any(axis=0)
         units = np.flatnonzero(flags)
         if not (self._power(units, len(units)) == self.one).all():
             raise InternalConsistencyError("a claimed unit u has u**|U| != 1")
@@ -310,7 +323,7 @@ class RingTable:
 
     @cached_property
     def jacobson_radical(self) -> IdealSet:
-        """J(R), which in a finite (so Artinian) ring is the nilradical {a : a**size == 0}."""
+        """J(R), which in a finite (so Artinian) ring is the nilradical {a : a**N == 0}."""
         ideal = IdealSet(self.size, _mask_from_bool(self._nth_powers == 0))
         if not self.is_ideal(ideal):
             raise InternalConsistencyError("radical is not an ideal; operations are inconsistent")
@@ -334,16 +347,21 @@ class RingTable:
 
     @cached_property
     def _nth_powers(self) -> np.ndarray:
-        """a**size for every a: each local component of a is a unit, whose powers
-        stay units, or nilpotent, whose powers are distinct until they reach 0.
+        """a**N for every a, N = size.bit_length(): each local component of a is a unit, whose
+        powers stay units, or nilpotent, and then a**N is 0 there.
+
+        For nilpotent a the ideals R > aR > a^2 R > ... shrink strictly until they reach 0 (were
+        a^k R = a^(k+1) R != 0, a^k = a^(k+1) r would give a^k = a^(k+j) r^j = 0), and each is an
+        additive subgroup of the one before, so at least halves it: a^k R = 0 once 2^k > |R|.  So
+        a's index is at most log2 |R| < N, and the same bound holds in each e*R.
         """
-        powers = self._power(self._idx, self.size)
+        powers = self._power(self._idx, self.size.bit_length())
         powers.setflags(write=False)
         return powers
 
     @cached_property
     def nilpotent_elements(self) -> tuple[int, ...]:
-        """Elements with a**size == 0, the members of the Jacobson radical."""
+        """Elements with a**N == 0, the members of the Jacobson radical."""
         return tuple(np.flatnonzero(self._nth_powers == 0).tolist())
 
     @property
@@ -425,11 +443,12 @@ class RingTable:
 
     @cached_property
     def maximal_ideals(self) -> tuple[IdealSet, ...]:
-        """M_e = {a : e * a**size == 0} per primitive idempotent e, ordered by min(e + J).
+        """M_e = {a : e * a**N == 0} per primitive idempotent e, ordered by min(e + J).
 
         That is the order of R/J's primitive idempotents.  The idempotents are
-        certified orthogonal with sum 1; up to CROSSCHECK_LIMIT elements the
-        brute-force oracle must agree.
+        certified orthogonal with sum 1, the M_e must meet in J and miss 1, and
+        up to CROSSCHECK_LIMIT elements the brute-force oracle must agree.  The
+        membership matrix is kept for `unit_flags` and `signature_array`.
         """
         n = self.size
         primitive = self.primitive_idempotents
@@ -439,17 +458,14 @@ class RingTable:
             raise InternalConsistencyError(
                 "primitive idempotents are not orthogonal idempotents that sum to 1"
             )
-        radical = np.flatnonzero(self.jacobson_radical.member_flags())
-        ordered = sorted(primitive, key=lambda e: int(self.add_op(e, radical).min()))
-        ideals = tuple(
-            IdealSet(n, _mask_from_bool(self.mul_op(e, self._nth_powers) == 0)) for e in ordered
-        )
-        meet = ideals[0].mask
-        for ideal in ideals[1:]:
-            meet &= ideal.mask
-        if meet != self.jacobson_radical.mask:
+        radical = self.jacobson_radical.member_flags()
+        members = np.flatnonzero(radical)
+        ordered = sorted(primitive, key=lambda e: int(self.add_op(e, members).min()))
+        member = self.mul_op(np.array(ordered)[:, None], self._nth_powers) == 0
+        ideals = tuple(IdealSet(n, m) for m in _masks(np.packbits(member, axis=1, bitorder="little")))
+        if (member.all(axis=0) != radical).any():
             raise InternalConsistencyError("maximal ideals do not intersect in the radical")
-        if any(self.one in ideal for ideal in ideals):
+        if member[:, self.one].any():
             raise InternalConsistencyError("maximal ideal contains the identity")
         if n <= CROSSCHECK_LIMIT:
             independent = {i.mask for i in maximal_ideals_bruteforce(self)}
@@ -457,7 +473,15 @@ class RingTable:
                 raise InternalConsistencyError(
                     "idempotent-based maximal ideals disagree with brute force"
                 )
+        # Kept in a bytes buffer, as `IdealSet._flags` is, so that it fragments no heap.
+        self._member_rows = np.frombuffer(member.tobytes(), bool).reshape(member.shape)
         return ideals
+
+    @property
+    def _membership(self) -> np.ndarray:
+        """Row i flags the members of M_i: the matrix `maximal_ideals` evaluates and checks."""
+        self.maximal_ideals
+        return self._member_rows
 
     @property
     def maximal_ideal_count(self) -> int:
@@ -471,14 +495,11 @@ class RingTable:
 
     @cached_property
     def signature_array(self) -> np.ndarray:
-        """signature[a] has bit i set when a lies in maximal ideal i."""
-        sig = np.zeros(self.size, dtype=np.int64)
-        for i, ideal in enumerate(self.maximal_ideals):
-            sig |= ideal.member_flags().astype(np.int64) << i
-        if not ((sig == 0) == self.unit_flags).all():
-            raise InternalConsistencyError(
-                "elements outside every maximal ideal must be exactly the units"
-            )
+        """signature[a] has bit i set when a lies in maximal ideal i: row i of the membership
+        matrix weighted by 2**i.  So exactly the units, the elements in no M_e, have signature 0."""
+        self.unit_flags  # certified first: the graphs read signature 0 as a unit
+        member = self._membership
+        sig = (np.int64(1) << np.arange(len(member))) @ member
         sig.setflags(write=False)
         return sig
 
@@ -550,14 +571,15 @@ class RingTable:
         `position` is the homomorphism, as an index into `members` for every
         element of this ring: the projection onto R/I or onto e*R.
         """
-        return RingTable(
+        ring = RingTable(
             len(members),
             int(position[self.one]),
             lambda i, j: position[self.add_op(members[i], members[j])],
             lambda i, j: position[self.mul_op(members[i], members[j])],
-            labels=[self.labels[x] for x in members.tolist()],
             name=name,
         )
+        ring._make_labels = lambda: (self.labels[x] for x in members.tolist())
+        return ring
 
     # -- element-wise structure ----------------------------------------------
 
@@ -602,18 +624,18 @@ def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> 
 
         return op
 
-    labels = [
-        "(" + ",".join(r.labels[d] for r, d in zip(rings, parts)) + ")"
-        for parts in zip(*(d.tolist() for d in digits))
-    ]
-    return RingTable(
+    ring = RingTable(
         total,
         int(np.ravel_multi_index([r.one for r in rings], sizes)),
         mixed_radix([r.add_op for r in rings]),
         mixed_radix([r.mul_op for r in rings]),
-        labels=labels,
         name=" x ".join(r.name for r in rings),
     )
+    ring._make_labels = lambda: (
+        "(" + ",".join(r.labels[d] for r, d in zip(rings, parts)) + ")"
+        for parts in zip(*(d.tolist() for d in digits))
+    )
+    return ring
 
 
 # -- oracles and validation ---------------------------------------------------

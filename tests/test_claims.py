@@ -233,7 +233,7 @@ class TestSingleClaims:
     def test_coset_claims_unpack_the_full_graph_in_blocks(self):
         # The full graph of Z/2 x Z/2048 unpacks to a 16.8 MB matrix; P4.7a/b/c read it in blocks.
         a = RingAnalysis(ring_from_text("Z/2 x Z/2048"), text="Z/2 x Z/2048")
-        a.graph("full")
+        a.graph("full").packed  # the graph's packed rows are made when first read
         a.ring.quotient(a.ring.jacobson_radical)
         tracemalloc.start()
         try:

@@ -5,7 +5,9 @@ import pickle
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from comaximal import (
@@ -26,7 +28,9 @@ from comaximal import (
     ring_from_text,
 )
 
+from comaximal import graphs
 from comaximal.graphs import twin_classes
+from comaximal.rings import _unpack
 from conftest import run_python
 from oracles import (
     brute_chromatic,
@@ -270,6 +274,60 @@ class TestBuildGraph:
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 assert g.has_edge(u, v) == ring.is_comaximal_via_closure(u, v)
+
+
+def _flipping(real, a, b):
+    """`_comaximal_quotient` with bit b of the quotient's row a flipped."""
+
+    def planted(class_sig):
+        bits = _unpack(real(class_sig), len(class_sig))
+        bits[a, b] ^= True
+        return np.packbits(bits, axis=1, bitorder="little")
+
+    return planted
+
+
+# Faults planted in the class quotient of Z/30's core graph (six classes, Q[3][4] = Q[4][3] = 0):
+# the flipped bit and the message that must be raised.
+QUOTIENT_FAULTS = {
+    "one_way": ((3, 4), "class quotient is not symmetric at 3-4"),
+    "loop": ((3, 3), "class 3 has a loop"),
+}
+
+
+class TestClassCore:
+    """Graphs built from their classes: the quotient check, and lazy rows that pickle."""
+
+    @pytest.mark.parametrize("fault", list(QUOTIENT_FAULTS))
+    def test_quotient_fault_raises(self, fault, monkeypatch):
+        (a, b), message = QUOTIENT_FAULTS[fault]
+        real = graphs._comaximal_quotient
+        monkeypatch.setattr(graphs, "_comaximal_quotient", _flipping(real, a, b))
+        with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+            build_comaximal_graph(ring_from_text("Z/30"), "core")
+
+    @pytest.mark.parametrize("fault", list(QUOTIENT_FAULTS))
+    def test_quotient_fault_survives_python_O(self, fault, python_O):
+        (a, b), message = QUOTIENT_FAULTS[fault]
+        plant = (
+            "import comaximal.graphs as graphs\n"
+            "from comaximal import build_comaximal_graph, ring_from_text\n"
+            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+            "import test_graphs\n"
+            f"graphs._comaximal_quotient = test_graphs._flipping(graphs._comaximal_quotient, {a}, {b})\n"
+        )
+        out = python_O(plant, "build_comaximal_graph(ring_from_text('Z/30'), 'core')")
+        assert out == f"raised 1 {message}\n"
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickles_before_and_after_rows_are_read(self, read_first):
+        g = build_comaximal_graph(ring_from_text("Z/2 x Z/30"), "full")
+        if read_first:
+            g.rows, g.packed
+        copy = pickle.loads(pickle.dumps(g))
+        assert (copy.rows, copy.packed.tobytes()) == (g.rows, g.packed.tobytes())
+        assert (copy.labels, copy.vertex_keys, copy.edge_count) == (g.labels, g.vertex_keys, g.edge_count)
+        assert twin_classes(copy) == twin_classes(g) and metrics(copy) == metrics(g)
 
 
 @pytest.mark.parametrize(

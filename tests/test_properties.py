@@ -3,6 +3,7 @@
 import math
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from comaximal import (
     multipartite_structure,
     parse_expression,
     ring_from_text,
+    verify_ring,
 )
 from comaximal.graphs import _greedy_clique, twin_classes
 
@@ -36,13 +38,14 @@ from oracles import (
     brute_twin_classes,
     is_ideal_by_definition,
     maps_edges,
+    relabelled,
     structure_by_definition,
     structure_of,
     validate_rows,
     zn_comaximal,
     zn_unit,
 )
-from test_acceptance import PRODUCT_BASES
+from test_acceptance import PRODUCT_BASES, STRUCTURE_CLAIMS, corpus_specs
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -349,3 +352,41 @@ class TestComaximalGraphProperties:
         for i, key in enumerate(keys):
             if key in radical:
                 assert g.rows[i] == 0
+
+
+@lru_cache(maxsize=1)
+def small_corpus() -> tuple[str, ...]:
+    """The acceptance corpus rings of at most 256 elements."""
+    return tuple(text for text in corpus_specs() if ring_from_text(text).size <= 256)
+
+
+def index_free_view(ring) -> list:
+    """What relabelling the elements cannot change: per selector graph the class sizes, edge
+    count and diameter, omega and chi of the full and core graphs, and the structure claims'
+    outcomes and skip reasons."""
+    view = []
+    for selector in ("full", "units", "nonunits", "core"):
+        g = build_comaximal_graph(ring, selector)
+        t = twin_classes(g)
+        sizes = sorted([len(c) for c in t.classes] + [1] * len(t.universal))
+        view.append((selector, sizes, g.edge_count, metrics(g).diameter))
+        if selector in ("full", "core"):
+            view.append((clique_number(g), chromatic_number(g)))
+    view.append([(r.claim, r.outcome, r.skip_reason) for r in verify_ring(ring, STRUCTURE_CLAIMS)])
+    return view
+
+
+@lru_cache(maxsize=None)
+def plain_view(text: str) -> list:
+    return index_free_view(ring_from_text(text))
+
+
+class TestRelabelledRings:
+    """A ring whose nonzero elements are permuted is the same ring: every index-free fact of its
+    class-built graphs and every structure claim must come out the same."""
+
+    @settings(max_examples=40)
+    @given(st.deferred(lambda: st.sampled_from(small_corpus())), st.integers(0, 2**32 - 1))
+    def test_class_path_ignores_element_order(self, text, seed):
+        copy = relabelled(ring_from_text(text), np.random.default_rng(seed))
+        assert index_free_view(copy) == plain_view(text)

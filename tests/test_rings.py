@@ -61,6 +61,12 @@ def _z6_with_wrong_sum() -> RingTable:
     return RingTable(6, 1, add, [[a * b % 6 for b in range(6)] for a in range(6)])
 
 
+# GF(4) = {0, 1, x, x + 1}: its multiplication table, and its addition with x + (x + 1) recorded as
+# 0 instead of 1.
+GF4_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+GF4_WRONG_ADD = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 0, 0]]
+
+
 class TestArithmetic:
     def test_z12_samples(self):
         r = zn(12)
@@ -766,11 +772,12 @@ def _dropping_first(real):
 
 
 def _corrupting_power(real):
-    """`_power` with 2**size replaced by 1: in Z/100, 2 then lies in no maximal ideal."""
+    """`_power` with 2**N replaced by 1, N the exponent of `_nth_powers`: in Z/100, 2 then lies
+    in no maximal ideal."""
 
     def corrupt(self, base, exponent):
         out = real(self, base, exponent)
-        if exponent == self.size:
+        if exponent == self.size.bit_length():
             out = out.copy()
             out[2] = self.one
         return out
@@ -901,6 +908,14 @@ class TestSelfChecks:
         out = python_O(plant, f"ring_from_text({text!r}).jacobson_radical")
         assert out.startswith("raised 1 "), out
         assert "radical is not an ideal" in out
+
+    def test_walk_revisit_rejects_an_inconsistent_sum(self):
+        # Every element of the wrong table is still its own negative, so its profiles and
+        # structure match GF(4)'s.  Both images h of x extend 1 -> 1 + h and meet x + (x + 1) only
+        # when the walk revisits 1: were that not checked, the search would hand a map to the
+        # final verification, which raises.
+        wrong = RingTable(4, 1, GF4_WRONG_ADD, GF4_MUL)
+        assert ring_isomorphic(ring_from_text("GF(4)"), wrong) is None
 
     def test_unverified_ring_isomorphism_raises(self):
         with pytest.raises(InternalConsistencyError) as err:
