@@ -37,6 +37,7 @@ from .errors import (
 )
 from .graphs import (
     SimpleGraph,
+    _first_difference,
     build_comaximal_graph,
     chromatic_number,
     clique_number,
@@ -237,14 +238,6 @@ def _check_radical_isolated(a: RingAnalysis):
     return _passed({"radical_size": len(radical), "isolated": isolated})
 
 
-def _element_adjacency(g: SimpleGraph, size: int) -> np.ndarray:
-    """`g.adjacency()` placed on ring elements: entry [x, y] for elements x, y."""
-    keys = np.asarray(g.vertex_keys, dtype=np.int64)
-    out = np.zeros((size, size), dtype=bool)
-    out[np.ix_(keys, keys)] = g.adjacency()
-    return out
-
-
 def _audit_join(witness: dict, ring: RingTable) -> bool:
     x, y = witness["edge"]
     full_has = x != y and ring.is_comaximal_via_closure(x, y)
@@ -257,12 +250,12 @@ def _audit_join(witness: dict, ring: RingTable) -> bool:
 )
 def _check_join(a: RingAnalysis):
     full = a.graph("full")
-    full_adj = _element_adjacency(full, a.ring.size)
-    joined = _element_adjacency(join(a.graph("units"), a.graph("nonunits")), a.ring.size)
-    diff = np.flatnonzero(np.triu(full_adj != joined, 1))
-    if len(diff):
-        x, y = divmod(int(diff[0]), a.ring.size)
-        return _failed({"edge": [x, y], "in_full": bool(full_adj[x, y])})
+    joined = join(a.graph("units"), a.graph("nonunits"))
+    # Both graphs read on ring elements: the vertex of element x is at position x.
+    diff = _first_difference(full, joined, *(np.argsort(g.vertex_keys) for g in (full, joined)))
+    if diff is not None:
+        x, y, in_full = diff
+        return _failed({"edge": [x, y], "in_full": in_full})
     return _passed({"edges": full.edge_count})
 
 
@@ -559,17 +552,14 @@ def _check_quotient_graph(a: RingAnalysis):
     reps = a.radical_cosets[0].tolist()
     if [proj(r) for r in reps] != list(range(len(reps))):
         raise InternalConsistencyError("representative order must match quotient element order")
-    g = a.graph("full")
-    ring_adj = _unpack(g.packed[reps], g.n)[:, reps]
-    quot_adj = build_comaximal_graph(quotient, "full").adjacency()
-    diff = np.flatnonzero(np.triu(ring_adj != quot_adj, 1))
-    if len(diff):
-        i, j = divmod(int(diff[0]), len(reps))
+    diff = _first_difference(a.graph("full"), build_comaximal_graph(quotient, "full"), reps)
+    if diff is not None:
+        i, j, ring_adjacent = diff
         return _failed(
             {
                 "rep_pair": [reps[i], reps[j]],
-                "ring_adjacent": bool(ring_adj[i, j]),
-                "quotient_adjacent": bool(quot_adj[i, j]),
+                "ring_adjacent": ring_adjacent,
+                "quotient_adjacent": not ring_adjacent,
             }
         )
     return _passed({"quotient_size": quotient.size})

@@ -5,29 +5,28 @@ in a fixed order; comaximal graphs remember which ring element each vertex
 came from in `vertex_keys`.
 
 Every graph is kept as its classes of equal rows, numbered by first member,
-and its class quotient.  Write c(i) for the class of vertex i, r_a for the
-row of class a, and Q for the quotient, Q[a][b] = bit b_0 of r_a with b_0
-the first member of class b, packed in the layout of `rings._pack`.  The
-adjacency matrix A is symmetric exactly when every class row is constant on
-every class and Q is symmetric: then A[i][j] = Q[c(i)][c(j)] = Q[c(j)][c(i)]
-= A[j][i]; conversely, for i in class a, r_a[j] = A[i][j] = A[j][i] =
-r_c(j)[i], which is the same for every j of one class.  So symmetry is
-checked on Q, in row blocks, and a loop, with every class row constant, is a
-diagonal bit of Q.  A twin-free graph is its own quotient.
+and its class quotient.  Write c(i) for the class of vertex i and Q for the
+quotient, Q[a][b] = A[a_0][b_0] for the first members a_0, b_0 of classes a
+and b, packed in the layout of `rings._pack`.  `SimpleGraph._from_classes`
+builds a graph from these alone, with A[i][j] = Q[c(i)][c(j)]: such rows are
+constant on every class, so A is symmetric when Q is, A[i][j] =
+Q[c(i)][c(j)] = Q[c(j)][c(i)] = A[j][i], and loop-free when Q has no
+diagonal bit.  So only Q is checked, in row blocks, and a defect there is an
+InternalConsistencyError.
 
 A comaximal graph's rows depend only on each element's maximal-ideal
 signature, and a unit's row lacks only the unit itself.  So
 `build_comaximal_graph` makes one class per nonunit signature and one per
 unit, and Q straight from the signatures: classes a != b are adjacent when
-their signatures share no maximal ideal.  Rows read off classes are constant
-on every class by construction, so only Q is checked, and a defect there is
-an InternalConsistencyError.  Such a graph makes `rows` and the read-only
-packed matrix `packed` (which every numpy reader reads, the n x n
-`adjacency()` among them) when first read; `edge_count`, `twin_classes` and
-`metrics` read only the classes and Q.  `SimpleGraph(n, rows)` groups the
-rows it is given into classes in one dict pass, checks that every class row
-is constant on every class, then checks Q, and raises ValueError; only a
-failed check loops over the rows, to word its message.
+their signatures share no maximal ideal.  `join` takes its inputs' classes
+and Q.  Such a graph makes `rows` and the read-only packed matrix `packed`
+(which every numpy reader reads, the n x n `adjacency()` among them) when
+first read; `edge_count`, `twin_classes` and `metrics` read only the classes
+and Q.  `SimpleGraph(n, rows)` packs the rows it is given, checks the whole
+matrix in row blocks and raises ValueError (only a failed check loops over
+the rows, to word its message), then groups equal rows in one dict pass and
+reads Q off the first members' rows.  `_first_difference` compares two
+graphs, each on a list of its vertices, in row blocks.
 
 The invariants read `twin_classes`, made from the classes and Q once per
 graph: the universal vertices U (adjacent to every other vertex; in a full
@@ -60,7 +59,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 from operator import mul, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -78,11 +76,10 @@ class SimpleGraph:
 
     Every graph is kept as its classes of equal rows: the class of each
     vertex, classes numbered by first member, and the packed class quotient
-    Q.  A is symmetric and loop-free exactly when Q is, given rows constant
-    on every class (the module docstring proves it).  `SimpleGraph(n, rows)`
-    groups and checks the rows it is given; `build_comaximal_graph` gives
-    the classes and Q directly, and then `rows` and `packed` are made when
-    first read.  Labels not given are made when first read too.
+    Q.  `SimpleGraph(n, rows)` checks the rows it is given, then groups them;
+    `build_comaximal_graph` and `join` give the classes and Q directly, and
+    then `rows` and `packed` are made when first read.  Labels not given are
+    made when first read too.
     """
 
     __slots__ = ("n", "vertex_keys", "_labels", "_class_of", "_quotient", "_rows", "_packed",
@@ -106,33 +103,20 @@ class SimpleGraph:
         vertex_keys = tuple(vertex_keys) if vertex_keys is not None else tuple(range(n))
         if len(vertex_keys) != n:
             raise ValueError("need one vertex key per vertex")
-        by_row: dict[int, list[int]] = {}
-        for v, row in enumerate(rows):
-            by_row.setdefault(row, []).append(v)
-        class_rows, classes = list(by_row), list(by_row.values())
-        k = len(classes)
         try:
-            class_packed = _pack(class_rows, n)
+            packed = _pack(rows, n)
         except OverflowError:  # a negative row, or one far past n
             raise ValueError(_row_defect(rows, n)) from None
-        if k == n:
-            packed = quotient = class_packed
-            class_of = np.arange(n)
-        else:
-            class_of = np.empty(n, dtype=np.intp)
-            members = np.fromiter(chain.from_iterable(classes), dtype=np.intp, count=n)
-            class_of[members] = np.repeat(np.arange(k), [len(c) for c in classes])
-            packed = class_packed[class_of]
-            packed.flags.writeable = False
-            quotient = _class_quotient(class_packed, n, classes, class_of)
-        # Bits past n sit in the last byte's spare bits; a loop, with every class row constant on
-        # every class, is a diagonal bit of the quotient.
-        spare = n & 7 and (class_packed[:, -1] >> (n & 7)).any()
-        if quotient is None or spare or _defect(quotient, k):
+        spare = n & 7 and (packed[:, -1] >> (n & 7)).any()  # bits past n, in the last byte
+        if spare or _defect(packed, n):
             # The per-row loop words loops and bits past n; A itself names the first one-way pair.
             message = _row_defect(rows, n)
             raise ValueError(message or "edge %d-%d is not symmetric" % _defect(packed, n))
-        self._adopt(n, vertex_keys, class_of, quotient)
+        number: dict[int, int] = {}  # each distinct row's class, numbered by first member
+        class_of = np.fromiter((number.setdefault(r, len(number)) for r in rows), np.intp, n)
+        reps = np.full(len(number), n)
+        np.minimum.at(reps, class_of, np.arange(n))  # each class's first member
+        self._adopt(n, vertex_keys, class_of, _pack(_induced_rows(packed, n, reps), len(reps)))
         self._rows, self._packed = rows, packed
 
     def _adopt(
@@ -290,22 +274,6 @@ def _row_defect(rows: list[int], n: int) -> str | None:
     return None
 
 
-def _class_quotient(
-    class_packed: np.ndarray, n: int, classes: list[list[int]], class_of: np.ndarray
-) -> np.ndarray | None:
-    """The packed k x k quotient of the k class rows over n vertices, read at each class's first
-    member, or None when some class row is not constant on some class."""
-    reps = np.array([c[0] for c in classes])
-    blocks = []
-    for part in _blocks(len(reps), n):
-        bits = _unpack(class_packed[part], n)
-        quotient = bits[:, reps]
-        if (bits != quotient[:, class_of]).any():
-            return None
-        blocks.append(np.packbits(quotient, axis=1, bitorder="little"))
-    return np.concatenate(blocks)
-
-
 def _defect(packed: np.ndarray, n: int) -> tuple[int, int] | None:
     """The first (i, j), row by row, with bit j of row i set and bit i of row j clear, or with
     i == j and bit i of row i set (a loop); None when the matrix is symmetric and loop-free.
@@ -322,6 +290,31 @@ def _defect(packed: np.ndarray, n: int) -> tuple[int, int] | None:
         if defects.any():
             i, j = divmod(int(defects.argmax()), n)
             return part.start + i, j
+    return None
+
+
+def _first_difference(
+    g: SimpleGraph, h: SimpleGraph, gv: Sequence[int] | None = None,
+    hv: Sequence[int] | None = None,
+) -> tuple[int, int, bool] | None:
+    """The first (i, j), row by row, where g induced on `gv` differs from h induced on `hv`, and
+    g's bit there; None when they are equal.  Both sides have as many vertices, and a side with
+    no vertex list is read in vertex order.
+
+    Both graphs are symmetric and loop-free, so the first difference has j > i.  Reads blocks of
+    rows of about _BLOCK entries."""
+    sides = [(x.packed, x.n, v if v is None else np.asarray(v, dtype=np.int64))
+             for x, v in ((g, gv), (h, hv))]
+    m = g.n if gv is None else len(gv)
+    for part in _blocks(m, max(g.n, h.n)):
+        g_bits, h_bits = (
+            _unpack(packed[part], n) if v is None else _unpack(packed[v[part]], n)[:, v]
+            for packed, n, v in sides
+        )
+        differ = g_bits != h_bits
+        if differ.any():
+            i, j = divmod(int(differ.argmax()), m)
+            return part.start + i, j, bool(g_bits[i, j])
     return None
 
 
@@ -407,8 +400,6 @@ def _signature_classes(sig: np.ndarray, all_ideals: int) -> tuple[np.ndarray, np
     per nonunit signature, and one per unit (signature 0)."""
     n = len(sig)
     vertex = np.arange(n)
-    if not sig.any():  # units alone: each vertex is a class
-        return vertex, sig
     first = np.full(all_ideals + 1, n)
     np.minimum.at(first, sig, vertex)
     head = first[sig]  # the first vertex with each vertex's signature
@@ -433,17 +424,31 @@ def _comaximal_quotient(class_sig: np.ndarray) -> np.ndarray:
 
 
 def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
-    """Disjoint union plus every edge between the two sides."""
-    left, right = (1 << g1.n) - 1, ((1 << g2.n) - 1) << g1.n
-    return _union(g1, g2, [r | right for r in g1.rows] + [r << g1.n | left for r in g2.rows])
+    """Disjoint union plus every edge between the two sides, on g1's vertices, then g2's.
+
+    Built from the classes: g1's, then g2's numbered on from g1's k1, with
+    the quotient [[Q1, 1], [1, Q2]], made in row blocks.  These are still the
+    classes of equal rows, since a vertex lacks itself but is adjacent to
+    every vertex of the other side.
+    """
+    q1, q2 = g1._quotient, g2._quotient
+    k1, k = len(q1), len(q1) + len(q2)
+    quotient = np.empty((k, (k + 7) // 8), dtype=np.uint8)
+    for q, start in ((q1, 0), (q2, k1)):
+        for part in _blocks(len(q), k):
+            block = _unpack(q[part], len(q))
+            bits = np.ones((len(block), k), dtype=bool)  # every class of the other side
+            bits[:, start : start + len(q)] = block
+            lo = start + part.start
+            quotient[lo : lo + len(block)] = np.packbits(bits, axis=1, bitorder="little")
+    class_of = np.concatenate([g1._class_of, g2._class_of + k1])
+    g = SimpleGraph._from_classes(class_of, quotient, g1.vertex_keys + g2.vertex_keys)
+    g._labels = lambda: g1.labels + g2.labels
+    return g
 
 
 def disjoint_union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
-    return _union(g1, g2, list(g1.rows) + [r << g1.n for r in g2.rows])
-
-
-def _union(g1: SimpleGraph, g2: SimpleGraph, rows: list[int]) -> SimpleGraph:
-    """The graph on g1's vertices, then g2's, with these rows."""
+    rows = list(g1.rows) + [r << g1.n for r in g2.rows]
     g = SimpleGraph(g1.n + g2.n, rows, vertex_keys=g1.vertex_keys + g2.vertex_keys)
     g._labels = lambda: g1.labels + g2.labels
     return g

@@ -13,8 +13,8 @@ classes are matched smallest refinement class first, then by colour and
 index, and a class's members are paired in ascending order.  The lift
 pairs the i-th universal vertex of G with the i-th of H, which is the
 whole map when the quotients are empty (complete graphs).
-`verify_isomorphism` checks the lifted mapping on the whole adjacency
-matrices, independently of the quotient and the search.
+`verify_isomorphism` checks the lifted mapping on every vertex pair, one row
+block at a time, independently of the quotient and the search.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, InternalConsistencyError
-from .graphs import SimpleGraph, twin_classes
+from .graphs import SimpleGraph, _first_difference, twin_classes
 from .limits import DEFAULT_CERTIFICATE_CAP, DEFAULT_GRAPH_ISO_CAP
-from .rings import _blocks, _iter_bits, _unpack
+from .rings import _iter_bits
 
 
 def _refine_rounds(
@@ -71,19 +71,13 @@ def refined_colors(g: SimpleGraph) -> tuple[int, ...]:
 def verify_isomorphism(g1: SimpleGraph, g2: SimpleGraph, mapping: tuple[int, ...]) -> bool:
     """Independent check that `mapping` (vertex v of g1 to mapping[v]) is an isomorphism.
 
-    g2's adjacency matrix, rows and columns permuted by the mapping, must
-    equal g1's; one block of about _BLOCK entries is unpacked at a time.
+    g2 induced on the mapping, its rows and columns permuted by it, must equal
+    g1, compared by `graphs._first_difference` in blocks of about _BLOCK entries.
     """
     n = g1.n
     if g2.n != n or len(mapping) != n or sorted(mapping) != list(range(n)):
         return False
-    perm = np.asarray(mapping, dtype=np.int64)
-    for block in _blocks(n, n):
-        rows1 = _unpack(g1.packed[block], n)
-        rows2 = _unpack(g2.packed[perm[block]], n)
-        if not np.array_equal(rows1, rows2[:, perm]):
-            return False
-    return True
+    return _first_difference(g1, g2, None, mapping) is None
 
 
 def are_isomorphic(

@@ -371,11 +371,12 @@ class RingTable:
     @cached_property
     def characteristic(self) -> int:
         succ = self.add_row(self.one).tolist()
-        k, x = 1, self.one
-        while x != 0:
+        x = self.one
+        for k in range(1, self.size + 1):  # k * 1 is 0 by k = n in a group of order n
+            if x == 0:
+                return k
             x = succ[x]
-            k += 1
-        return k
+        raise RingAxiomError("additive order", (self.one,))
 
     # -- ideals ------------------------------------------------------------
 
@@ -741,9 +742,13 @@ def _element_profiles(ring: RingTable) -> list[tuple[int, ...]]:
     idx = np.arange(n)
     order = np.ones(n, dtype=np.int64)
     multiple = idx
-    while (active := multiple != 0).any():
+    for _ in range(n):  # a walk that reaches 0 does so within n steps; past that it cycles
+        if not (active := multiple != 0).any():
+            break
         order += active
         multiple = np.where(active, ring.add_op(multiple, idx), 0)
+    if multiple.any():
+        raise RingAxiomError("additive order", (int(np.flatnonzero(multiple)[0]),))
     ann = np.concatenate([(ring.mul_op(a, idx) == 0).sum(axis=1) for a in ring._row_blocks(idx)])
     flags = np.zeros((3, n), dtype=np.int64)
     flags[0] = ring.unit_flags

@@ -13,6 +13,7 @@ from comaximal import (
     CapacityError,
     Caps,
     RingAnalysis,
+    SimpleGraph,
     build_comaximal_graph,
     claim_catalog,
     corpus_family,
@@ -249,6 +250,20 @@ class TestSingleClaims:
         ]
         assert peak < 4_000_000
 
+    def test_join_reads_the_graphs_in_blocks(self):
+        # Z/2 x Z/2048's graphs have 4,096 vertices: a dense matrix on them takes 16.8 MB.
+        a = RingAnalysis(ring_from_text("Z/2 x Z/2048"), text="Z/2 x Z/2048")
+        for selector in ("full", "units", "nonunits"):
+            a.graph(selector).packed  # the graphs' packed rows are made when first read
+        tracemalloc.start()
+        try:
+            (report,) = verify_ring(a, ["JOIN"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.outcome, report.witness) == ("pass", {"edges": 4_718_080})
+        assert peak < 8_000_000
+
     def test_capacity_becomes_skip(self):
         caps = Caps(max_exact_vertices=2)
         reports = verify_ring(ring_from_text("Z/30"), ["P2.3"], caps=caps)
@@ -302,6 +317,24 @@ class TestStructureFromKernel:
         assert [r.claim for r in reports] == STRUCTURE_CLAIMS
         assert all(r.outcome != "fail" for r in reports)
         assert calls == []
+
+
+def test_claims_build_no_graph_from_rows(monkeypatch):
+    """Claims read graphs built from their classes; none goes through `SimpleGraph(n, rows)`."""
+    calls = []
+    build = SimpleGraph.__init__
+
+    def counted(self, n, *args, **kwargs):
+        calls.append(n)
+        build(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(SimpleGraph, "__init__", counted)
+    report = sweep(["Z/12", "Z/8 x Z/9", "GF(16)"], STRUCTURE_CLAIMS)
+    assert {e["outcome"] for e in report["entries"]} == {"pass", "skip"}
+    reports = verify_pair(ring_from_text("Z/30"), ring_from_text("Z/2 x Z/3 x Z/5"))
+    assert [r.outcome for r in reports] == ["pass", "pass"]
+    assert reports[1].witness["graphs_isomorphic"]
+    assert calls == []
 
 
 class TestPairClaims:

@@ -137,7 +137,7 @@ class TestSimpleGraph:
     @pytest.mark.parametrize("case", TWIN_HEAVY)
     def test_asymmetry_found_in_twin_classes(self, case):
         n, rows = self.twin_heavy(case)
-        assert len(set(rows)) <= 6  # a handful of classes, so the check reads the quotient
+        assert len(set(rows)) <= 6  # a handful of classes of equal rows
         expected = validate_rows(n, rows)
         assert expected is not None and expected.endswith("is not symmetric")
         with pytest.raises(ValueError) as exc:
@@ -145,8 +145,8 @@ class TestSimpleGraph:
         assert str(exc.value) == expected
 
     def test_loops_of_a_whole_class_found(self):
-        # Every vertex of part 0 has a loop and its part as neighbours: its class row is constant
-        # on every class and the quotient is symmetric, so only the quotient's diagonal shows it.
+        # Every vertex of part 0 has a loop and its part as neighbours: the rows of part 0 stay
+        # equal and symmetric, so only the diagonal shows the defect.
         n, rows = self.twin_heavy("none")
         rows = [row | ((1 << 200) - 1) if i < 200 else row for i, row in enumerate(rows)]
         assert len(set(rows)) == 3 and validate_rows(n, rows) == "vertex 0 has a loop"

@@ -19,6 +19,7 @@ from comaximal import (
     chromatic_number,
     clique_number,
     format_expression,
+    join,
     max_clique,
     metrics,
     multipartite_structure,
@@ -322,6 +323,47 @@ class TestGraphProperties:
         same_cert = canonical_certificate(ga) == canonical_certificate(gb)
         verdict = are_isomorphic(ga, gb)
         assert same_cert == (verdict is not None)
+
+
+def joined_by_rows(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
+    """`join` by its row formula, through `SimpleGraph(n, rows)`."""
+    left, right = (1 << g1.n) - 1, ((1 << g2.n) - 1) << g1.n
+    rows = [r | right for r in g1.rows] + [r << g1.n | left for r in g2.rows]
+    return SimpleGraph(
+        g1.n + g2.n, rows, g1.labels + g2.labels, g1.vertex_keys + g2.vertex_keys
+    )
+
+
+def graph_view(g: SimpleGraph) -> tuple:
+    """What a graph keeps and makes: its rows, packed rows, classes and quotient, twin
+    quotient, edge count, labels and vertex keys."""
+    return (
+        g.rows, g.packed.shape, g.packed.tobytes(), g._class_of.tolist(), g._quotient.shape,
+        g._quotient.tobytes(), twin_classes(g), g.edge_count, g.labels, g.vertex_keys,
+    )
+
+
+join_inputs = st.one_of(
+    st.just(0).map(SimpleGraph.edgeless),
+    st.integers(1, 9).map(SimpleGraph.edgeless),
+    random_graph_strategy(9).map(lambda spec: SimpleGraph.from_edges(spec[0], sorted(spec[1]))),
+    planted_twin_graphs(max_n=9),
+)
+
+
+class TestJoinFromClasses:
+    """`join` builds from its inputs' classes; it must equal the graph its row formula gives."""
+
+    @settings(max_examples=300)
+    @given(join_inputs, join_inputs)
+    def test_matches_the_row_formula(self, g1, g2):
+        assert graph_view(join(g1, g2)) == graph_view(joined_by_rows(g1, g2))
+
+    def test_matches_the_row_formula_on_corpus_rings(self):
+        for text in corpus_specs():
+            ring = ring_from_text(text)
+            units, nonunits = (build_comaximal_graph(ring, s) for s in ("units", "nonunits"))
+            assert graph_view(join(units, nonunits)) == graph_view(joined_by_rows(units, nonunits))
 
 
 class TestComaximalGraphProperties:

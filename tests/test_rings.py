@@ -39,6 +39,7 @@ from oracles import (
     zn_comaximal,
     zn_unit,
 )
+from conftest import run_python
 from test_acceptance import corpus_specs
 
 
@@ -916,6 +917,31 @@ class TestSelfChecks:
         # final verification, which raises.
         wrong = RingTable(4, 1, GF4_WRONG_ADD, GF4_MUL)
         assert ring_isomorphic(ring_from_text("GF(4)"), wrong) is None
+
+    @pytest.mark.parametrize(
+        "a, total, expression",
+        [
+            (2, 3, "ring_isomorphic(ring_from_text('GF(4)'), table)"),  # x + x = x + 1
+            (1, 1, "table.characteristic"),  # 1 + 1 = 1
+        ],
+    )
+    def test_multiples_that_miss_zero_raise(self, a, total, expression):
+        # GF(4)'s tables with one wrong sum a + a: the multiples of a then cycle without reaching
+        # 0.  A fresh interpreter with a timeout runs it, so that a walk that never ends fails.
+        add = [[x ^ y for y in range(4)] for x in range(4)]
+        add[a][a] = total
+        script = (
+            "from comaximal import RingAxiomError, ring_from_text, ring_isomorphic\n"
+            "from comaximal.rings import RingTable\n"
+            f"table = RingTable(4, 1, {add}, {GF4_MUL})\n"
+            "try:\n"
+            f"    {expression}\n"
+            "except RingAxiomError as exc:\n"
+            "    print(exc.law, exc.witness)\n"
+        )
+        result = run_python("-c", script, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"additive order ({a},)\n"
 
     def test_unverified_ring_isomorphism_raises(self):
         with pytest.raises(InternalConsistencyError) as err:
