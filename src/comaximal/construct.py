@@ -357,7 +357,10 @@ def _zn_ring(n: int, max_size: int) -> RingTable:
     if n < 2:
         raise ValueError("modulus must be at least 2")
     _check_size(n, 1, max_size)
-    return RingTable(n, 1, lambda a, b: (a + b) % n, lambda a, b: (a * b) % n, name=f"Z/{n}")
+    def law(ufunc):  # modular at every size, in intp: a + b or a * b may overflow the inputs' type
+        return lambda a, b: ufunc(a, b, dtype=np.intp) % n
+
+    return RingTable(n, 1, law(np.add), law(np.multiply), name=f"Z/{n}", _ops=True)
 
 
 def _digit_ring(p: int, d: int, one: int, mul, names: Sequence[str], name: str) -> RingTable:
@@ -383,14 +386,9 @@ def _digit_ring(p: int, d: int, one: int, mul, names: Sequence[str], name: str) 
         digit_sums %= p  # in place, saving an allocation of the whole block
         return digit_sums @ weights
 
-    return RingTable(
-        n,
-        one,
-        lambda a, b: ((digits[a] + digits[b]) % p) @ weights,
-        multiply,
-        labels=[_terms_str(row, names) for row in digits[:, ::-1].tolist()],
-        name=name,
-    )
+    ring = RingTable(n, one, lambda a, b: ((digits[a] + digits[b]) % p) @ weights, multiply, name=name)
+    ring._make_labels = lambda: (_terms_str(row, names) for row in digits[:, ::-1].tolist())
+    return ring
 
 
 def _polyquot_ring(p: int, coeffs: tuple[int, ...], max_size: int) -> RingTable:

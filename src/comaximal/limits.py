@@ -21,8 +21,10 @@ DEFAULT_GRAPH_ISO_CAP = 2000
 # Largest vertex count for canonical certificates.
 DEFAULT_CERTIFICATE_CAP = 64
 
-# Up to this ring size an elementwise ring law is evaluated once into a
-# full Cayley table; larger rings call the elementwise function itself.
+# Up to this ring size a composite ring law (digit ring, product, quotient,
+# component) is evaluated once into a flat Cayley table, as a lookup beats
+# evaluating it; larger rings call the elementwise function itself.  Z/n
+# keeps its modular ops at every size: they cost what a lookup costs.
 TABLE_LIMIT = 256
 
 # Up to this ring size, maximal-ideal enumeration re-derives the answer

@@ -2,10 +2,14 @@
 
 Elements of a ring of size n are the dense indices 0..n-1 with index 0
 always the additive identity.  Each ring law is one elementwise operation
-over index arrays: a Cayley-table lookup for rings up to `TABLE_LIMIT`
-elements, the construction's own broadcasting function above it.
-Scalars, rows and whole-ring scans (in row blocks, so memory stays
-linear in n) are all read from that one operation.
+over index arrays.  Z/n computes with its own modular arithmetic at every
+size: on arrays of length n that costs what a lookup costs, and it needs no
+n x n table.  Composite laws (digit rings, products, quotients, components)
+are a flat Cayley-table lookup up to `TABLE_LIMIT` elements, where a lookup
+beats evaluating the law, and the construction's own broadcasting function
+above it; a table given as such is always kept.  Scalars, rows and
+whole-ring scans (in row blocks, so memory stays linear in n) are all read
+from that one operation.
 
 The ring structure is read from one array, a**N for every a, with N the
 bit length of the size (`_nth_powers` proves N enough).  A finite ring is
@@ -178,9 +182,12 @@ class RingTable:
     row-major of length size*size, or size x size), or an elementwise
     function f(A, B) over integer index arrays that broadcasts like a
     numpy operator.  Up to TABLE_LIMIT elements a function is evaluated
-    once, as f(idx[:, None], idx), into a table.  Either way the law ends
-    up as one elementwise operation, `add_op` / `mul_op`, and scalars
-    (int(f(a, b))), rows (f(a, idx)) and whole-ring scans all read it.
+    once, as f(idx[:, None], idx), into a table, unless the private
+    `_ops` flag keeps it as given (Z/n's modular ops).  A table is kept
+    flat in its smallest index type and read by one gather at the intp
+    index a * size + b.  Either way the law ends up as one elementwise
+    operation, `add_op` / `mul_op`, and scalars (int(f(a, b))), rows
+    (f(a, idx)) and whole-ring scans all read it.
     """
 
     def __init__(
@@ -192,6 +199,7 @@ class RingTable:
         *,
         labels: Sequence[str] | None = None,
         name: str | None = None,
+        _ops: bool = False,
     ):
         if size < 2:
             raise ValueError("ring must have at least two elements")
@@ -210,36 +218,37 @@ class RingTable:
             self.labels = tuple(str(x) for x in labels)
 
         self._idx = np.arange(size)
-        self.add_op: Op = self._elementwise(add, "add")
-        self.mul_op: Op = self._elementwise(mul, "mul")
+        tabulate = not _ops and size <= TABLE_LIMIT
+        self.add_op: Op = self._elementwise(add, "add", tabulate)
+        self.mul_op: Op = self._elementwise(mul, "mul", tabulate)
 
-    def _elementwise(self, law, which: str) -> Op:
+    def _elementwise(self, law, which: str, tabulate: bool) -> Op:
         if callable(law):
-            if self.size > TABLE_LIMIT:
+            if not tabulate:
                 return law
             law = law(self._idx[:, None], self._idx)
+        n = self.size
         arr = np.asarray(law)
         if arr.dtype.kind not in "biu":
             if not all(float(x).is_integer() for x in arr.flat):  # NaN and infinities fail too
                 raise ValueError(f"{which} table entries must be integers")
             arr = arr.astype(np.int64)
-        if arr.shape == (self.size * self.size,):
-            arr = arr.reshape(self.size, self.size)
-        elif arr.shape != (self.size, self.size):
+        if arr.shape not in ((n * n,), (n, n)):
             raise ValueError(f"{which} table must hold size*size entries")
-        if arr.min() < 0 or arr.max() >= self.size:
+        if arr.min() < 0 or arr.max() >= n:
             raise ValueError(f"{which} table entry out of range")
-        table = np.ascontiguousarray(arr, dtype=np.min_scalar_type(self.size - 1))
-        table.setflags(write=False)
-        return lambda a, b: table[a, b]
+        flat = arr.astype(np.min_scalar_type(n - 1)).ravel()
+        flat.setflags(write=False)
+        # The flat index in intp: a * n in the inputs' own type may wrap or overflow.
+        return lambda a, b: flat.take(np.multiply(a, n, dtype=np.intp) + b)
 
-    # Makes the labels when none were given: set by `direct_product` and `_image`.
+    # Makes the labels when none were given: set by `direct_product`, `_image` and the digit rings.
     _make_labels: Callable[[], Iterable[str]] | None = None
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        """One label per element: those given, or else made when first read, from the factors'
-        or the parent ring's labels, or else the indices."""
+        """One label per element: those given, or else made when first read, from the digits,
+        the factors' or the parent ring's labels, or else the indices."""
         make = self._make_labels
         return tuple(make()) if make is not None else tuple(map(str, range(self.size)))
 

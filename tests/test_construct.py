@@ -1,6 +1,7 @@
 """Expression language and table file tests."""
 
 import json
+import pickle
 import time
 import tracemalloc
 
@@ -16,6 +17,7 @@ from comaximal import (
     SqzExpr,
     TableFormatError,
     ZnExpr,
+    build_comaximal_graph,
     build_ring,
     expression_size,
     format_expression,
@@ -141,6 +143,31 @@ class TestBuilders:
         assert gf4.unit_count == 3
         assert gf4.labels[:2] == ("0", "1")
         assert set(gf4.labels) == {"0", "1", "x", "x+1"}
+
+    @pytest.mark.parametrize(
+        "text, labels",
+        [
+            ("GF(4)", ("0", "1", "x", "x+1")),
+            ("SQZ(2,2)", ("0", "y", "x", "x+y", "1", "1+y", "1+x", "1+x+y")),
+            ("Z/3[x]/(x^2)", ("0", "1", "2", "x", "x+1", "x+2", "2x", "2x+1", "2x+2")),
+        ],
+    )
+    def test_digit_ring_labels_made_when_read(self, text, labels):
+        ring = ring_from_text(text)
+        assert "labels" not in vars(ring)
+        assert ring.labels == labels
+
+    def test_digit_ring_labels_above_table_limit(self):
+        labels = ring_from_text("GF(2^9)").labels
+        assert len(set(labels)) == len(labels) == 512
+        assert labels[:4] == ("0", "1", "x", "x+1")
+        assert labels[300] == "x^8+x^5+x^3+x^2"
+        assert labels[511] == "x^8+x^7+x^6+x^5+x^4+x^3+x^2+x+1"
+
+    def test_digit_ring_graph_pickles_with_labels(self):
+        g = build_comaximal_graph(ring_from_text("GF(4)"), "full")
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy.labels == g.labels == ("0", "1", "x", "x+1")
 
     def test_polyquot_nonfield(self):
         r = ring_from_text("Z/2[x]/(x^2)")

@@ -1,6 +1,7 @@
 """Ring kernel tests against hand-derived and brute-force values."""
 
 import time
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from itertools import combinations, combinations_with_replacement
@@ -382,22 +383,60 @@ class TestDirectProduct:
                 assert r.mul(a, b) == index([f.mul(x, y) for f, x, y in zip(factors, pa, pb)])
 
     def test_tables_use_smallest_index_type(self):
+        # Z/n keeps its modular ops; a product of TABLE_LIMIT elements keeps uint8 tables.
+        r = ring_from_text("Z/16 x Z/16")
         idx = np.arange(TABLE_LIMIT)
-        assert zn(TABLE_LIMIT).mul_op(idx[:, None], idx).dtype == np.uint8
+        assert r.size == TABLE_LIMIT
+        assert r.mul_op(idx[:, None], idx).dtype == np.uint8
         assert zn(16).add_op(3, 15) == 2
 
+    @pytest.mark.parametrize("text", ["Z/8 x Z/25", "Z/16 x Z/16", "Z/255", "Z/256", "Z/257"])
+    def test_ops_index_in_intp_whatever_the_input_type(self, text):
+        # A flat index a * n computed in uint8 wraps at n = 200 and raises OverflowError at
+        # n = 256 (NumPy 2); a * b in uint8 wraps for Z/n.  Every op must work in intp.
+        r = ring_from_text(text)
+        n = r.size
+        if " x " in text:
+            add, mul = r.add, r.mul
+        else:
+            add, mul = (lambda a, b: (a + b) % n), (lambda a, b: a * b % n)
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        expected_add = np.array([add(a, b) for a, b in pairs]).reshape(n, n)
+        expected_mul = np.array([mul(a, b) for a, b in pairs]).reshape(n, n)
+        for dtype in (np.uint8, np.uint16, np.int64):
+            top = min(n, int(np.iinfo(dtype).max) + 1)  # the elements this type holds
+            a, b = np.arange(top, dtype=dtype).repeat(top), np.tile(np.arange(top, dtype=dtype), top)
+            for op, expected in ((r.add_op, expected_add), (r.mul_op, expected_mul)):
+                assert np.array_equal(op(a, b), expected[:top, :top].ravel()), dtype
+                rows = np.arange(top - 4, top, dtype=dtype)[:, None]  # (k, 1) x (n,)
+                assert np.array_equal(op(rows, b[:top]), expected[top - 4 : top, :top]), dtype
+        for a, b in ((n - 1, n - 1), (n - 1, 0), (n // 2, n - 3)):
+            assert int(r.add_op(a, b)) == add(a, b) and int(r.mul_op(a, b)) == mul(a, b)
+
+    def test_zn_builds_no_table(self):
+        # Evaluating both laws into n x n tables would peak above 1 MB.
+        tracemalloc.start()
+        try:
+            ring_from_text("Z/256")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_table_factors_above_table_limit(self):
-        # 512 elements from two uint8-table factors: the mixed-radix index
-        # x * 32 + y overflows uint8 unless each digit is widened first.
-        r = ring_from_text("Z/16 x Z/32")
-        assert r.size == 512 > TABLE_LIMIT
+        # 512 elements from two uint8-table factors (digit rings; Z/n keeps no table): the
+        # mixed-radix index x * 32 + y overflows uint8 unless each digit is widened first.
         idx = np.arange(512)
         x, y = idx // 32, idx % 32
         a, b = idx[:, None], idx
-        expected_add = (x[a] + x[b]) % 16 * 32 + (y[a] + y[b]) % 32
-        expected_mul = (x[a] * x[b]) % 16 * 32 + (y[a] * y[b]) % 32
-        assert np.array_equal(r.add_op(a, b), expected_add)
-        assert np.array_equal(r.mul_op(a, b), expected_mul)
+        for text in ("Z/2[x]/(x^4) x GF(32)", "Z/16 x Z/32"):
+            r = ring_from_text(text)
+            assert r.size == 512 > TABLE_LIMIT
+            f, g = (ring_from_text(t) for t in text.split(" x "))
+            for op, law in ((r.add_op, "add"), (r.mul_op, "mul")):
+                ft = np.array([[getattr(f, law)(i, j) for j in range(16)] for i in range(16)])
+                gt = np.array([[getattr(g, law)(i, j) for j in range(32)] for i in range(32)])
+                assert np.array_equal(op(a, b), ft[x[a], x[b]] * 32 + gt[y[a], y[b]]), text
 
 
 class TestClean:
@@ -562,9 +601,10 @@ def _component(text: str, e: int) -> RingTable:
     return ring_from_text(text).idempotent_component(e)
 
 
-# One ring of each construction on each side of TABLE_LIMIT: the small ones
-# read their laws from a materialised table, the large ones call the
-# construction's elementwise functions directly.
+# One ring of each construction on each side of TABLE_LIMIT: the small
+# composite ones read their laws from a materialised table, the large ones
+# call the construction's elementwise functions directly.  Z/n computes with
+# its modular ops at every size, so Z/12 and Z/300 read no table.
 DERIVED_CASES = {
     "Z/12": (lambda: zn(12), 12),
     "Z/300": (lambda: zn(300), 300),
