@@ -1,20 +1,21 @@
 """Graph isomorphism testing and canonical certificates.
 
-Both routines start from colour refinement (degree classes refined by
-neighbour colour multisets until stable).  The refinement assigns
-canonical colour ids from globally sorted keys, so the ids are
-comparable across graphs.
+Both routines read one reduction, `graphs.twin_classes`: the universal
+vertices U and the twin quotient of G - U, whose classes are the maximal
+sets of equal rows.  G is K_U joined with G - U, so G and H are isomorphic
+exactly when |U_G| = |U_H| and their quotients are isomorphic by a map that
+keeps class sizes.  Colour refinement (seeded with the class sizes, then
+split by neighbour colour multisets until stable) assigns canonical colour
+ids from globally sorted keys, so the ids are comparable across graphs.
 
-`are_isomorphic` reads `graphs.twin_classes`: the universal vertices U
-and the twin quotient of G - U.  G is K_U joined with G - U, so G and H are
-isomorphic exactly when |U_G| = |U_H| and their quotients are isomorphic
-by a map that keeps class sizes.  The search runs on the quotients only:
-classes are matched smallest refinement class first, then by colour and
-index, and a class's members are paired in ascending order.  The lift
-pairs the i-th universal vertex of G with the i-th of H, which is the
-whole map when the quotients are empty (complete graphs).
-`verify_isomorphism` checks the lifted mapping on every vertex pair, one row
-block at a time, independently of the quotient and the search.
+`are_isomorphic` matches the quotients' classes smallest refinement class
+first, then by colour and index, on one stack of candidate iterators, and
+pairs a class's members in ascending order and the i-th universal vertex of
+G with the i-th of H.  `verify_isomorphism` checks the lifted mapping on
+every vertex pair, one row block at a time, independently of the quotient
+and the search.  `canonical_certificate` orders the quotient's classes by
+branch and bound; its vertex order is U first, then each class's members
+together, classes in the best order found.
 """
 
 from __future__ import annotations
@@ -60,12 +61,17 @@ def _refine_rounds(
         ]
 
 
-def refined_colors(g: SimpleGraph) -> tuple[int, ...]:
-    """Stable vertex colours, canonical across isomorphic graphs."""
-    result = _refine_rounds([g.rows])
+def _colours(rows: list[int], seeds: list[int] | None = None) -> list[int]:
+    """Stable colours of one graph's rows, canonical across isomorphic graphs."""
+    result = _refine_rounds([rows], None if seeds is None else [seeds])
     if result is None:
         raise InternalConsistencyError("refining a single graph cannot split its histogram")
-    return tuple(result[0])
+    return result[0]
+
+
+def refined_colors(g: SimpleGraph) -> tuple[int, ...]:
+    """Stable vertex colours, canonical across isomorphic graphs."""
+    return tuple(_colours(g.rows))
 
 
 def verify_isomorphism(g1: SimpleGraph, g2: SimpleGraph, mapping: tuple[int, ...]) -> bool:
@@ -104,11 +110,9 @@ def are_isomorphic(
     members2, universal2, rows2 = twin_classes(g2)
     if len(universal1) != len(universal2):
         return None
-    weights1, weights2 = [len(c) for c in members1], [len(c) for c in members2]
-    k = len(rows1)
-    if len(rows2) != k or sorted(weights1) != sorted(weights2):
-        return None
-    refined = _refine_rounds([rows1, rows2], seeds=[weights1, weights2])
+    # Seeded with the class sizes, the first histograms already compare class counts and sizes.
+    sizes = [[len(c) for c in members1], [len(c) for c in members2]]
+    refined = _refine_rounds([rows1, rows2], seeds=sizes)
     if refined is None:
         return None
     col1, col2 = refined
@@ -117,16 +121,14 @@ def are_isomorphic(
     for w, c in enumerate(col2):
         by_colour2.setdefault(c, []).append(w)
     class_size = Counter(col1)
+    k = len(rows1)
     order = sorted(range(k), key=lambda v: (class_size[col1[v]], col1[v], v))
 
     fwd = [-1] * k
-    rev = [-1] * k
     mapped1 = mapped2 = 0
-    iters: list[Iterator[int] | None] = [None] * k
-    chosen = [-1] * k
 
-    def make_iter(depth: int) -> Iterator[int]:
-        v = order[depth]
+    def candidates(v: int) -> Iterator[int]:
+        """The unused classes of v's colour that meet the mapped classes as v's image must."""
         needed = 0
         for u in _iter_bits(rows1[v] & mapped1):
             needed |= 1 << fwd[u]
@@ -134,128 +136,107 @@ def are_isomorphic(
             [
                 w
                 for w in by_colour2.get(col1[v], ())
-                if rev[w] == -1 and rows2[w] & mapped2 == needed
+                if not mapped2 >> w & 1 and rows2[w] & mapped2 == needed
             ]
         )
 
-    def lift() -> tuple[int, ...]:
-        """The verified mapping: U paired in order, each class's members paired with its image's."""
-        mapping = [-1] * n
-        for a, b in zip(universal1, universal2):
-            mapping[a] = b
-        for ci, cw in enumerate(fwd):
-            for a, b in zip(members1[ci], members2[cw]):
-                mapping[a] = b
-        witness = tuple(mapping)
-        if not verify_isomorphism(g1, g2, witness):
-            raise InternalConsistencyError("search returned a bad witness")
-        return witness
+    # One candidate iterator per mapped level, for class order[level].
+    stack: list[Iterator[int]] = []
+    while len(stack) < k:
+        stack.append(candidates(order[len(stack)]))
+        while stack:
+            v = order[len(stack) - 1]
+            w = fwd[v]
+            if w != -1:  # take back v's current image before trying its next
+                fwd[v] = -1
+                mapped1 ^= 1 << v
+                mapped2 ^= 1 << w
+            w = next(stack[-1], -1)
+            if w != -1:
+                fwd[v] = w
+                mapped1 |= 1 << v
+                mapped2 |= 1 << w
+                break
+            stack.pop()
+        else:
+            return None
 
-    if k == 0:
-        return lift()
-    depth = 0
-    iters[0] = make_iter(0)
-    while depth >= 0:
-        v = order[depth]
-        w = next(iters[depth], -1)
-        if w == -1:
-            iters[depth] = None
-            depth -= 1
-            if depth >= 0:
-                pv, pw = order[depth], chosen[depth]
-                fwd[pv] = -1
-                rev[pw] = -1
-                mapped1 &= ~(1 << pv)
-                mapped2 &= ~(1 << pw)
-            continue
-        fwd[v] = w
-        rev[w] = v
-        mapped1 |= 1 << v
-        mapped2 |= 1 << w
-        chosen[depth] = w
-        if depth + 1 == k:
-            return lift()
-        depth += 1
-        iters[depth] = make_iter(depth)
-    return None
+    # The lift pairs U in order, and each class's members with its image's.
+    mapping = [-1] * n
+    for a, b in zip(universal1, universal2):
+        mapping[a] = b
+    for ci, cw in enumerate(fwd):
+        for a, b in zip(members1[ci], members2[cw]):
+            mapping[a] = b
+    witness = tuple(mapping)
+    if not verify_isomorphism(g1, g2, witness):
+        raise InternalConsistencyError("search returned a bad witness")
+    return witness
 
 
 def canonical_certificate(g: SimpleGraph, cap: int = DEFAULT_CERTIFICATE_CAP) -> bytes:
     """A bytes string equal for exactly the isomorphic graphs.
 
-    Branch-and-bound maximisation of the adjacency bit string over all
-    permutations that respect the refinement classes; the classes are
-    isomorphism-invariant, so the maximum is too.
+    Branch and bound maximises the quotient's adjacency patterns over the
+    orders of the twin classes of G - U that list the refinement colours
+    (seeded with the class sizes) in ascending order; the colours are
+    isomorphism-invariant, so the maximum is too.  The certificate is G's
+    adjacency with U first, then each class's members together, classes in
+    the best order: "CG", n in two bytes, then the packed upper triangle.
+    Its values may change between versions of this package.
     """
     n = g.n
     if n > cap:
         raise CapacityError(f"certificates capped at {cap} vertices (graph has {n})")
-    if n == 0:
-        return b"CG\x00\x00"
-    colours = refined_colors(g)
+    members, universal, rows = twin_classes(g)
+    colours = _colours(rows, [len(c) for c in members])
     by_colour: dict[int, list[int]] = {}
     for v, c in enumerate(colours):
         by_colour.setdefault(c, []).append(v)
-    target_class: list[int] = []
-    for c in sorted(by_colour):
-        target_class.extend([c] * len(by_colour[c]))
+    target = sorted(colours)
 
-    rows = g.rows
-    used = [False] * n
+    k = len(rows)
     placed: list[int] = []
     placed_mask = 0
-    patterns: list[int] = []
-    best_patterns: list[int] | None = None
-    best_perm: list[int] | None = None
+    patterns: list[int] = []  # bit i of patterns[pos]: placed[pos] is adjacent to placed[i]
+    best_patterns: list[int] = []
+    best_order: list[int] = []
 
-    def rec(pos: int, better: bool) -> None:
-        nonlocal best_patterns, best_perm, placed_mask
-        if pos == n:
-            if best_patterns is None or patterns > best_patterns:
-                best_patterns = patterns.copy()
-                best_perm = placed.copy()
+    def rec(pos: int) -> None:
+        nonlocal best_patterns, best_order, placed_mask
+        if pos == k:
+            if patterns > best_patterns:
+                best_patterns, best_order = patterns.copy(), placed.copy()
             return
-        # Candidates are interchangeable only when a swap provably preserves
-        # every completion: equal adjacency to the placed prefix plus equal
-        # open rows (false twins) or equal closed rows (true twins) on the
-        # unplaced remainder.
+        # The quotient has no false twins.  Two candidates of one colour (so one
+        # size) that meet the placed prefix alike and have equal closed rows on
+        # the rest are true twins; swapping them keeps every completion.
         future = ~placed_mask
-        reps: list[tuple[int, int, int, int]] = []
-        for v in by_colour[target_class[pos]]:
-            if used[v]:
+        reps: list[tuple[int, int, int]] = []
+        for v in by_colour[target[pos]]:
+            if placed_mask >> v & 1:
                 continue
             pat = 0
             for i, u in enumerate(placed):
                 if rows[v] >> u & 1:
                     pat |= 1 << i
-            open_key = rows[v] & future
-            closed_key = open_key | (1 << v)
-            if any(
-                p == pat and (o == open_key or c == closed_key)
-                for p, o, c, _ in reps
-            ):
-                continue
-            reps.append((pat, open_key, closed_key, v))
+            closed = rows[v] & future | 1 << v
+            if not any(p == pat and c == closed for p, c, _ in reps):
+                reps.append((pat, closed, v))
         reps.sort(key=lambda t: -t[0])
-        for pat, _, _, v in reps:
-            branch_better = better
-            if not better and best_patterns is not None:
-                if pat < best_patterns[pos]:
-                    break
-                branch_better = pat > best_patterns[pos]
-            used[v] = True
+        for pat, _, v in reps:
+            if patterns + [pat] < best_patterns[: pos + 1]:
+                break  # so is every later candidate
+            patterns.append(pat)
             placed.append(v)
             placed_mask |= 1 << v
-            patterns.append(pat)
-            rec(pos + 1, branch_better)
-            patterns.pop()
-            placed_mask &= ~(1 << v)
+            rec(pos + 1)
+            placed_mask ^= 1 << v
             placed.pop()
-            used[v] = False
+            patterns.pop()
 
-    rec(0, False)
-    if best_perm is None:
-        raise InternalConsistencyError("canonical search placed no permutation")
+    rec(0)
+    perm = universal + [u for c in best_order for u in members[c]]
     # The upper triangle of the permuted adjacency, row by row, 8 bits to a byte, low bit first.
-    bits = g.adjacency()[np.ix_(best_perm, best_perm)][np.triu_indices(n, 1)]
+    bits = g.adjacency()[np.ix_(perm, perm)][np.triu_indices(n, 1)]
     return b"CG" + n.to_bytes(2, "big") + np.packbits(bits, bitorder="little").tobytes()

@@ -1,7 +1,11 @@
 """Graph isomorphism and canonical certificate tests."""
 
+import hashlib
 import itertools
+import json
 import random
+from collections import defaultdict
+from functools import lru_cache
 
 import pytest
 
@@ -13,13 +17,17 @@ from comaximal import (
     build_comaximal_graph,
     canonical_certificate,
     disjoint_union,
+    expression_size,
     join,
+    parse_expression,
     refined_colors,
     ring_from_text,
     verify_isomorphism,
 )
 
+from conftest import run_python
 from oracles import brute_isomorphic
+from test_acceptance import corpus_specs
 
 
 def graph_of(text: str, selector: str = "full") -> SimpleGraph:
@@ -32,6 +40,38 @@ def shuffled(g: SimpleGraph, seed: int) -> SimpleGraph:
     rng.shuffle(perm)
     edges = [(perm[u], perm[v]) for u, v in g.edges()]
     return SimpleGraph.from_edges(g.n, edges)
+
+
+@lru_cache(maxsize=1)
+def corpus_rings() -> dict:
+    return {spec: ring_from_text(spec) for spec in corpus_specs()}
+
+
+def cayley_z4z4(connection: set[tuple[int, int]]) -> SimpleGraph:
+    """The Cayley graph of Z/4 x Z/4 with a symmetric connection set; (a, b) is vertex 4a + b."""
+    points = [(a, b) for a in range(4) for b in range(4)]
+    return SimpleGraph.from_edges(16, [
+        (4 * a + b, 4 * c + d)
+        for (a, b), (c, d) in itertools.combinations(points, 2)
+        if ((a - c) % 4, (b - d) % 4) in connection
+    ])
+
+
+# Strongly regular (16, 6, 2, 2) and twin-free: refinement leaves one colour in each.
+SHRIKHANDE = cayley_z4z4({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+ROOK_4X4 = cayley_z4z4({(i, 0) for i in (1, 2, 3)} | {(0, i) for i in (1, 2, 3)})
+
+
+def cubic_graph(n: int, seed: int) -> SimpleGraph:
+    """The n-cycle plus a random perfect matching of chords: 3-regular, so refinement
+    splits nothing."""
+    rng = random.Random(seed)
+    while True:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        chords = [(perm[i], perm[i + 1]) for i in range(0, n, 2)]
+        if all((b - a) % n not in (1, n - 1) for a, b in chords):
+            return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + chords)
 
 
 def random_graph(n: int, p: float, seed: int) -> SimpleGraph:
@@ -95,6 +135,21 @@ class TestAreIsomorphic:
     def test_pinned_witnesses(self, first, second, expected):
         assert are_isomorphic(graph_of(first), graph_of(second)) == tuple(expected)
 
+    def test_pinned_corpus_mappings(self):
+        """Every mapping, or None, on the full graphs of the equal-size corpus pairs."""
+        size = {spec: expression_size(parse_expression(spec)) for spec in corpus_specs()}
+        specs = list(size)
+        pairs = [(a, b) for i, a in enumerate(specs) for b in specs[i + 1:] if size[a] == size[b]]
+        assert len(pairs) == 884
+        rings = corpus_rings()
+        graphs = {spec: build_comaximal_graph(rings[spec]) for pair in pairs for spec in pair}
+        results = [are_isomorphic(graphs[a], graphs[b]) for a, b in pairs]
+        assert sum(r is not None for r in results) == 247
+        found = json.dumps([r if r is None else list(r) for r in results]).encode()
+        assert hashlib.sha256(found).hexdigest() == (
+            "2fc55d2ef9812446773a1a2a4f91687406182dacc0fb006e036792fb36140ee9"
+        )
+
     def test_universal_vertices_paired_in_ascending_order(self):
         rest = random_graph(5, 0.5, 3)
         assert max(rest.degrees()) < 4  # so U is exactly the K_3
@@ -139,6 +194,22 @@ class TestAreIsomorphic:
         )
         g2 = SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         assert are_isomorphic(g1, g2) is None
+
+    def test_backtracks_on_strongly_regular_pair(self):
+        assert are_isomorphic(SHRIKHANDE, ROOK_4X4) is None
+        assert are_isomorphic(ROOK_4X4, SHRIKHANDE) is None
+        for seed, g in enumerate((SHRIKHANDE, ROOK_4X4)):
+            assert len(set(refined_colors(g))) == 1
+            relabelled = shuffled(g, seed)
+            witness = are_isomorphic(g, relabelled)
+            assert witness is not None and verify_isomorphism(g, relabelled, witness)
+
+    def test_maps_regular_graphs_to_relabellings(self):
+        for seed in range(8):
+            g = cubic_graph(16, seed)
+            relabelled = shuffled(g, seed)
+            witness = are_isomorphic(g, relabelled)
+            assert witness is not None and verify_isomorphism(g, relabelled, witness)
 
     def test_cap(self):
         g = SimpleGraph.edgeless(10)
@@ -248,6 +319,55 @@ class TestCertificates:
             for g2 in graphs:
                 same_cert = canonical_certificate(g1) == canonical_certificate(g2)
                 assert same_cert == (are_isomorphic(g1, g2) is not None)
+
+    def test_strongly_regular_pair(self):
+        shrikhande, rook = canonical_certificate(SHRIKHANDE), canonical_certificate(ROOK_4X4)
+        assert shrikhande != rook
+        assert canonical_certificate(shuffled(SHRIKHANDE, 3)) == shrikhande
+        assert canonical_certificate(shuffled(ROOK_4X4, 4)) == rook
+
+    def test_regular_graphs_match_relabellings(self):
+        # The search must follow ties in the placed prefix to the best leaf, not stop at the first.
+        for seed in range(8):
+            g = cubic_graph(16, seed)
+            assert canonical_certificate(shuffled(g, seed)) == canonical_certificate(g)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            'build_comaximal_graph(ring_from_text("Z/2 x Z/4 x Z/8"))',  # 64 vertices, at the cap
+            "SimpleGraph.complete_multipartite([2] * 32)",  # its twin quotient is K_32
+        ],
+    )
+    def test_twin_heavy_graphs_certify_quickly(self, graph):
+        script = (
+            "import random\n"
+            "from comaximal import SimpleGraph, build_comaximal_graph, canonical_certificate\n"
+            "from comaximal import ring_from_text\n"
+            f"g = {graph}\n"
+            "perm = list(range(g.n))\n"
+            "random.Random(1).shuffle(perm)\n"
+            "h = SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])\n"
+            "print(g.n, canonical_certificate(g) == canonical_certificate(h))\n"
+        )
+        result = run_python("-c", script, timeout=10)
+        assert result.stdout == "64 True\n", result.stderr
+
+    def test_agrees_with_are_isomorphic_on_corpus(self):
+        """Every pair of nonempty corpus graphs of at most 64 vertices with equal vertex and
+        edge counts."""
+        groups = defaultdict(list)
+        for ring in corpus_rings().values():
+            for selector in ("full", "units", "nonunits", "core"):
+                g = build_comaximal_graph(ring, selector)
+                if 0 < g.n <= 64:
+                    groups[g.n, g.edge_count].append((g, canonical_certificate(g)))
+        pairs = 0
+        for group in groups.values():
+            for (g1, c1), (g2, c2) in itertools.combinations(group, 2):
+                pairs += 1
+                assert (c1 == c2) == (are_isomorphic(g1, g2) is not None)
+        assert pairs == 5062
 
     def test_cap(self):
         with pytest.raises(CapacityError):
