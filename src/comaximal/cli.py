@@ -83,18 +83,21 @@ class CliError(Exception):
 
 def _effective_caps(args: argparse.Namespace) -> Caps:
     values = {}
+    names = {}  # the variable each cap came from, when it came from the environment
     for field, env_name, _ in _CAP_OPTIONS:
         raw = os.environ.get(env_name)
         if getattr(args, field, None) is not None:
             values[field] = getattr(args, field)
         elif raw is not None:
+            names[field] = env_name
             try:
                 values[field] = int(raw)
             except ValueError:
                 raise CliError(f"{env_name} must be an integer, got {raw!r}") from None
     for field, value in values.items():
         if value < 1:
-            raise CliError(f"--{field.replace('_', '-')} must be positive, got {value}")
+            name = names.get(field, "--" + field.replace("_", "-"))
+            raise CliError(f"{name} must be positive, got {value}")
     return Caps(**values)
 
 

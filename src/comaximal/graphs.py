@@ -4,36 +4,36 @@ Adjacency rows are Python integers used as bitsets.  Vertices are 0..n-1
 in a fixed order; comaximal graphs remember which ring element each vertex
 came from in `vertex_keys`.
 
-Every graph is kept as its classes of equal rows, numbered by first member,
-and its class quotient.  Write c(i) for the class of vertex i and Q for the
-quotient, Q[a][b] = A[a_0][b_0] for the first members a_0, b_0 of classes a
-and b, packed in the layout of `rings._pack`.  `SimpleGraph._from_classes`
-builds a graph from these alone, with A[i][j] = Q[c(i)][c(j)]: such rows are
-constant on every class, so A is symmetric when Q is, A[i][j] =
-Q[c(i)][c(j)] = Q[c(j)][c(i)] = A[j][i], and loop-free when Q has no
-diagonal bit.  So only Q is checked, in row blocks, and a defect there is an
-InternalConsistencyError.
+Every graph is kept as its classes, numbered by first member, and its class
+quotient Q, packed in the layout of `rings._pack`: Q[a][b] = A[a_0][b_0] for
+the first members of classes a != b, and Q[a][a] is set when the members of
+a are pairwise adjacent.  `SimpleGraph._from_classes` builds a graph from
+these alone, with A[i][j] = Q[c(i)][c(j)] for i != j, c(i) the class of i:
+A is symmetric when Q is, A[i][j] = Q[c(i)][c(j)] = Q[c(j)][c(i)] = A[j][i].
+Q may set a diagonal bit only on a full row, a clique of universal vertices,
+so every other class holds false twins.  So only Q is checked, in row
+blocks, and a defect there is an InternalConsistencyError.
 
 A comaximal graph's rows depend only on each element's maximal-ideal
-signature, and a unit's row lacks only the unit itself.  So
-`build_comaximal_graph` makes one class per nonunit signature and one per
-unit, and Q straight from the signatures: classes a != b are adjacent when
-their signatures share no maximal ideal.  `join` takes its inputs' classes
-and Q.  Such a graph makes `rows` and the read-only packed matrix `packed`
-(which every numpy reader reads, the n x n `adjacency()` among them) when
-first read; `edge_count`, `twin_classes` and `metrics` read only the classes
-and Q.  `SimpleGraph(n, rows)` packs the rows it is given, checks the whole
-matrix in row blocks and raises ValueError (only a failed check loops over
-the rows, to word its message), then groups equal rows in one dict pass and
-reads Q off the first members' rows.  `_first_difference` compares two
-graphs, each on a list of its vertices, in row blocks.
+signature, so `build_comaximal_graph` makes one class per signature and Q
+straight from the signatures: Q[a][b] = (sig_a & sig_b) == 0, with a
+diagonal bit on the units' class alone (signature 0).  `join` takes its
+inputs' classes and Q.  Such a graph makes `rows` and the read-only packed
+matrix `packed` (which every numpy reader reads, the n x n `adjacency()`
+among them) when first read; `edge_count`, `twin_classes` and `metrics`
+read only the classes and Q.  `SimpleGraph(n, rows)` packs the rows it is
+given, checks the whole matrix in row blocks and raises ValueError (only a
+failed check loops over the rows, to word its message), then groups equal
+rows in one dict pass and reads Q off the first members' rows.
+`_first_difference` compares two graphs, each on a list of its vertices, in
+row blocks.
 
 The invariants read `twin_classes`, made from the classes and Q once per
-graph: the universal vertices U (adjacent to every other vertex; in a full
-comaximal graph, the units), and the twin quotient of G - U: the classes of
-equal open rows (false twins: independent sets of interchangeable vertices)
-and the graph on one vertex per class.  G is K_U joined with G - U, and
-lifting is exact:
+graph: the universal vertices U (adjacent to every other vertex; read off
+degrees, since a field's 0 is one outside the units' class), and the twin
+quotient of G - U: the classes of equal open rows (false twins: independent
+sets of interchangeable vertices) and the graph on one vertex per class.
+G is K_U joined with G - U, and lifting is exact:
 
 - omega and chi are |U| plus those of the quotient;
 - with U nonempty, G is connected with diameter 1 (complete) or 2;
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate, chain
 from operator import mul, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -74,12 +75,12 @@ from .rings import (
 class SimpleGraph:
     """Loop-free undirected graph with bitset adjacency rows.
 
-    Every graph is kept as its classes of equal rows: the class of each
-    vertex, classes numbered by first member, and the packed class quotient
-    Q.  `SimpleGraph(n, rows)` checks the rows it is given, then groups them;
-    `build_comaximal_graph` and `join` give the classes and Q directly, and
-    then `rows` and `packed` are made when first read.  Labels not given are
-    made when first read too.
+    Every graph is kept as its classes: the class of each vertex, classes
+    numbered by first member, and the packed class quotient Q, whose diagonal
+    bit marks a clique of universal vertices.  `SimpleGraph(n, rows)` checks
+    the rows it is given, then groups equal rows; `build_comaximal_graph` and
+    `join` give the classes and Q directly, and then `rows` and `packed` are
+    made when first read.  Labels not given are made when first read too.
     """
 
     __slots__ = ("n", "vertex_keys", "_labels", "_class_of", "_quotient", "_rows", "_packed",
@@ -108,7 +109,8 @@ class SimpleGraph:
         except OverflowError:  # a negative row, or one far past n
             raise ValueError(_row_defect(rows, n)) from None
         spare = n & 7 and (packed[:, -1] >> (n & 7)).any()  # bits past n, in the last byte
-        if spare or _defect(packed, n):
+        # A loop on a full row, which `_defect` reads as a clique class, sets n bits.
+        if spare or n in map(int.bit_count, rows) or _defect(packed, n):
             # The per-row loop words loops and bits past n; A itself names the first one-way pair.
             message = _row_defect(rows, n)
             raise ValueError(message or "edge %d-%d is not symmetric" % _defect(packed, n))
@@ -131,10 +133,10 @@ class SimpleGraph:
     def _from_classes(
         cls, class_of: np.ndarray, quotient: np.ndarray, vertex_keys: tuple[int, ...]
     ) -> "SimpleGraph":
-        """The graph with A[i][j] = Q[c(i)][c(j)], for classes c numbered by first member.
+        """The loop-free graph with A[i][j] = Q[c(i)][c(j)], classes c numbered by first member.
 
-        Such rows are constant on every class, so Q alone is checked: symmetric and with no
-        diagonal bit, or InternalConsistencyError.
+        Such rows are constant on every class, so Q alone is checked: symmetric, with a diagonal
+        bit only on a full row (a clique of universal vertices), or InternalConsistencyError.
         """
         defect = _defect(quotient, len(quotient))
         if defect is not None:
@@ -164,6 +166,8 @@ class SimpleGraph:
                 bits = _unpack(self._quotient[part], k)[:, self._class_of]
                 class_rows[part] = np.packbits(bits, axis=1, bitorder="little")
             self._packed = class_rows[self._class_of]
+            v = np.arange(n)  # a clique class's members read its diagonal bit as their own
+            self._packed[v, v >> 3] &= ~(np.uint8(1) << (v & 7).astype(np.uint8))
             self._packed.flags.writeable = False
         return self._packed
 
@@ -276,7 +280,7 @@ def _row_defect(rows: list[int], n: int) -> str | None:
 
 def _defect(packed: np.ndarray, n: int) -> tuple[int, int] | None:
     """The first (i, j), row by row, with bit j of row i set and bit i of row j clear, or with
-    i == j and bit i of row i set (a loop); None when the matrix is symmetric and loop-free.
+    i == j and bit i set on a row that is not full (a loop, not a clique class); else None.
 
     Reads blocks of a multiple of 8 rows, about _BLOCK entries, so that the
     block's columns are whole bytes of the packed rows."""
@@ -286,7 +290,7 @@ def _defect(packed: np.ndarray, n: int) -> tuple[int, int] | None:
         columns = block if whole else _unpack(packed[:, part.start // 8 : part.stop // 8], len(block))
         defects = block > columns.T
         # Bit i of row i sits at flat position (i - start) * (n + 1) + start of the block.
-        defects.ravel()[part.start :: n + 1] = block.ravel()[part.start :: n + 1]
+        defects.ravel()[part.start :: n + 1] = block.ravel()[part.start :: n + 1] & ~block.all(1)
         if defects.any():
             i, j = divmod(int(defects.argmax()), n)
             return part.start + i, j
@@ -334,8 +338,8 @@ class TwinClasses(NamedTuple):
 def twin_classes(g: SimpleGraph) -> TwinClasses:
     """The twin quotient of G - U, made when first read from the graph's classes and Q.
 
-    Class a has degree d_a = sum of |b| over the classes b with Q[a][b]; U is
-    the classes of degree n - 1, one member each, and 2|E| = sum of |a| d_a.
+    Class a has degree d_a = sum of |b| over the classes b with Q[a][b], less Q[a][a]; U is
+    every member of a class of degree n - 1, and 2|E| = sum of |a| d_a.
     """
     if g._twins is None:
         n, class_of, quotient = g.n, g._class_of, g._quotient
@@ -343,21 +347,17 @@ def twin_classes(g: SimpleGraph) -> TwinClasses:
         counts = np.bincount(class_of, minlength=k)
         degree: list[int] = []
         for part in _blocks(k, k):
-            degree += (_unpack(quotient[part], k) @ counts).tolist()
+            bits = _unpack(quotient[part], k)
+            degree += (bits @ counts - bits.diagonal(part.start)).tolist()
         sizes = counts.tolist()
         g._edges = sum(map(mul, sizes, degree)) // 2
         members = np.argsort(class_of, kind="stable").tolist()
-        classes, universal, keep = [], [], []
-        start = 0
-        for c, (size, d) in enumerate(zip(sizes, degree)):
-            if d == n - 1:
-                universal.append(members[start])
-            else:
-                classes.append(members[start : start + size])
-                keep.append(c)
-            start += size
+        by_class = [members[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
+        keep = [c for c, d in enumerate(degree) if d != n - 1]
+        # Degree n - 1: a universal singleton, or a clique class.
+        universal = chain.from_iterable(by_class[c] for c, d in enumerate(degree) if d == n - 1)
         rows = _masks(quotient) if len(keep) == k else _induced_rows(quotient, k, keep)
-        g._twins = TwinClasses(classes, universal, rows)
+        g._twins = TwinClasses([by_class[c] for c in keep], sorted(universal), rows)
     return g._twins
 
 
@@ -368,11 +368,11 @@ def build_comaximal_graph(ring: RingTable, selector: str = "full") -> SimpleGrap
     (nonunits outside the Jacobson radical).  A local ring has an empty
     core graph, which is a legitimate graph, not an error.
 
-    The graph is built from its classes of equal rows: one per nonunit
-    signature and one per unit (units differ in their self-bit only), and
-    the quotient on them.  Two nonunit signatures differ on an ideal i in
-    one only, and 1 - e_i, in M_i alone, is adjacent to one class and not
-    the other.
+    The graph is built from its classes, one per signature, and the quotient
+    on them.  The units (signature 0) are one clique class of universal
+    vertices.  Two nonunit signatures differ on an ideal i in one only, and
+    1 - e_i, in M_i alone, is adjacent to one class and not the other, so
+    every other class is a class of equal rows.
     """
     sig = ring.signature_array
     all_ideals = (1 << len(ring.maximal_ideals)) - 1
@@ -397,25 +397,22 @@ def build_comaximal_graph(ring: RingTable, selector: str = "full") -> SimpleGrap
 
 def _signature_classes(sig: np.ndarray, all_ideals: int) -> tuple[np.ndarray, np.ndarray]:
     """The class of each vertex, numbered by first member, and each class's signature: one class
-    per nonunit signature, and one per unit (signature 0)."""
+    per signature, the units (signature 0) among them."""
     n = len(sig)
     vertex = np.arange(n)
     first = np.full(all_ideals + 1, n)
     np.minimum.at(first, sig, vertex)
     head = first[sig]  # the first vertex with each vertex's signature
-    if first[0] < n:  # units: each heads a class of its own
-        np.copyto(head, vertex, where=sig == 0)
     starts = head == vertex
     return starts.cumsum()[head] - 1, sig[starts]
 
 
 def _comaximal_quotient(class_sig: np.ndarray) -> np.ndarray:
-    """The packed quotient: classes a != b are adjacent when their signatures share no ideal."""
+    """The packed quotient: classes are adjacent when their signatures share no ideal."""
     k = len(class_sig)
     packed = np.empty((k, (k + 7) // 8), dtype=np.uint8)
     for part in _blocks(k, k):
         bits = (class_sig[part, None] & class_sig) == 0
-        bits.ravel()[part.start :: k + 1] = False  # a unit is disjoint from itself, but no loop
         packed[part] = np.packbits(bits, axis=1, bitorder="little")
     return packed
 
@@ -427,9 +424,9 @@ def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     """Disjoint union plus every edge between the two sides, on g1's vertices, then g2's.
 
     Built from the classes: g1's, then g2's numbered on from g1's k1, with
-    the quotient [[Q1, 1], [1, Q2]], made in row blocks.  These are still the
-    classes of equal rows, since a vertex lacks itself but is adjacent to
-    every vertex of the other side.
+    the quotient [[Q1, 1], [1, Q2]], made in row blocks.  A class of equal
+    rows stays one, since a vertex lacks itself but is adjacent to every
+    vertex of the other side, and a clique class's full row stays full.
     """
     q1, q2 = g1._quotient, g2._quotient
     k1, k = len(q1), len(q1) + len(q2)
@@ -749,9 +746,9 @@ def multipartite_structure(g: SimpleGraph) -> PartitionStructure:
     if g.n == 0:
         return PartitionStructure(((), ()), ())
     classes, universal, rows = twin_classes(g)
-    if universal:  # then the classes of G, in order of first member, are those Q numbers
+    if universal:  # then G's classes, by first member, and the graph on those first members
         classes = sorted(classes + [[u] for u in universal], key=lambda c: c[0])
-        rows = _masks(g._quotient)
+        rows = _induced_rows(g.packed, g.n, [c[0] for c in classes])
     colour = _two_colouring(rows)
     bipartition = None
     if colour is not None:

@@ -43,10 +43,10 @@ def brute_chromatic(g: SimpleGraph) -> int:
 def brute_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:
     if g1.n != g2.n:
         return False
-    edges1 = set(g1.edges())
+    edges1, edges2 = set(g1.edges()), set(g2.edges())
     for perm in permutations(range(g2.n)):
         mapped = {tuple(sorted((perm[u], perm[v]))) for u, v in edges1}
-        if mapped == set(g2.edges()):
+        if mapped == edges2:
             return True
     return False
 

@@ -82,6 +82,18 @@ class TestRing:
         assert code == 2
         assert "COMAXIMAL_MAX_RING_SIZE" in err
 
+    def test_nonpositive_env_value_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("COMAXIMAL_MAX_RING_SIZE", "0")
+        code, _, err = run_cli(capsys, "ring", "Z/4")
+        assert code == 2
+        assert err == "error: COMAXIMAL_MAX_RING_SIZE must be positive, got 0\n"
+
+    def test_nonpositive_flag_names_the_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("COMAXIMAL_MAX_RING_SIZE", "0")  # the flag wins over the variable
+        code, _, err = run_cli(capsys, "ring", "Z/4", "--max-ring-size", "-3")
+        assert code == 2
+        assert err == "error: --max-ring-size must be positive, got -3\n"
+
 
 class TestGraph:
     def test_dot_output(self, capsys):

@@ -26,6 +26,7 @@ from comaximal import (
     metrics,
     multipartite_structure,
     ring_from_text,
+    verify_ring,
 )
 
 from comaximal import graphs
@@ -41,6 +42,7 @@ from oracles import (
     comaximal_rows,
     validate_rows,
 )
+from test_acceptance import corpus_specs
 
 
 def path_graph(n: int) -> SimpleGraph:
@@ -151,6 +153,16 @@ class TestSimpleGraph:
         rows = [row | ((1 << 200) - 1) if i < 200 else row for i, row in enumerate(rows)]
         assert len(set(rows)) == 3 and validate_rows(n, rows) == "vertex 0 has a loop"
         with pytest.raises(ValueError, match="^vertex 0 has a loop$"):
+            SimpleGraph(n, rows)
+
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_loop_on_a_full_row_found(self, n):
+        # K_n with a loop on its last vertex: that row has every bit set, as a clique class's row
+        # of a class quotient may, but as a vertex's row it is a loop.
+        rows = [(1 << n) - 1 - (1 << i) for i in range(n)]
+        rows[-1] |= 1 << (n - 1)
+        assert validate_rows(n, rows) == f"vertex {n - 1} has a loop"
+        with pytest.raises(ValueError, match=f"^vertex {n - 1} has a loop$"):
             SimpleGraph(n, rows)
 
     def test_asymmetry_in_twin_classes_survives_python_O(self):
@@ -287,11 +299,14 @@ def _flipping(real, a, b):
     return planted
 
 
-# Faults planted in the class quotient of Z/30's core graph (six classes, Q[3][4] = Q[4][3] = 0):
-# the flipped bit and the message that must be raised.
+# Faults planted in the class quotient of a graph of Z/30: the selector, the flipped bit and the
+# message that must be raised.  The core graph has six classes, Q[3][4] = Q[4][3] = 0.  A diagonal
+# bit is a loop on a row that is not full; only a full row's marks a clique class.  Row 3 of the
+# core's Q is not full, nor is row 0 of the full graph's (element 0), beside the units' class 1.
 QUOTIENT_FAULTS = {
-    "one_way": ((3, 4), "class quotient is not symmetric at 3-4"),
-    "loop": ((3, 3), "class 3 has a loop"),
+    "one_way": ("core", (3, 4), "class quotient is not symmetric at 3-4"),
+    "loop": ("core", (3, 3), "class 3 has a loop"),
+    "loop_beside_units": ("full", (0, 0), "class 0 has a loop"),
 }
 
 
@@ -300,15 +315,15 @@ class TestClassCore:
 
     @pytest.mark.parametrize("fault", list(QUOTIENT_FAULTS))
     def test_quotient_fault_raises(self, fault, monkeypatch):
-        (a, b), message = QUOTIENT_FAULTS[fault]
+        selector, (a, b), message = QUOTIENT_FAULTS[fault]
         real = graphs._comaximal_quotient
         monkeypatch.setattr(graphs, "_comaximal_quotient", _flipping(real, a, b))
         with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
-            build_comaximal_graph(ring_from_text("Z/30"), "core")
+            build_comaximal_graph(ring_from_text("Z/30"), selector)
 
     @pytest.mark.parametrize("fault", list(QUOTIENT_FAULTS))
     def test_quotient_fault_survives_python_O(self, fault, python_O):
-        (a, b), message = QUOTIENT_FAULTS[fault]
+        selector, (a, b), message = QUOTIENT_FAULTS[fault]
         plant = (
             "import comaximal.graphs as graphs\n"
             "from comaximal import build_comaximal_graph, ring_from_text\n"
@@ -316,8 +331,21 @@ class TestClassCore:
             "import test_graphs\n"
             f"graphs._comaximal_quotient = test_graphs._flipping(graphs._comaximal_quotient, {a}, {b})\n"
         )
-        out = python_O(plant, "build_comaximal_graph(ring_from_text('Z/30'), 'core')")
+        out = python_O(plant, f"build_comaximal_graph(ring_from_text('Z/30'), {selector!r})")
         assert out == f"raised 1 {message}\n"
+
+    @pytest.mark.parametrize("text, units", [("Z/3", [1, 2]), ("Z/30", [1, 7])])
+    def test_cleared_unit_diagonal_fails_the_units_claim(self, text, units, monkeypatch):
+        """The units graph is one class; without its diagonal bit its units are pairwise
+        non-adjacent, and L2.1a, which reads the graph as built, names the first two."""
+        ring = ring_from_text(text)
+        assert [r.outcome for r in verify_ring(ring, ["L2.1a"], text=text)] == ["pass"]
+        real = graphs._comaximal_quotient
+        monkeypatch.setattr(graphs, "_comaximal_quotient", _flipping(real, 0, 0))
+        g = build_comaximal_graph(ring, "units")
+        assert (len(g._quotient), g.edge_count, twin_classes(g).universal) == (1, 0, [])
+        (report,) = verify_ring(ring, ["L2.1a"], text=text)
+        assert (report.outcome, report.witness) == ("fail", {"non_adjacent_units": units})
 
     @pytest.mark.parametrize("read_first", [False, True])
     def test_pickles_before_and_after_rows_are_read(self, read_first):
@@ -328,6 +356,34 @@ class TestClassCore:
         assert (copy.rows, copy.packed.tobytes()) == (g.rows, g.packed.tobytes())
         assert (copy.labels, copy.vertex_keys, copy.edge_count) == (g.labels, g.vertex_keys, g.edge_count)
         assert twin_classes(copy) == twin_classes(g) and metrics(copy) == metrics(g)
+
+
+def test_one_class_per_signature_on_the_corpus():
+    """Every comaximal graph keeps one class per signature among its vertices (a units graph has
+    one), and reads as the graph that `SimpleGraph(n, rows)` makes of its rows, which checks
+    them and keeps each universal vertex as a class of its own."""
+    for text in corpus_specs():
+        ring = ring_from_text(text)
+        for selector in ("full", "units", "nonunits", "core"):
+            g = build_comaximal_graph(ring, selector)
+            signatures = np.unique(ring.signature_array[np.asarray(g.vertex_keys, dtype=np.intp)])
+            assert len(g._quotient) == len(signatures), (text, selector)
+            h = SimpleGraph(g.n, g.rows)
+            assert (g.rows, g.packed.tobytes(), twin_classes(g), g.edge_count) == (
+                h.rows, h.packed.tobytes(), twin_classes(h), h.edge_count
+            ), (text, selector)
+
+
+@pytest.mark.parametrize(
+    "text, selector, classes, universal",
+    [("GF(4096)", "full", 2, 4096), ("GF(4096)", "units", 1, 4095), ("Z/4095", "full", 16, 1728),
+     ("Z/4095", "units", 1, 1728)],
+)
+def test_unit_heavy_graphs_keep_few_classes(text, selector, classes, universal):
+    """The units are one class; a field's 0 is universal too, as a class of its own."""
+    g = build_comaximal_graph(ring_from_text(text), selector)
+    assert len(g._quotient) == classes
+    assert len(twin_classes(g).universal) == universal
 
 
 @pytest.mark.parametrize(

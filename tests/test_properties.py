@@ -335,11 +335,12 @@ def joined_by_rows(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
 
 
 def graph_view(g: SimpleGraph) -> tuple:
-    """What a graph keeps and makes: its rows, packed rows, classes and quotient, twin
-    quotient, edge count, labels and vertex keys."""
+    """What a graph reads as: its rows, packed rows, twin quotient, edge count, labels and
+    vertex keys.  Not its classes and Q: a clique class of universal vertices that `join` keeps
+    is one class per vertex in `SimpleGraph(n, rows)`."""
     return (
-        g.rows, g.packed.shape, g.packed.tobytes(), g._class_of.tolist(), g._quotient.shape,
-        g._quotient.tobytes(), twin_classes(g), g.edge_count, g.labels, g.vertex_keys,
+        g.rows, g.packed.shape, g.packed.tobytes(), twin_classes(g), g.edge_count, g.labels,
+        g.vertex_keys,
     )
 
 
