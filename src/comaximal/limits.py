@@ -24,7 +24,10 @@ DEFAULT_CERTIFICATE_CAP = 64
 # Up to this ring size a composite ring law (digit ring, product, quotient,
 # component) is evaluated once into a flat Cayley table, as a lookup beats
 # evaluating it; larger rings call the elementwise function itself.  Z/n
-# keeps its modular ops at every size: they cost what a lookup costs.
+# keeps its modular ops at every size: they cost what a lookup costs.  A
+# product groups consecutive factors up to this size, lays each group's
+# table out from its factors' tables, and above it looks a pair up once per
+# group; a factor above it keeps its own law, so no larger table is made.
 TABLE_LIMIT = 256
 
 # Up to this ring size, maximal-ideal enumeration re-derives the answer

@@ -7,9 +7,13 @@ size: on arrays of length n that costs what a lookup costs, and it needs no
 n x n table.  Composite laws (digit rings, products, quotients, components)
 are a flat Cayley-table lookup up to `TABLE_LIMIT` elements, where a lookup
 beats evaluating the law, and the construction's own broadcasting function
-above it; a table given as such is always kept.  Scalars, rows and
-whole-ring scans (in row blocks, so memory stays linear in n) are all read
-from that one operation.
+above it; a table given as such is always kept.  A product is its factors'
+tables: consecutive factors are grouped up to `TABLE_LIMIT` elements, each
+group's table is laid out from the factors' own s x s tables by
+broadcasting, and a larger product looks each pair up once per group (a
+factor above the limit keeps its own law).  Scalars, rows and whole-ring
+scans (in row blocks, so memory stays linear in n) are all read from that
+one operation.
 
 The ring structure is read from one array, a**N for every a, with N the
 bit length of the size (`_nth_powers` proves N enough).  A finite ring is
@@ -109,6 +113,23 @@ def _blocks(count: int, width: int, multiple: int = 1) -> Iterator[slice]:
     for lo in range(0, count, step):
         yield slice(lo, lo + step)
 
+
+def _lookup(table, n: int, which: str) -> Op:
+    """A law on n elements given as a table (flat row-major or n x n), checked and kept flat
+    in its smallest index type, as one gather at the intp index a * n + b."""
+    arr = np.asarray(table)
+    if arr.dtype.kind not in "biu":
+        if not all(float(x).is_integer() for x in arr.flat):  # NaN and infinities fail too
+            raise ValueError(f"{which} table entries must be integers")
+        arr = arr.astype(np.int64)
+    if arr.shape not in ((n * n,), (n, n)):
+        raise ValueError(f"{which} table must hold size*size entries")
+    if arr.min() < 0 or arr.max() >= n:
+        raise ValueError(f"{which} table entry out of range")
+    flat = arr.astype(np.min_scalar_type(n - 1)).ravel()
+    flat.setflags(write=False)
+    # The flat index in intp: a * n in the inputs' own type may wrap or overflow.
+    return lambda a, b: flat.take(np.multiply(a, n, dtype=np.intp) + b)
 
 
 @dataclass(frozen=True)
@@ -227,20 +248,7 @@ class RingTable:
             if not tabulate:
                 return law
             law = law(self._idx[:, None], self._idx)
-        n = self.size
-        arr = np.asarray(law)
-        if arr.dtype.kind not in "biu":
-            if not all(float(x).is_integer() for x in arr.flat):  # NaN and infinities fail too
-                raise ValueError(f"{which} table entries must be integers")
-            arr = arr.astype(np.int64)
-        if arr.shape not in ((n * n,), (n, n)):
-            raise ValueError(f"{which} table must hold size*size entries")
-        if arr.min() < 0 or arr.max() >= n:
-            raise ValueError(f"{which} table entry out of range")
-        flat = arr.astype(np.min_scalar_type(n - 1)).ravel()
-        flat.setflags(write=False)
-        # The flat index in intp: a * n in the inputs' own type may wrap or overflow.
-        return lambda a, b: flat.take(np.multiply(a, n, dtype=np.intp) + b)
+        return _lookup(law, self.size, which)
 
     # Makes the labels when none were given: set by `direct_product`, `_image` and the digit rings.
     _make_labels: Callable[[], Iterable[str]] | None = None
@@ -344,15 +352,18 @@ class RingTable:
         return tuple(np.flatnonzero(self.mul_op(idx, idx) == idx).tolist())
 
     def _power(self, base: np.ndarray, exponent: int) -> np.ndarray:
-        """base**exponent elementwise, by square-and-multiply through `mul_op`."""
-        power = np.full(len(base), self.one)
-        while exponent:
+        """base**exponent elementwise, by square-and-multiply through `mul_op`, starting from
+        base**(lowest set bit of the exponent) rather than from ones."""
+        if not exponent:
+            return np.full(len(base), self.one)
+        power = None
+        while True:
             if exponent & 1:
-                power = self.mul_op(power, base)
+                power = base if power is None else self.mul_op(power, base)
             exponent >>= 1
-            if exponent:
-                base = self.mul_op(base, base)
-        return power
+            if not exponent:
+                return power
+            base = self.mul_op(base, base)
 
     @cached_property
     def _nth_powers(self) -> np.ndarray:
@@ -593,6 +604,30 @@ class RingTable:
 
     # -- element-wise structure ----------------------------------------------
 
+    @cached_property
+    def _element_profiles(self) -> tuple[tuple[int, ...], ...]:
+        """Per element: additive order, unit, idempotent and nilpotent flags, annihilator size.
+
+        `ring_isomorphic` compares these; kept, as each ring meets many partners.
+        """
+        n = self.size
+        idx = self._idx
+        order = np.ones(n, dtype=np.int64)
+        multiple = idx
+        for _ in range(n):  # a walk that reaches 0 does so within n steps; past that it cycles
+            if not (active := multiple != 0).any():
+                break
+            order += active
+            multiple = np.where(active, self.add_op(multiple, idx), 0)
+        if multiple.any():
+            raise RingAxiomError("additive order", (int(np.flatnonzero(multiple)[0]),))
+        ann = np.concatenate([(self.mul_op(a, idx) == 0).sum(axis=1) for a in self._row_blocks(idx)])
+        flags = np.zeros((3, n), dtype=np.int64)
+        flags[0] = self.unit_flags
+        flags[1, list(self.idempotent_elements)] = 1
+        flags[2, list(self.nilpotent_elements)] = 1
+        return tuple(zip(order.tolist(), *flags.tolist(), ann.tolist()))
+
     def clean_decomposition(self) -> CleanDecomposition:
         """Try to write every element as idempotent + unit (first idempotent that works)."""
         n = self.size
@@ -614,36 +649,76 @@ class RingTable:
 
 
 def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> RingTable:
-    """Componentwise product ring; index = mixed-radix over factor indices."""
+    """Componentwise product ring; index = mixed-radix over factor indices.
+
+    Consecutive factors are grouped while a group has at most TABLE_LIMIT
+    elements.  Each factor law is evaluated once on its own s x s grid, and a
+    group's table is laid out mixed-radix from them by broadcasting.  A product
+    of at most TABLE_LIMIT elements is one group, whose tables the ring takes;
+    a larger one looks each pair up once per group.
+    A factor above TABLE_LIMIT is a group of its own and keeps its own law, so
+    no table above TABLE_LIMIT elements is made.
+    """
     if len(rings) < 2:
         raise ValueError("direct product needs at least two factors")
     sizes = [r.size for r in rings]
     total = math.prod(sizes)
     if total > max_size:
         raise CapacityError(f"product ring would exceed the size cap ({max_size})")
-    # digits[i][a] is factor i's component of element a.
-    digits = np.unravel_index(np.arange(total), sizes)
+    groups: list[list[RingTable]] = []
+    group_sizes: list[int] = []
+    for r in rings:
+        if groups and group_sizes[-1] * r.size <= TABLE_LIMIT:
+            groups[-1].append(r)
+            group_sizes[-1] *= r.size
+        else:
+            groups.append([r])
+            group_sizes.append(r.size)
 
-    def mixed_radix(ops: list[Op]) -> Op:
+    def table(group: list[RingTable], law: str) -> np.ndarray:
+        """The group's law as a table: out[a, b] * s + t[c, d] at row a * s + c, column b * s + d."""
+        out = np.zeros((1, 1), dtype=np.intp)
+        for r in group:
+            s, t = r.size, getattr(r, law)(r._idx[:, None], r._idx)
+            out = (out[:, None, :, None] * s + t[None, :, None, :]).reshape(len(out) * s, -1)
+        return out
+
+    # digits[i][a] is group i's component of element a.
+    digits = np.unravel_index(np.arange(total), group_sizes)
+
+    def mixed_radix(law: str) -> Op:
+        ops = [
+            getattr(g[0], law) if size > TABLE_LIMIT else _lookup(table(g, law), size, law)
+            for g, size in zip(groups, group_sizes)
+        ]
+
         def op(a, b):
-            out = 0
-            for s, f, d in zip(sizes, ops, digits):
-                # Widen first: a factor's table may hold uint8.
-                out = out * s + f(d[a], d[b]).astype(np.int64)
+            out = None
+            for s, f, d in zip(group_sizes, ops, digits):
+                part = f(d[a], d[b])
+                if out is None:
+                    out = part.astype(np.int64)  # widened: a group's table may hold uint8
+                else:  # in place: each whole-block temporary costs fresh pages
+                    out *= s
+                    out += part
             return out
 
         return op
 
+    if len(groups) == 1:
+        add, mul = table(rings, "add_op"), table(rings, "mul_op")
+    else:
+        add, mul = mixed_radix("add_op"), mixed_radix("mul_op")
     ring = RingTable(
         total,
         int(np.ravel_multi_index([r.one for r in rings], sizes)),
-        mixed_radix([r.add_op for r in rings]),
-        mixed_radix([r.mul_op for r in rings]),
+        add,
+        mul,
         name=" x ".join(r.name for r in rings),
     )
     ring._make_labels = lambda: (
         "(" + ",".join(r.labels[d] for r, d in zip(rings, parts)) + ")"
-        for parts in zip(*(d.tolist() for d in digits))
+        for parts in zip(*(d.tolist() for d in np.unravel_index(np.arange(total), sizes)))
     )
     return ring
 
@@ -746,26 +821,6 @@ def validate_ring_axioms(ring: RingTable) -> None:
 # -- ring isomorphism ---------------------------------------------------------
 
 
-def _element_profiles(ring: RingTable) -> list[tuple[int, ...]]:
-    n = ring.size
-    idx = np.arange(n)
-    order = np.ones(n, dtype=np.int64)
-    multiple = idx
-    for _ in range(n):  # a walk that reaches 0 does so within n steps; past that it cycles
-        if not (active := multiple != 0).any():
-            break
-        order += active
-        multiple = np.where(active, ring.add_op(multiple, idx), 0)
-    if multiple.any():
-        raise RingAxiomError("additive order", (int(np.flatnonzero(multiple)[0]),))
-    ann = np.concatenate([(ring.mul_op(a, idx) == 0).sum(axis=1) for a in ring._row_blocks(idx)])
-    flags = np.zeros((3, n), dtype=np.int64)
-    flags[0] = ring.unit_flags
-    flags[1, list(ring.idempotent_elements)] = 1
-    flags[2, list(ring.nilpotent_elements)] = 1
-    return list(zip(order.tolist(), *flags.tolist(), ann.tolist()))
-
-
 def _additive_generators(ring: RingTable, within: np.ndarray | None = None) -> list[int] | None:
     """Greedy additive generating set: the identity, then the lowest element not yet spanned.
 
@@ -825,8 +880,8 @@ def ring_isomorphic(
     if r1.residue_field_sizes != r2.residue_field_sizes:
         return None
     # Equal profile multisets imply equal characteristic, unit, idempotent and nilpotent counts.
-    prof1 = _element_profiles(r1)
-    prof2 = _element_profiles(r2)
+    prof1 = r1._element_profiles
+    prof2 = r2._element_profiles
     if sorted(prof1) != sorted(prof2):
         return None
     gens = _additive_generators(r1)

@@ -70,6 +70,24 @@ GF4_WRONG_ADD = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 0, 0]]
 
 
 class TestArithmetic:
+    def test_power_ladder(self):
+        # Square-and-multiply from the exponent's lowest set bit: bit_length - 1 squarings and
+        # popcount - 1 products, so no product with ones; exponent 0 gives ones.
+        r = zn(100)
+        real, calls = r.mul_op, 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        r.mul_op = counted
+        base = np.arange(100)
+        for e in range(20):
+            calls = 0
+            assert r._power(base, e).tolist() == [pow(int(x), e, 100) for x in base], e
+            assert calls == max(0, e.bit_length() + e.bit_count() - 2), e
+
     def test_z12_samples(self):
         r = zn(12)
         assert r.add(7, 8) == 3
@@ -438,6 +456,45 @@ class TestDirectProduct:
                 gt = np.array([[getattr(g, law)(i, j) for j in range(32)] for i in range(32)])
                 assert np.array_equal(op(a, b), ft[x[a], x[b]] * 32 + gt[y[a], y[b]]), text
 
+    # Factor groups split across TABLE_LIMIT ((Z/16)^2 | Z/16, GF(8) x Z/9 | Z/7 x Z/5,
+    # (Z/2)^8 | (Z/2)^4), or a factor above it keeps its own law.
+    @pytest.mark.parametrize(
+        "text",
+        ["Z/16 x Z/16 x Z/16", "GF(8) x Z/9 x Z/7 x Z/5", " x ".join(["Z/2"] * 12),
+         "Z/2048 x Z/2", "Z/2 x Z/2048"],
+    )
+    def test_grouped_laws_match_factors(self, text):
+        factors = [ring_from_text(t) for t in text.split(" x ")]
+        sizes = [f.size for f in factors]
+        r = ring_from_text(text)
+        n = r.size
+        rng = np.random.default_rng(3)
+        ends = [0, r.one, n - 1]
+        # Sampled rows against sampled columns, broadcast as the whole-ring scans call the ops.
+        a = np.concatenate([ends, rng.integers(0, n, 61)])[:, None]
+        b = np.concatenate([ends, rng.integers(0, n, 61)])
+        da = np.unravel_index(np.broadcast_to(a, (64, 64)), sizes)
+        db = np.unravel_index(np.broadcast_to(b, (64, 64)), sizes)
+        for law in ("add_op", "mul_op"):
+            parts = [getattr(f, law)(x, y) for f, x, y in zip(factors, da, db)]
+            assert np.array_equal(getattr(r, law)(a, b), np.ravel_multi_index(parts, sizes)), law
+        for x, y in zip(ends, reversed(ends)):
+            px, py = ([int(d) for d in np.unravel_index(v, sizes)] for v in (x, y))
+            parts = [(f.add(i, j), f.mul(i, j)) for f, i, j in zip(factors, px, py)]
+            assert r.add(x, y) == np.ravel_multi_index([p[0] for p in parts], sizes)
+            assert r.mul(x, y) == np.ravel_multi_index([p[1] for p in parts], sizes)
+
+    def test_factor_above_table_limit_builds_no_table(self):
+        # A table of Z/2048's law holds 4 M entries, one of the product 16 M; even a uint16
+        # table of TABLE_LIMIT + 1 elements (132 KB) would push the peak past the bound.
+        tracemalloc.start()
+        try:
+            ring_from_text("Z/2048 x Z/2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
 
 class TestClean:
     def test_z6_witness(self):
@@ -525,6 +582,13 @@ class TestRingIsomorphism:
             r = ring_from_text(text)
             iso = ring_isomorphic(r, r)
             assert iso is not None and iso.verify()
+
+    def test_profiles_are_kept_per_ring(self):
+        r, s = ring_from_text("Z/2 x Z/3"), zn(6)
+        assert ring_isomorphic(r, s) is not None
+        kept = r.__dict__["_element_profiles"], s.__dict__["_element_profiles"]
+        assert ring_isomorphic(s, r) is not None
+        assert r._element_profiles is kept[0] and s._element_profiles is kept[1]
 
     def test_same_size_nonisomorphic_rings(self):
         assert ring_isomorphic(zn(9), ring_from_text("Z/3 x Z/3")) is None
