@@ -11,6 +11,14 @@ also registers an audit, defined just above its checker, that rechecks
 the witness through the ideal-closure oracle or scalar ring operations,
 independently of the signature path the checkers share.
 
+The graph claims decide on each graph's classes and class quotient Q
+(see `graphs`), never on its per-vertex rows: L2.1a, L2.1b and T4.4 read the
+class degrees, P4.7a/b the edge counts between radical cosets, N Q N^T, and
+JOIN and P4.7c compare two graphs class by class.  The classes come from the
+graph as built, not from the signatures, so a tampered graph is checked as
+it is.  Where the classes do not show that JOIN's or P4.7c's graphs are
+equal, the row blocks compare them and word the witness.
+
 `_run_claims`, behind `verify_ring` and `verify_pair`, is the one place
 where an exception from a checker becomes an outcome: a CapacityError
 is reported as a skip, anything else propagates.
@@ -37,7 +45,10 @@ from .errors import (
 )
 from .graphs import (
     SimpleGraph,
+    _class_degrees,
     _first_difference,
+    _label_edges,
+    _same_by_classes,
     build_comaximal_graph,
     chromatic_number,
     clique_number,
@@ -53,7 +64,7 @@ from .limits import (
     DEFAULT_MAX_RING_SIZE,
     DEFAULT_RING_ISO_CAP,
 )
-from .rings import RingTable, _blocks, _distinct, _lowest, _unpack, ring_isomorphic
+from .rings import RingTable, _distinct, _unpack, ring_isomorphic
 from .version import __version__
 
 
@@ -133,15 +144,9 @@ class RingAnalysis:
     @cached_property
     def coset_edges(self) -> np.ndarray:
         """`coset_edges[i, j]` counts the full-graph edges from radical coset i to coset j
-        (inner edges twice)."""
+        (inner edges twice), read off the graph's classes (`graphs._label_edges`)."""
         reps, coset = self.radical_cosets
-        k, n = len(reps), len(coset)
-        packed = self.graph("full").packed
-        edges = np.zeros(k * k, dtype=np.int64)
-        for block in _blocks(n, n):  # rows at a time, so the pair indices and bits stay small
-            pairs = coset[block, None] * k + coset
-            edges += np.bincount(pairs[_unpack(packed[block], n)], minlength=k * k)
-        return edges.reshape(k, k)
+        return _label_edges(self.graph("full"), coset, len(reps))
 
     @property
     def is_z2xz2(self) -> bool:
@@ -212,30 +217,30 @@ def _audit_units_complete(witness: dict, ring: RingTable) -> bool:
 @_claim("L2.1a", "the subgraph induced by the units is complete", audit=_audit_units_complete)
 def _check_units_complete(a: RingAnalysis):
     g = a.graph("units")
-    full = (1 << g.n) - 1
-    for i in range(g.n):
-        missing = full & ~g.rows[i] & ~(1 << i)
-        if missing:
-            return _failed(
-                {"non_adjacent_units": [g.vertex_keys[i], g.vertex_keys[_lowest(missing)]]}
-            )
-    return _passed({"unit_count": g.n, "edges": g.edge_count})
+    short = np.flatnonzero(_class_degrees(g) != g.n - 1)
+    if not len(short):
+        return _passed({"unit_count": g.n, "edges": g.edge_count})
+    # Classes are numbered by first member, so the first vertex short of a neighbour heads the
+    # first short class, c; it misses every other vertex whose class Q[c] lacks.
+    c = short[0]
+    i = int((g._class_of == c).argmax())
+    missing = ~_unpack(g._quotient[c : c + 1], len(g._quotient))[0][g._class_of]
+    missing[i] = False
+    return _failed({"non_adjacent_units": [int(g._keys[i]), int(g._keys[missing.argmax()])]})
 
 
 @_claim("L2.1b", "isolated vertices of the nonunit subgraph are exactly the radical")
 def _check_radical_isolated(a: RingAnalysis):
     g = a.graph("nonunits")
     radical = a.ring.jacobson_radical
-    isolated = 0
-    for i in range(g.n):
-        deg = g.rows[i].bit_count()
-        key = g.vertex_keys[i]
-        in_rad = key in radical
-        if (deg == 0) != in_rad:
-            return _failed({"element": key, "degree": deg, "in_radical": in_rad})
-        if deg == 0:
-            isolated += 1
-    return _passed({"radical_size": len(radical), "isolated": isolated})
+    degree = _class_degrees(g)[g._class_of]  # the isolated vertices fill the classes of degree 0
+    isolated = degree == 0
+    wrong = isolated != radical.member_flags()[g._keys]
+    if wrong.any():
+        i = int(wrong.argmax())
+        key, in_rad = int(g._keys[i]), not isolated[i]
+        return _failed({"element": key, "degree": int(degree[i]), "in_radical": in_rad})
+    return _passed({"radical_size": len(radical), "isolated": int(isolated.sum())})
 
 
 def _audit_join(witness: dict, ring: RingTable) -> bool:
@@ -251,8 +256,11 @@ def _audit_join(witness: dict, ring: RingTable) -> bool:
 def _check_join(a: RingAnalysis):
     full = a.graph("full")
     joined = join(a.graph("units"), a.graph("nonunits"))
-    # Both graphs read on ring elements: the vertex of element x is at position x.
-    diff = _first_difference(full, joined, *(np.argsort(g.vertex_keys) for g in (full, joined)))
+    # Both graphs read on ring elements: the vertex of element x is at position x.  Equal classes
+    # and Q show equal graphs; otherwise the row blocks find the first difference, if any.
+    order = [np.argsort(g._keys) for g in (full, joined)]
+    same = _same_by_classes(full, joined, *order)
+    diff = None if same else _first_difference(full, joined, *order)
     if diff is not None:
         x, y, in_full = diff
         return _failed({"edge": [x, y], "in_full": in_full})
@@ -552,7 +560,8 @@ def _check_quotient_graph(a: RingAnalysis):
     reps = a.radical_cosets[0].tolist()
     if [proj(r) for r in reps] != list(range(len(reps))):
         raise InternalConsistencyError("representative order must match quotient element order")
-    diff = _first_difference(a.graph("full"), build_comaximal_graph(quotient, "full"), reps)
+    g, h = a.graph("full"), build_comaximal_graph(quotient, "full")
+    diff = None if _same_by_classes(g, h, reps) else _first_difference(g, h, reps)
     if diff is not None:
         i, j, ring_adjacent = diff
         return _failed(
@@ -602,7 +611,7 @@ def _check_residue_match(a1: RingAnalysis, a2: RingAnalysis, graph_iso: Callable
             if 1 << i not in ring.signatures:
                 raise InternalConsistencyError("a maximal ideal is covered by the others")
             x = ring.signatures.index(1 << i)  # the first element in ideal i alone
-            non_neighbours = g.n - 1 - g.rows[x].bit_count()
+            non_neighbours = g.n - 1 - int(_class_degrees(g)[g._class_of[x]])
             if non_neighbours != len(ideal) - 1:
                 return _failed(
                     {

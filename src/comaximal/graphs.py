@@ -2,7 +2,8 @@
 
 Adjacency rows are Python integers used as bitsets.  Vertices are 0..n-1
 in a fixed order; comaximal graphs remember which ring element each vertex
-came from in `vertex_keys`.
+came from in a read-only intp key array, and `vertex_keys` is that array as a
+tuple, made when first read.
 
 Every graph is kept as its classes, numbered by first member, and its class
 quotient Q, packed in the layout of `rings._pack`: Q[a][b] = A[a_0][b_0] for
@@ -20,13 +21,18 @@ straight from the signatures: Q[a][b] = (sig_a & sig_b) == 0, with a
 diagonal bit on the units' class alone (signature 0).  `join` takes its
 inputs' classes and Q.  Such a graph makes `rows` and the read-only packed
 matrix `packed` (which every numpy reader reads, the n x n `adjacency()`
-among them) when first read; `edge_count`, `twin_classes` and `metrics`
-read only the classes and Q.  `SimpleGraph(n, rows)` packs the rows it is
-given, checks the whole matrix in row blocks and raises ValueError (only a
-failed check loops over the rows, to word its message), then groups equal
-rows in one dict pass and reads Q off the first members' rows.
-`_first_difference` compares two graphs, each on a list of its vertices, in
-row blocks.
+among them) when first read.  What the claims read comes from the classes
+and Q alone: each class's degree (`_class_degrees`, with `edge_count`),
+`twin_classes` and `metrics`, the edge counts between labelled vertex sets,
+N Q N^T (`_label_edges`), and `_same_by_classes`, which shows two graphs
+equal, each on a list of its vertices, when their classes pair off and Q
+agrees, in O(m + k^2).  It may fail to show equal graphs equal (their
+classes can differ), so `_first_difference` then compares them in row
+blocks and finds the first difference.  `SimpleGraph(n, rows)` packs the
+rows it is given, checks the whole matrix in row blocks and raises
+ValueError (only a failed check loops over the rows, to word its message),
+then groups equal rows in one dict pass and reads Q off the first members'
+rows.
 
 The invariants read `twin_classes`, made from the classes and Q once per
 graph: the universal vertices U (adjacent to every other vertex; read off
@@ -60,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain
-from operator import mul, or_
+from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -83,8 +89,8 @@ class SimpleGraph:
     made when first read.  Labels not given are made when first read too.
     """
 
-    __slots__ = ("n", "vertex_keys", "_labels", "_class_of", "_quotient", "_rows", "_packed",
-                 "_twins", "_edges")
+    __slots__ = ("n", "_keys", "_vertex_keys", "_labels", "_class_of", "_quotient", "_rows",
+                 "_packed", "_degrees", "_twins", "_edges")
 
     def __init__(
         self,
@@ -101,8 +107,8 @@ class SimpleGraph:
             self._labels = tuple(labels)
             if len(self._labels) != n:
                 raise ValueError("need one label per vertex")
-        vertex_keys = tuple(vertex_keys) if vertex_keys is not None else tuple(range(n))
-        if len(vertex_keys) != n:
+        keys = np.arange(n) if vertex_keys is None else np.fromiter(vertex_keys, np.intp)
+        if len(keys) != n:
             raise ValueError("need one vertex key per vertex")
         try:
             packed = _pack(rows, n)
@@ -118,20 +124,20 @@ class SimpleGraph:
         class_of = np.fromiter((number.setdefault(r, len(number)) for r in rows), np.intp, n)
         reps = np.full(len(number), n)
         np.minimum.at(reps, class_of, np.arange(n))  # each class's first member
-        self._adopt(n, vertex_keys, class_of, _pack(_induced_rows(packed, n, reps), len(reps)))
+        self._adopt(n, keys, class_of, _pack(_induced_rows(packed, n, reps), len(reps)))
         self._rows, self._packed = rows, packed
 
-    def _adopt(
-        self, n: int, vertex_keys: tuple[int, ...], class_of: np.ndarray, quotient: np.ndarray
-    ) -> None:
-        """Keep the classes and Q that both constructors make; the rest is made when first read."""
-        self.n, self.vertex_keys = n, vertex_keys
-        self._class_of, self._quotient = class_of, quotient
-        self._rows = self._packed = self._twins = self._edges = None
+    def _adopt(self, n: int, keys: np.ndarray, class_of: np.ndarray, quotient: np.ndarray) -> None:
+        """Keep the vertex keys (read-only intp), the classes and Q that both constructors make;
+        the rest is made when first read."""
+        keys.flags.writeable = False
+        self.n, self._keys, self._class_of, self._quotient = n, keys, class_of, quotient
+        self._vertex_keys = self._rows = self._packed = self._degrees = self._twins = None
+        self._edges = None
 
     @classmethod
     def _from_classes(
-        cls, class_of: np.ndarray, quotient: np.ndarray, vertex_keys: tuple[int, ...]
+        cls, class_of: np.ndarray, quotient: np.ndarray, keys: np.ndarray
     ) -> "SimpleGraph":
         """The loop-free graph with A[i][j] = Q[c(i)][c(j)], classes c numbered by first member.
 
@@ -146,8 +152,15 @@ class SimpleGraph:
             )
         g = cls.__new__(cls)
         g._labels = None
-        g._adopt(len(class_of), vertex_keys, class_of, quotient)
+        g._adopt(len(class_of), keys, class_of, quotient)
         return g
+
+    @property
+    def vertex_keys(self) -> tuple[int, ...]:
+        """Each vertex's ring element (or given key), made from the key array when first read."""
+        if self._vertex_keys is None:
+            self._vertex_keys = tuple(self._keys.tolist())
+        return self._vertex_keys
 
     @property
     def rows(self) -> list[int]:
@@ -182,6 +195,13 @@ class SimpleGraph:
     def __getstate__(self):
         self.labels  # made before pickling: what makes them may not pickle
         return None, {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        for kept in (self._keys, self._packed):  # pickled arrays come back writeable
+            if kept is not None:
+                kept.flags.writeable = False
 
     @classmethod
     def from_edges(
@@ -235,7 +255,7 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        twin_classes(self)
+        _class_degrees(self)
         return self._edges
 
     def edges(self) -> list[tuple[int, int]]:
@@ -252,7 +272,7 @@ class SimpleGraph:
             len(vs),
             _induced_rows(self.packed, self.n, vs),
             labels=[self.labels[v] for v in vs],
-            vertex_keys=[self.vertex_keys[v] for v in vs],
+            vertex_keys=self._keys[vs],
         )
 
 
@@ -289,8 +309,11 @@ def _defect(packed: np.ndarray, n: int) -> tuple[int, int] | None:
         whole = len(block) == n  # then the block is the whole matrix, its own columns
         columns = block if whole else _unpack(packed[:, part.start // 8 : part.stop // 8], len(block))
         defects = block > columns.T
-        # Bit i of row i sits at flat position (i - start) * (n + 1) + start of the block.
-        defects.ravel()[part.start :: n + 1] = block.ravel()[part.start :: n + 1] & ~block.all(1)
+        # Bit i of row i sits at flat position (i - start) * (n + 1) + start of the block.  Only a
+        # block with a diagonal bit pays for finding its full rows.
+        diagonal = block.ravel()[part.start :: n + 1]
+        if diagonal.any():
+            defects.ravel()[part.start :: n + 1] = diagonal & ~block.all(1)
         if defects.any():
             i, j = divmod(int(defects.argmax()), n)
             return part.start + i, j
@@ -322,6 +345,54 @@ def _first_difference(
     return None
 
 
+def _same_by_classes(
+    g: SimpleGraph, h: SimpleGraph, gv: Sequence[int] | None = None,
+    hv: Sequence[int] | None = None,
+) -> bool:
+    """True when the classes and Q alone show that g induced on `gv` equals h induced on `hv`
+    (as in `_first_difference`): at the positions where `gv` meets a class of g, `hv` meets one
+    class of h, and Q agrees on the classes so paired, on the diagonal only for a class met
+    twice.  Then A_g = Q_g[c(i)][c(j)] = Q_h[c'(i)][c'(j)] = A_h at all positions i != j.
+
+    False says only that the classes do not show it: equal graphs may keep different classes,
+    such as universal vertices kept as one clique class or each as its own."""
+    cg, ch = (x._class_of if v is None else x._class_of[np.asarray(v, dtype=np.intp)]
+              for x, v in ((g, gv), (h, hv)))
+    kg, kh = len(g._quotient), len(h._quotient)
+    image = np.full(kg, -1)
+    image[cg] = ch  # the h class of some position of each listed g class
+    if (image[cg] != ch).any():
+        return False
+    a = np.flatnonzero(image >= 0)
+    b, twice = image[a], np.bincount(cg, minlength=kg)[a] > 1
+    for part in _blocks(len(a), max(kg, kh)):
+        differ = _unpack(g._quotient[a[part]], kg)[:, a] != _unpack(h._quotient[b[part]], kh)[:, b]
+        r = np.arange(len(differ))
+        differ[r, part.start + r] &= twice[part.start + r]
+        if differ.any():
+            return False
+    return True
+
+
+def _label_edges(g: SimpleGraph, label: np.ndarray, m: int) -> np.ndarray:
+    """`edges[i, j]` counts the edges from the vertices labelled i to those labelled j (edges
+    inside one label twice), for labels 0..m-1, one per vertex: N Q N^T less the loops
+    N[i, a] Q[a][a] of clique classes, where N[i, a] counts the members of class a labelled i.
+
+    Counts are below 2^53, so the products run in float64."""
+    k = len(g._quotient)
+    members = np.bincount(label * k + g._class_of, minlength=m * k).reshape(m, k).astype(float)
+    reach = np.zeros((m, k))  # reach[i, b]: the pairs from label i into class b, loops included
+    loops = np.zeros(m)
+    for part in _blocks(k, k):
+        bits = _unpack(g._quotient[part], k)
+        reach += members[:, part] @ bits
+        loops += members[:, part] @ bits.diagonal(part.start)
+    edges = reach @ members.T
+    edges[np.diag_indices(m)] -= loops
+    return edges.astype(np.int64)
+
+
 class TwinClasses(NamedTuple):
     """The twin quotient of G - U, where U is the set of universal vertices.
 
@@ -335,22 +406,32 @@ class TwinClasses(NamedTuple):
     rows: list[int]
 
 
-def twin_classes(g: SimpleGraph) -> TwinClasses:
-    """The twin quotient of G - U, made when first read from the graph's classes and Q.
+def _class_degrees(g: SimpleGraph) -> np.ndarray:
+    """Each class's degree, made when first read with the edge count: d_a = sum of |b| over the
+    classes b with Q[a][b], less Q[a][a], and 2|E| = sum of |a| d_a.
 
-    Class a has degree d_a = sum of |b| over the classes b with Q[a][b], less Q[a][a]; U is
-    every member of a class of degree n - 1, and 2|E| = sum of |a| d_a.
+    Q[a][a] is set on a full row only, so exactly the rows whose sum is n lose one, and the
+    diagonal is never read."""
+    if g._degrees is None:
+        k = len(g._quotient)
+        counts = np.bincount(g._class_of, minlength=k)
+        degree = np.zeros(k, dtype=np.int64)
+        for part in _blocks(k, k):
+            degree[part] = _unpack(g._quotient[part], k) @ counts
+        degree -= degree == g.n
+        g._degrees, g._edges = degree, int(counts @ degree) // 2
+    return g._degrees
+
+
+def twin_classes(g: SimpleGraph) -> TwinClasses:
+    """The twin quotient of G - U, made when first read from the graph's classes and Q: U is
+    every member of a class of degree n - 1 (`_class_degrees`).
     """
     if g._twins is None:
         n, class_of, quotient = g.n, g._class_of, g._quotient
         k = len(quotient)
-        counts = np.bincount(class_of, minlength=k)
-        degree: list[int] = []
-        for part in _blocks(k, k):
-            bits = _unpack(quotient[part], k)
-            degree += (bits @ counts - bits.diagonal(part.start)).tolist()
-        sizes = counts.tolist()
-        g._edges = sum(map(mul, sizes, degree)) // 2
+        degree = _class_degrees(g).tolist()
+        sizes = np.bincount(class_of, minlength=k).tolist()
         members = np.argsort(class_of, kind="stable").tolist()
         by_class = [members[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
         keep = [c for c, d in enumerate(degree) if d != n - 1]
@@ -389,9 +470,8 @@ def build_comaximal_graph(ring: RingTable, selector: str = "full") -> SimpleGrap
     class_of, class_sig = _signature_classes(sig[keys], all_ideals)
     # The quotient's k x k `&` reads the signatures in the fewest bytes.
     quotient = _comaximal_quotient(class_sig.astype(np.min_scalar_type(all_ideals)))
-    g = SimpleGraph._from_classes(class_of, quotient, tuple(keys.tolist()))
-    keys = g.vertex_keys
-    g._labels = lambda: (ring.labels[k] for k in keys)  # the elements' labels, when first read
+    g = SimpleGraph._from_classes(class_of, quotient, keys)
+    g._labels = lambda: (ring.labels[k] for k in keys.tolist())  # made when first read
     return g
 
 
@@ -439,14 +519,14 @@ def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
             lo = start + part.start
             quotient[lo : lo + len(block)] = np.packbits(bits, axis=1, bitorder="little")
     class_of = np.concatenate([g1._class_of, g2._class_of + k1])
-    g = SimpleGraph._from_classes(class_of, quotient, g1.vertex_keys + g2.vertex_keys)
+    g = SimpleGraph._from_classes(class_of, quotient, np.concatenate([g1._keys, g2._keys]))
     g._labels = lambda: g1.labels + g2.labels
     return g
 
 
 def disjoint_union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     rows = list(g1.rows) + [r << g1.n for r in g2.rows]
-    g = SimpleGraph(g1.n + g2.n, rows, vertex_keys=g1.vertex_keys + g2.vertex_keys)
+    g = SimpleGraph(g1.n + g2.n, rows, vertex_keys=np.concatenate([g1._keys, g2._keys]))
     g._labels = lambda: g1.labels + g2.labels
     return g
 
@@ -454,7 +534,7 @@ def disjoint_union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
 def complement(g: SimpleGraph) -> SimpleGraph:
     full = (1 << g.n) - 1
     rows = [full & ~r & ~(1 << i) for i, r in enumerate(g.rows)]
-    return SimpleGraph(g.n, rows, labels=g.labels, vertex_keys=g.vertex_keys)
+    return SimpleGraph(g.n, rows, labels=g.labels, vertex_keys=g._keys)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -746,9 +826,12 @@ def multipartite_structure(g: SimpleGraph) -> PartitionStructure:
     if g.n == 0:
         return PartitionStructure(((), ()), ())
     classes, universal, rows = twin_classes(g)
-    if universal:  # then G's classes, by first member, and the graph on those first members
+    if universal:  # then G's classes, by first member, and the graph on those first members,
+        # read off Q at their classes; a clique class's diagonal bit is no loop, so it is cleared
         classes = sorted(classes + [[u] for u in universal], key=lambda c: c[0])
-        rows = _induced_rows(g.packed, g.n, [c[0] for c in classes])
+        heads = g._class_of[[c[0] for c in classes]]
+        rows = _induced_rows(g._quotient, len(g._quotient), heads)
+        rows = [r & ~(1 << i) for i, r in enumerate(rows)]
     colour = _two_colouring(rows)
     bipartition = None
     if colour is not None:

@@ -12,8 +12,9 @@ ids from globally sorted keys, so the ids are comparable across graphs.
 first, then by colour and index, on one stack of candidate iterators, and
 pairs a class's members in ascending order and the i-th universal vertex of
 G with the i-th of H.  `verify_isomorphism` checks the lifted mapping on
-every vertex pair, one row block at a time, independently of the quotient
-and the search.  `canonical_certificate` orders the quotient's classes by
+every vertex pair, independently of the twin quotient and the search: on the
+graphs' own classes and class quotients when they pair off, and else one row
+block at a time.  `canonical_certificate` orders the quotient's classes by
 branch and bound; its vertex order is U first, then each class's members
 together, classes in the best order found.
 """
@@ -26,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, InternalConsistencyError
-from .graphs import SimpleGraph, _first_difference, twin_classes
+from .graphs import SimpleGraph, _first_difference, _same_by_classes, twin_classes
 from .limits import DEFAULT_CERTIFICATE_CAP, DEFAULT_GRAPH_ISO_CAP
 from .rings import _iter_bits
 
@@ -78,11 +79,14 @@ def verify_isomorphism(g1: SimpleGraph, g2: SimpleGraph, mapping: tuple[int, ...
     """Independent check that `mapping` (vertex v of g1 to mapping[v]) is an isomorphism.
 
     g2 induced on the mapping, its rows and columns permuted by it, must equal
-    g1, compared by `graphs._first_difference` in blocks of about _BLOCK entries.
+    g1: shown by `graphs._same_by_classes`, or else compared by
+    `graphs._first_difference` in blocks of about _BLOCK entries.
     """
     n = g1.n
     if g2.n != n or len(mapping) != n or sorted(mapping) != list(range(n)):
         return False
+    if _same_by_classes(g1, g2, None, mapping):
+        return True
     return _first_difference(g1, g2, None, mapping) is None
 
 

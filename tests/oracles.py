@@ -75,11 +75,16 @@ def brute_diameter(g: SimpleGraph) -> int | None:
     return max(flat)
 
 
-def _bfs_layers(g: SimpleGraph, source: int) -> list[list[int]]:
+def _neighbour_lists(g: SimpleGraph) -> list[list[int]]:
+    """Each vertex's neighbours, ascending, by one `has_edge` call per ordered vertex pair."""
+    return [[v for v in range(g.n) if g.has_edge(u, v)] for u in range(g.n)]
+
+
+def _bfs_layers(adjacent: list[list[int]], source: int) -> list[list[int]]:
     layers = [[source]]
     seen = {source}
     while True:
-        nxt = sorted({v for u in layers[-1] for v in range(g.n) if g.has_edge(u, v)} - seen)
+        nxt = sorted({v for u in layers[-1] for v in adjacent[u]} - seen)
         if not nxt:
             return layers
         seen.update(nxt)
@@ -96,7 +101,8 @@ def brute_metrics(g: SimpleGraph) -> tuple:
     n = g.n
     if n == 0:
         return (0, 0, False, 0, None, None)
-    layers = [_bfs_layers(g, v) for v in range(n)]
+    adjacent = _neighbour_lists(g)
+    layers = [_bfs_layers(adjacent, v) for v in range(n)]
     reach = [{u for layer in layers[v] for u in layer} for v in range(n)]
     components = len({min(r) for r in reach})
     edges = len(g.edges())
@@ -118,9 +124,10 @@ def brute_partitions(g: SimpleGraph) -> tuple:
     """
     n = g.n
     side = [None] * n
+    adjacent = _neighbour_lists(g)
     for s in range(n):
         if side[s] is None:
-            for d, layer in enumerate(_bfs_layers(g, s)):
+            for d, layer in enumerate(_bfs_layers(adjacent, s)):
                 for v in layer:
                     side[v] = d % 2
     bipartite = all(side[u] != side[v] for u, v in g.edges())

@@ -337,6 +337,57 @@ def test_claims_build_no_graph_from_rows(monkeypatch):
     assert calls == []
 
 
+def counted_reads(monkeypatch) -> list[str]:
+    """Log every read of `SimpleGraph.rows` and `SimpleGraph.packed`, the per-vertex forms."""
+    reads: list[str] = []
+    for name in ("rows", "packed"):
+        get = getattr(SimpleGraph, name).fget
+        logged = property(lambda g, get=get, name=name: reads.append(name) or get(g))
+        monkeypatch.setattr(SimpleGraph, name, logged)
+    return reads
+
+
+def test_passing_claims_read_no_rows(monkeypatch):
+    """Passing claims decide on each graph's classes and Q: no per-vertex row is made, on unit
+    heavy rings, with universal core vertices (`Z/2 x GF(4)`) and on 4,096 elements."""
+    reads = counted_reads(monkeypatch)
+    texts = ["Z/12", "Z/8 x Z/9", "GF(16)", "Z/2 x GF(4)", "Z/2 x Z/2048"]
+    report = sweep(texts, STRUCTURE_CLAIMS)
+    assert {e["outcome"] for e in report["entries"]} == {"pass", "skip"}
+    passed = {e["claim"] for e in report["entries"] if e["outcome"] == "pass"}
+    assert passed >= {"L2.1a", "L2.1b", "JOIN", "T2.2", "P2.4a", "P4.7a", "P4.7b", "P4.7c"}
+    (report,) = verify_pair(ring_from_text("Z/30"), ring_from_text("Z/2 x Z/3 x Z/5"), ["T4.4"])
+    assert report.outcome == "pass"
+    assert reads == []
+
+
+def test_tampered_graphs_take_the_row_path(monkeypatch):
+    """A full graph with flipped pairs keeps the classes of its rows; JOIN and P4.7c fall back to
+    the row blocks, which word every fail, while the graphs as built never reach them."""
+    calls = []
+    real = comaximal.claims._first_difference
+
+    def counted(*args):
+        calls.append(len(args))
+        return real(*args)
+
+    monkeypatch.setattr(comaximal.claims, "_first_difference", counted)
+    texts = ["Z/12", "SQZ(2,3)", "Z/8 x Z/9"]
+    for text in texts:
+        reports = verify_ring(ring_from_text(text), ["JOIN", "P4.7c"])
+        assert [r.outcome for r in reports] == ["pass", "pass"]
+    assert calls == []
+    fails = 0
+    for text in texts:
+        for a, _ in tampered_analyses(text):
+            before = len(calls)
+            reports = verify_ring(a, ["JOIN", "P4.7c"])
+            failed = sum(r.outcome == "fail" for r in reports)
+            assert len(calls) - before >= failed
+            fails += failed
+    assert fails > 0
+
+
 class TestPairClaims:
     def test_graph_isomorphic_product_pair(self):
         reports = verify_pair(

@@ -353,6 +353,9 @@ class TestClassCore:
         if read_first:
             g.rows, g.packed
         copy = pickle.loads(pickle.dumps(g))
+        for keys in (g._keys, copy._keys):  # the selected keys, kept as a read-only intp array
+            assert keys.dtype == np.intp and not keys.flags.writeable
+        assert not copy.packed.flags.writeable
         assert (copy.rows, copy.packed.tobytes()) == (g.rows, g.packed.tobytes())
         assert (copy.labels, copy.vertex_keys, copy.edge_count) == (g.labels, g.vertex_keys, g.edge_count)
         assert twin_classes(copy) == twin_classes(g) and metrics(copy) == metrics(g)

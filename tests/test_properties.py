@@ -27,7 +27,13 @@ from comaximal import (
     ring_from_text,
     verify_ring,
 )
-from comaximal.graphs import _greedy_clique, twin_classes
+from comaximal.graphs import (
+    _first_difference,
+    _greedy_clique,
+    _label_edges,
+    _same_by_classes,
+    twin_classes,
+)
 
 from oracles import (
     additive_span,
@@ -365,6 +371,81 @@ class TestJoinFromClasses:
             ring = ring_from_text(text)
             units, nonunits = (build_comaximal_graph(ring, s) for s in ("units", "nonunits"))
             assert graph_view(join(units, nonunits)) == graph_view(joined_by_rows(units, nonunits))
+
+
+@st.composite
+def class_built_graphs(draw, max_n=10):
+    """A graph made by `SimpleGraph(n, rows)`, or one built from random classes and a random
+    symmetric Q: classes may hold equal rows (class 1 may copy class 0's), and a full row,
+    which one class may be made to have, may carry its diagonal bit (a clique class)."""
+    n = draw(st.integers(0, max_n))
+    if draw(st.booleans()):
+        pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+        return SimpleGraph.from_edges(n, [(i, j) for i, j in draw(st.sets(pairs)) if i < j])
+    first: dict[int, int] = {}
+    labels = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    class_of = [first.setdefault(c, len(first)) for c in labels]
+    k = len(first)
+    bits = np.zeros((k, k), dtype=bool)
+    upper = np.triu_indices(k, 1)
+    bits[upper] = draw(st.lists(st.booleans(), min_size=len(upper[0]), max_size=len(upper[0])))
+    bits |= bits.T
+    if k > 2 and draw(st.booleans()):
+        bits[1, 2:] = bits[2:, 1] = bits[0, 2:]
+    if k and draw(st.booleans()):
+        u = draw(st.integers(0, k - 1))
+        bits[u] = bits[:, u] = True
+    np.fill_diagonal(bits, False)
+    for a in np.flatnonzero(bits.sum(1) == k - 1).tolist():
+        bits[a, a] = draw(st.booleans())
+    quotient = np.packbits(bits, axis=1, bitorder="little").reshape(k, (k + 7) // 8)
+    return SimpleGraph._from_classes(np.array(class_of, dtype=np.intp), quotient, np.arange(n))
+
+
+def relabelled_by_classes(g: SimpleGraph, perm: list[int]) -> SimpleGraph:
+    """g with its vertex perm[i] as vertex i, built from the same classes and Q renumbered."""
+    first: dict[int, int] = {}
+    class_of = [first.setdefault(c, len(first)) for c in g._class_of[perm].tolist()]
+    old = list(first)
+    k = len(g._quotient)
+    bits = np.unpackbits(g._quotient, axis=1, count=k, bitorder="little").astype(bool)
+    quotient = np.packbits(bits[np.ix_(old, old)], axis=1, bitorder="little")
+    quotient = quotient.reshape(len(old), (len(old) + 7) // 8)
+    return SimpleGraph._from_classes(np.array(class_of, dtype=np.intp), quotient, np.arange(g.n))
+
+
+class TestClassLevelChecks:
+    """The claims' class-level forms against pair-by-pair counts and the row-block comparison."""
+
+    @settings(max_examples=300)
+    @given(class_built_graphs(), st.data())
+    def test_label_edges_match_pair_count(self, g, data):
+        m = data.draw(st.integers(1, max(g.n, 1)))
+        label = data.draw(st.lists(st.integers(0, m - 1), min_size=g.n, max_size=g.n))
+        expected = np.zeros((m, m), dtype=np.int64)
+        for u in range(g.n):
+            for v in range(g.n):
+                if u != v and g.has_edge(u, v):
+                    expected[label[u], label[v]] += 1
+        assert _label_edges(g, np.array(label, dtype=np.intp), m).tolist() == expected.tolist()
+
+    @settings(max_examples=300)
+    @given(class_built_graphs(), st.data())
+    def test_equal_classes_never_hide_a_difference(self, g, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        m = data.draw(st.integers(0, g.n))
+        same = relabelled_by_classes(g, perm)
+        assert _same_by_classes(g, same, perm[:m], list(range(m)))
+        rows = list(same.rows)
+        for i, j in data.draw(st.lists(st.tuples(st.integers(0, g.n), st.integers(0, g.n)))):
+            if i != j and max(i, j) < g.n:
+                rows[i] ^= 1 << j
+                rows[j] ^= 1 << i
+        for h in (same, SimpleGraph(g.n, rows), data.draw(class_built_graphs(max_n=g.n))):
+            if h.n == g.n:
+                for gv, hv in ((perm[:m], list(range(m))), (None, None)):
+                    if _same_by_classes(g, h, gv, hv):
+                        assert _first_difference(g, h, gv, hv) is None
 
 
 class TestComaximalGraphProperties:
