@@ -575,6 +575,16 @@ def _layers(rows: list[int], source: int) -> Iterator[int]:
         yield frontier
 
 
+def _components(rows: list[int]) -> Iterator[int]:
+    """The connected components as masks, in order of their lowest vertex."""
+    seen = 0
+    for v in range(len(rows)):
+        if not seen >> v & 1:
+            component = reduce(or_, _layers(rows, v), 1 << v)
+            seen |= component
+            yield component
+
+
 def metrics(g: SimpleGraph) -> GraphMetrics:
     """Connectivity, components, diameter, and a witness pair.
 
@@ -777,7 +787,10 @@ def _colouring(rows: list[int], clique: list[int], enough: int) -> list[int]:
 
 
 def chromatic_number(g: SimpleGraph, cap: int = DEFAULT_EXACT_VERTEX_CAP) -> int:
-    """Exact chromatic number: |U| plus that of the twin quotient, found by `_colouring`."""
+    """Exact chromatic number: |U| plus that of the twin quotient, the largest of its connected
+    components', each found by `_colouring`.  A component needs only as many colours as the
+    largest count so far, or its own clique, so it proves a lower count only when it needs one
+    more, and a search never spans two components.  The combined colouring is checked proper."""
     t = twin_classes(g)
     if g.n > cap:
         raise CapacityError(
@@ -785,8 +798,18 @@ def chromatic_number(g: SimpleGraph, cap: int = DEFAULT_EXACT_VERTEX_CAP) -> int
             lower=len(t.universal) + len(_greedy_clique(t.rows)),
             upper=len(t.universal) + len(set(_colouring(t.rows, [], len(t.rows)))),
         )
-    clique = _clique(t.rows)
-    colour = _colouring(t.rows, clique, len(clique))
+    k = len(t.rows)
+    colour, enough = [0] * k, 0
+    components = list(_components(t.rows))
+    packed = _pack(t.rows, k) if len(components) > 1 else None
+    for component in components:
+        vertices = list(_iter_bits(component))
+        rows = t.rows if packed is None else _induced_rows(packed, k, vertices)
+        clique = _clique(rows)
+        part = _colouring(rows, clique, max(len(clique), enough))
+        enough = max(enough, max(part) + 1)
+        for v, c in zip(vertices, part):
+            colour[v] = c
     if any(colour[u] == c for v, c in enumerate(colour) for u in _iter_bits(t.rows[v])):
         raise InternalConsistencyError("the colouring gives two adjacent classes one colour")
     return len(t.universal) + len(set(colour))

@@ -21,7 +21,10 @@ Artinian, so J is the nilradical {a : a**N == 0}; it is the product of
 local rings eR over its primitive idempotents e, so its maximal ideals are
 M_e = {a : e * a**N == 0}, ordered by min(e + J).  That m x n membership
 matrix is evaluated once: the ideals' masks, the units (the elements in no
-M_e) and the signatures are all read from it.
+M_e) and the signatures are all read from it.  The primitive idempotents
+refine the atom 1 until there are m atoms for 2**m idempotents: atoms
+certified orthogonal with sum 1 have 2**m distinct subset sums, which are
+then every idempotent, so none splits an atom.
 
 A mask is a Python int whose bit j marks index j.  `_pack` lays masks out
 as the rows of a uint8 matrix, bit j of mask i at bit j % 8 of byte j // 8
@@ -44,11 +47,6 @@ from .limits import (
     DEFAULT_RING_ISO_CAP,
     TABLE_LIMIT,
 )
-
-
-def _mask_from_bool(flags: np.ndarray) -> int:
-    packed = np.packbits(flags.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 def _pack(masks: Sequence[int], n: int) -> np.ndarray:
@@ -76,7 +74,7 @@ def _distinct(values: np.ndarray, n: int) -> np.ndarray:
 
     Used instead of plain `np.unique`, whose first call imports `numpy.ma`.
     """
-    return np.flatnonzero(np.bincount(values, minlength=n))
+    return np.bincount(values, minlength=n).nonzero()[0]
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -138,6 +136,14 @@ class IdealSet:
 
     ring_size: int
     mask: int
+
+    @classmethod
+    def from_flags(cls, flags: np.ndarray) -> "IdealSet":
+        """The ideal whose members a bool array flags; the flags are kept as `member_flags`."""
+        packed = np.packbits(flags, bitorder="little").tobytes()
+        ideal = cls(len(flags), int.from_bytes(packed, "little"))
+        vars(ideal)["_flags"] = np.frombuffer(flags.tobytes(), dtype=bool)  # as `_flags` keeps them
+        return ideal
 
     def __contains__(self, index: int) -> bool:
         return 0 <= index < self.ring_size and bool(self.mask >> index & 1)
@@ -306,10 +312,14 @@ class RingTable:
     # -- cached structure --------------------------------------------------
 
     @cached_property
+    def _minus_one(self) -> int:
+        """The element -1, the one that 1 + x sends to 0."""
+        return int((self.add_row(self.one) == 0).argmax())
+
+    @cached_property
     def negatives(self) -> np.ndarray:
         """negatives[a] = -a, read off as (-1) * a."""
-        minus_one = int((self.add_row(self.one) == 0).argmax())
-        arr = self.mul_row(minus_one)
+        arr = self.mul_row(self._minus_one)
         arr.setflags(write=False)
         return arr
 
@@ -320,7 +330,7 @@ class RingTable:
         A non-unit a is certified by e * a**N == 0 for some e != 0.
         """
         flags = ~self._membership.any(axis=0)
-        units = np.flatnonzero(flags)
+        units = flags.nonzero()[0]
         if not (self._power(units, len(units)) == self.one).all():
             raise InternalConsistencyError("a claimed unit u has u**|U| != 1")
         flags.setflags(write=False)
@@ -341,7 +351,7 @@ class RingTable:
     @cached_property
     def jacobson_radical(self) -> IdealSet:
         """J(R), which in a finite (so Artinian) ring is the nilradical {a : a**N == 0}."""
-        ideal = IdealSet(self.size, _mask_from_bool(self._nth_powers == 0))
+        ideal = IdealSet.from_flags(self._nth_powers == 0)
         if not self.is_ideal(ideal):
             raise InternalConsistencyError("radical is not an ideal; operations are inconsistent")
         return ideal
@@ -349,7 +359,7 @@ class RingTable:
     @cached_property
     def idempotent_elements(self) -> tuple[int, ...]:
         idx = self._idx
-        return tuple(np.flatnonzero(self.mul_op(idx, idx) == idx).tolist())
+        return tuple((self.mul_op(idx, idx) == idx).nonzero()[0].tolist())
 
     def _power(self, base: np.ndarray, exponent: int) -> np.ndarray:
         """base**exponent elementwise, by square-and-multiply through `mul_op`, starting from
@@ -382,7 +392,7 @@ class RingTable:
     @cached_property
     def nilpotent_elements(self) -> tuple[int, ...]:
         """Elements with a**N == 0, the members of the Jacobson radical."""
-        return tuple(np.flatnonzero(self._nth_powers == 0).tolist())
+        return tuple((self._nth_powers == 0).nonzero()[0].tolist())
 
     @property
     def is_reduced(self) -> bool:
@@ -426,7 +436,7 @@ class RingTable:
         member[0] = True
         member[gens] = True
         while True:
-            current = np.flatnonzero(member)
+            current = member.nonzero()[0]
             grown = member.copy()
             for a in self._row_blocks(current):
                 grown[self.mul_op(a, self._idx)] = True
@@ -434,33 +444,45 @@ class RingTable:
             if (grown == member).all():
                 break
             member = grown
-        return IdealSet(n, _mask_from_bool(member))
+        return IdealSet.from_flags(member)
 
     def principal_ideal(self, a: int) -> IdealSet:
         self._check_index(a)
         member = np.zeros(self.size, dtype=bool)
         member[self.mul_row(a)] = True
-        return IdealSet(self.size, _mask_from_bool(member))
+        return IdealSet.from_flags(member)
 
     @cached_property
     def primitive_idempotents(self) -> tuple[int, ...]:
         """Nonzero idempotents e with no other nonzero idempotent f = e*f below them.
 
-        Refines the atoms {1}: an atom a split by an idempotent f (a*f not in
-        {0, a}) becomes a*f and a - a*f.  There are 2**m idempotents for m atoms.
+        Refines the atoms {1}: each atom a split by an idempotent f (a*f not in
+        {0, a}) becomes a*f and a + (-1)*(a*f).  It stops at m atoms once the ring
+        has 2**m idempotents.  The atoms are orthogonal with sum 1, which
+        `maximal_ideals` certifies, so their 2**m subset sums are distinct
+        idempotents, and then they are all of them: an idempotent f = a*f below an
+        atom a is a subset sum that a fixes, so 0 or a itself.  That saves the
+        round that would only confirm that no atom splits, and a local ring needs
+        none.  A refinement that stalls before 2**m idempotents or passes them
+        raises InternalConsistencyError.
         """
         idems = np.array(self.idempotent_elements)
         atoms = np.array([self.one])
-        while len(atoms) < len(idems):
+        while 1 << len(atoms) < len(idems):
             products = self.mul_op(atoms[:, None], idems)
             split = (products != 0) & (products != atoms[:, None])
             rows = split.any(axis=1)
             if not rows.any():
-                return tuple(sorted(atoms.tolist()))
+                break
             part = products[rows, split[rows].argmax(axis=1)]
-            rest = self.add_op(atoms[rows], self.negatives[part])
+            rest = self.add_op(atoms[rows], self.mul_op(self._minus_one, part))
             atoms = np.concatenate([atoms[~rows], part, rest])
-        raise InternalConsistencyError("idempotent refinement produced more atoms than idempotents")
+        if 1 << len(atoms) != len(idems):
+            raise InternalConsistencyError(
+                f"idempotent refinement ends at {len(atoms)} atoms, but there are "
+                f"{len(idems)} idempotents"
+            )
+        return tuple(sorted(atoms.tolist()))
 
     @cached_property
     def maximal_ideals(self) -> tuple[IdealSet, ...]:
@@ -472,17 +494,16 @@ class RingTable:
         membership matrix is kept for `unit_flags` and `signature_array`.
         """
         n = self.size
-        primitive = self.primitive_idempotents
-        idems = np.array(primitive, dtype=np.int64)
+        idems = np.array(self.primitive_idempotents, dtype=np.int64)
         products = self.mul_op(idems[:, None], idems)
-        if reduce(self.add, primitive, 0) != self.one or (products != np.diag(idems)).any():
+        if reduce(self.add_op, idems) != self.one or (products != np.diag(idems)).any():
             raise InternalConsistencyError(
                 "primitive idempotents are not orthogonal idempotents that sum to 1"
             )
         radical = self.jacobson_radical.member_flags()
-        members = np.flatnonzero(radical)
-        ordered = sorted(primitive, key=lambda e: int(self.add_op(e, members).min()))
-        member = self.mul_op(np.array(ordered)[:, None], self._nth_powers) == 0
+        least = self.add_op(idems[:, None], radical.nonzero()[0]).min(axis=1)  # min(e + J)
+        ordered = idems[np.argsort(least, kind="stable")]
+        member = self.mul_op(ordered[:, None], self._nth_powers) == 0
         ideals = tuple(IdealSet(n, m) for m in _masks(np.packbits(member, axis=1, bitorder="little")))
         if (member.all(axis=0) != radical).any():
             raise InternalConsistencyError("maximal ideals do not intersect in the radical")
@@ -548,14 +569,30 @@ class RingTable:
     def coset_representatives(self, ideal: IdealSet) -> tuple[np.ndarray, np.ndarray]:
         """Minimum-index representative of each coset of `ideal`.
 
-        Returns (reps, rep_of): the sorted distinct representatives and,
-        for every element x, the representative of x + ideal.
+        Returns (reps, rep_of), both read-only: the sorted distinct
+        representatives and, for every element x, the representative of
+        x + ideal.  Each ideal's cosets are scanned once per ring and kept, so
+        the radical's serve P4.7a-c and `quotient` alike.
         """
         if ideal.ring_size != self.size:
             raise ValueError("ideal belongs to a ring of different size")
-        blocks = self._row_blocks(np.flatnonzero(ideal.member_flags()))
+        if ideal.mask not in self._cosets:
+            self._cosets[ideal.mask] = self._scan_cosets(ideal)
+        return self._cosets[ideal.mask]
+
+    @cached_property
+    def _cosets(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """`coset_representatives` of each ideal scanned so far, by mask."""
+        return {}
+
+    def _scan_cosets(self, ideal: IdealSet) -> tuple[np.ndarray, np.ndarray]:
+        """The scan behind `coset_representatives`: the least of j + x over the members j."""
+        blocks = self._row_blocks(ideal.member_flags().nonzero()[0])
         rep_of = reduce(np.minimum, (self.add_op(j, self._idx).min(axis=0) for j in blocks))
-        return np.flatnonzero(rep_of == self._idx), rep_of
+        reps = (rep_of == self._idx).nonzero()[0]
+        for kept in (reps, rep_of):
+            kept.setflags(write=False)
+        return reps, rep_of
 
     def quotient(self, ideal: IdealSet) -> tuple["RingTable", ElementMap]:
         """Quotient ring R/I together with the projection map."""
@@ -828,20 +865,25 @@ def _additive_generators(ring: RingTable, within: np.ndarray | None = None) -> l
     u (that + 2g), ..., until the next translate 2^j g is spanned.  The cosets S + kg,
     k < 2^j, are distinct until ord(g mod S) of them are spanned, and 2^j g lies among
     them exactly then, so the walk stops at S + <g>: O(n log n) operations in all.
+    The span's members are kept as an array too, grown by the new members of each
+    translate: only the last translate of a walk may meet the span, when ord(g mod S) is
+    not a power of 2.
     With `within` (membership flags), generators are its lowest unspanned members, and None
     is returned once a step leaves it, which happens exactly when it is not an additive group.
     """
     span = np.zeros(ring.size, dtype=bool)
     span[0] = True
+    members = span.nonzero()[0]
     draw = ~span if within is None else within
     gens: list[int] = []
-    while len(rest := np.flatnonzero(draw & ~span)):
+    while len(rest := (draw & ~span).nonzero()[0]):
         step = int(rest[0]) if gens or within is not None else ring.one
         gens.append(step)
         while not span[step]:
-            moved = ring.add_op(np.flatnonzero(span), step)
+            moved = ring.add_op(members, step)
             if within is not None and not within[moved].all():
                 return None
+            members = np.concatenate([members, moved[~span[moved]]])
             span[moved] = True
             span[step] = True  # already set when 0 + step == step; a malformed table cannot loop
             step = int(ring.add_op(step, step))

@@ -348,6 +348,17 @@ def radical_by_definition(ring) -> list[bool]:
     return [all(unit[one_minus[y]] for y in ring.mul_row(x).tolist()) for x in range(n)]
 
 
+def primitive_idempotents_by_definition(ring) -> list[int]:
+    """The nonzero idempotents e with no idempotent f outside {0, e} where e*f = f, ascending,
+    by scalar `mul` only."""
+    idempotents = [e for e in range(ring.size) if ring.mul(e, e) == e]
+    return [
+        e
+        for e in idempotents
+        if e != 0 and not any(f not in (0, e) and ring.mul(e, f) == f for f in idempotents)
+    ]
+
+
 def structure_by_definition(ring) -> dict:
     """Units, radical, ordered maximal ideals and signatures from the definitions.
 

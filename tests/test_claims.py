@@ -869,20 +869,20 @@ class TestGraphPathsMatchReference:
         assert outcomes == {"pass", "fail"}
 
     @pytest.mark.parametrize("text", ["Z/12", "SQZ(2,3)", "Z/8 x Z/9"])
-    def test_coset_claims_scan_the_cosets_twice(self, text, monkeypatch):
-        """P4.7c reads the representatives P4.7a cached; only `quotient` scans again."""
+    def test_coset_claims_scan_the_cosets_once(self, text, monkeypatch):
+        """P4.7a-c and `quotient` all read the one scan of the radical's cosets the ring keeps."""
         calls = []
-        scan = RingTable.coset_representatives
+        scan = RingTable._scan_cosets
 
         def counted(self, ideal):
             calls.append(len(ideal))
             return scan(self, ideal)
 
-        monkeypatch.setattr(RingTable, "coset_representatives", counted)
+        monkeypatch.setattr(RingTable, "_scan_cosets", counted)
         ring = ring_from_text(text)
         reports = verify_ring(ring, ["P4.7a", "P4.7b", "P4.7c"], text=text)
         assert [r.outcome for r in reports] == ["pass"] * 3
-        assert calls == [len(ring.jacobson_radical)] * 2 and calls[0] > 1
+        assert calls == [len(ring.jacobson_radical)] and calls[0] > 1
 
     @pytest.mark.parametrize("text", ["Z/12", "SQZ(2,3)", "Z/8 x Z/9"])
     def test_quotient_claim_counts_no_coset_edges(self, text):

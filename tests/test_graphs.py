@@ -608,6 +608,27 @@ class TestExactSolvers:
         g = SimpleGraph.from_edges(11, edges)
         assert (clique_number(g), chromatic_number(g)) == (2, 4) == (brute_clique(g), brute_chromatic(g))
 
+    @pytest.mark.parametrize("k", [8, 10, 12])
+    def test_disconnected_odd_cycle_colours_each_component_alone(self, k):
+        # k copies of C_6 and one C_5: one search over the whole graph would prove that C_5 needs
+        # three colours once for every 2-colouring of the hexagons it meets first.
+        g = cycle_graph(5)
+        for _ in range(k):
+            g = disjoint_union(cycle_graph(6), g)
+        start = time.perf_counter()
+        assert chromatic_number(g) == 3
+        assert time.perf_counter() - start < 0.1
+
+    def test_chromatic_matches_bruteforce_on_random_disconnected_graphs(self):
+        rng = random.Random(24)
+        for _ in range(40):
+            g = SimpleGraph.edgeless(0)
+            for _ in range(rng.randint(2, 3)):
+                n, p = rng.randint(1, 4), rng.uniform(0.3, 1.0)
+                edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+                g = disjoint_union(g, SimpleGraph.from_edges(n, edges))
+            assert chromatic_number(g) == brute_chromatic(g), g.edges()
+
     def test_long_odd_cycle_needs_no_recursion(self):
         assert chromatic_number(cycle_graph(1201), cap=5000) == 3
 

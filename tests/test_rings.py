@@ -33,6 +33,7 @@ from oracles import (
     brute_ring_isomorphic,
     is_ring_isomorphism,
     polyquot_product,
+    primitive_idempotents_by_definition,
     relabelled,
     sqz_product,
     structure_by_definition,
@@ -804,6 +805,23 @@ class TestLocalFactors:
         assert report.witness["local_factor_sizes"] == sorted(c.size for c in components)
 
 
+class TestPrimitiveIdempotents:
+    """The refinement, stopped at m atoms once there are 2**m idempotents, gives the primitive
+    idempotents of the definition."""
+
+    def test_matches_definition_on_derived_rings(self, derived_ring):
+        expected = primitive_idempotents_by_definition(derived_ring)
+        assert derived_ring.primitive_idempotents == tuple(expected)
+
+    def test_matches_definition_on_small_corpus_and_relabelled_copies(self):
+        specs = corpus_up_to(64)
+        assert len(specs) > 100
+        for text in specs:
+            ring = ring_from_text(text)
+            for r in (ring, relabelled(ring, np.random.default_rng(len(text)))):
+                assert r.primitive_idempotents == tuple(primitive_idempotents_by_definition(r)), text
+
+
 class TestStructureReferences:
     """Units, radical, nilpotents, maximal ideals in order and signatures from the definitions."""
 
@@ -872,7 +890,8 @@ class TestStructureWork:
 
 
 def _dropping_first(real):
-    """`primitive_idempotents` without its first idempotent."""
+    """A cached tuple property (`primitive_idempotents`, `idempotent_elements`) without its first
+    entry."""
     return property(lambda self: real.func(self)[1:])
 
 
@@ -929,6 +948,10 @@ def _constants_nilpotent(real):
 # these faults first.
 CERTIFICATE_FAULTS = {
     "dropped_idempotent": ("primitive_idempotents", _dropping_first, "maximal_ideals", "sum to 1"),
+    # Three idempotents, not a power of 2: the refinement ends at two atoms.
+    "dropped_idempotent_element": (
+        "idempotent_elements", _dropping_first, "primitive_idempotents", "idempotent refinement"
+    ),
     "corrupted_power": ("_power", _corrupting_power, "unit_flags", "claimed unit"),
 }
 
