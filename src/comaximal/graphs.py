@@ -575,14 +575,14 @@ def _layers(rows: list[int], source: int) -> Iterator[int]:
         yield frontier
 
 
-def _components(rows: list[int]) -> Iterator[int]:
-    """The connected components as masks, in order of their lowest vertex."""
+def _components(rows: list[int]) -> Iterator[tuple[int, int]]:
+    """The connected components as (lowest vertex, mask) pairs, in order of that vertex."""
     seen = 0
     for v in range(len(rows)):
         if not seen >> v & 1:
             component = reduce(or_, _layers(rows, v), 1 << v)
             seen |= component
-            yield component
+            yield v, component
 
 
 def metrics(g: SimpleGraph) -> GraphMetrics:
@@ -617,12 +617,10 @@ def metrics(g: SimpleGraph) -> GraphMetrics:
         return GraphMetrics(n, edges, True, 1, 2, (members[0], far))
 
     classes, rows = t.classes, t.rows
-    starts, seen, components = [], 0, 0
-    for c, members in enumerate(classes):
-        if not seen >> c & 1:
-            starts.append(c)
-            seen |= reduce(or_, _layers(rows, c), 1 << c)
-            components += 1 if rows[c] else len(members)
+    starts, components = [], 0
+    for c, _ in _components(rows):
+        starts.append(c)
+        components += 1 if rows[c] else len(classes[c])
     if components > 1:
         # The second BFS starts at the lowest class that class 0 cannot reach.
         other = classes[starts[1]][0] if rows[0] else 1
@@ -800,7 +798,7 @@ def chromatic_number(g: SimpleGraph, cap: int = DEFAULT_EXACT_VERTEX_CAP) -> int
         )
     k = len(t.rows)
     colour, enough = [0] * k, 0
-    components = list(_components(t.rows))
+    components = [component for _, component in _components(t.rows)]
     packed = _pack(t.rows, k) if len(components) > 1 else None
     for component in components:
         vertices = list(_iter_bits(component))

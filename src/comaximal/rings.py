@@ -867,7 +867,10 @@ def _additive_generators(ring: RingTable, within: np.ndarray | None = None) -> l
     them exactly then, so the walk stops at S + <g>: O(n log n) operations in all.
     The span's members are kept as an array too, grown by the new members of each
     translate: only the last translate of a walk may meet the span, when ord(g mod S) is
-    not a power of 2.
+    not a power of 2.  A table that is not a group (the axiom check calls this walk before
+    it checks associativity) may repeat a new member within a translate.  Repeats leave the
+    span as it is, and once the array holds more than n entries it is re-read from the
+    flags, so it never holds more than 2n.
     With `within` (membership flags), generators are its lowest unspanned members, and None
     is returned once a step leaves it, which happens exactly when it is not an additive group.
     """
@@ -886,6 +889,8 @@ def _additive_generators(ring: RingTable, within: np.ndarray | None = None) -> l
             members = np.concatenate([members, moved[~span[moved]]])
             span[moved] = True
             span[step] = True  # already set when 0 + step == step; a malformed table cannot loop
+            if len(members) > ring.size:
+                members = span.nonzero()[0]
             step = int(ring.add_op(step, step))
     return gens
 

@@ -1,5 +1,6 @@
 """Ring kernel tests against hand-derived and brute-force values."""
 
+import json
 import time
 import tracemalloc
 from dataclasses import replace
@@ -18,6 +19,7 @@ from comaximal import (
     SqzExpr,
     direct_product,
     expression_size,
+    load_table_ring,
     maximal_ideals_bruteforce,
     parse_expression,
     ring_from_text,
@@ -553,6 +555,39 @@ class TestAxiomValidation:
     def test_large_ring_sampled(self):
         r = zn(1024)
         validate_ring_axioms(r)
+
+    def test_commutative_nonassociative_addition_rejected_in_bounded_memory(self, tmp_path):
+        # Identity, inverses (x + (n-1) = 0) and commutativity hold, but a + a = a + 1 and
+        # a + b = max(a, b) otherwise: each translate of the additive walk repeats one new
+        # element for every spanned one, so a walk that kept the repeats would hold 2^(n-1).
+        n = 24
+
+        def add(a: int, b: int) -> int:
+            if not a or not b:
+                return a or b
+            if n - 1 in (a, b):
+                return 0
+            return a + 1 if a == b else max(a, b)
+
+        def mul(a: int, b: int) -> int:
+            return b if a == 1 else a if b == 1 else 0
+
+        path = tmp_path / "nonassociative.json"
+        path.write_text(json.dumps({
+            "size": n,
+            "one": 1,
+            "add": [add(a, b) for a in range(n) for b in range(n)],
+            "mul": [mul(a, b) for a in range(n) for b in range(n)],
+        }))
+        tracemalloc.start()
+        try:
+            with pytest.raises(RingAxiomError) as err:
+                load_table_ring(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.law == "associativity(add)"
+        assert peak < 256 * 1024
 
 
 class TestRingIsomorphism:
