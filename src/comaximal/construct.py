@@ -455,9 +455,21 @@ def build_ring(expr: RingExpr, *, max_size: int = DEFAULT_MAX_RING_SIZE) -> Ring
         _check_size(ring.size, 1, max_size)
         return ring
     if isinstance(expr, ProductExpr):
-        factors = [build_ring(f, max_size=max_size) for f in expr.factors]
+        factors = [
+            build_ring(f, max_size=max_size) if isinstance(f, (TableFileExpr, ProductExpr))
+            else _base_factor(f, max_size)
+            for f in expr.factors
+        ]
         return direct_product(*factors, max_size=max_size)
     raise TypeError(f"not a ring expression: {expr!r}")
+
+
+@lru_cache(maxsize=16)
+def _base_factor(expr: RingExpr, max_size: int) -> RingTable:
+    """A base factor of a product, built once per process and cap.  Only `direct_product` reads
+    it, and only its size, identity, name, labels and laws, none of which changes; the product
+    it makes is a fresh ring.  `build_ring` never keeps a table file, which may change."""
+    return build_ring(expr, max_size=max_size)
 
 
 def ring_from_text(text: str, *, max_size: int = DEFAULT_MAX_RING_SIZE) -> RingTable:

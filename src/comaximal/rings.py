@@ -11,7 +11,8 @@ above it; a table given as such is always kept.  A product is its factors'
 tables: consecutive factors are grouped up to `TABLE_LIMIT` elements, each
 group's table is laid out from the factors' own s x s tables by
 broadcasting, and a larger product looks each pair up once per group (a
-factor above the limit keeps its own law).  Scalars, rows and whole-ring
+factor above the limit keeps its own law).  Tables and mixed-radix results
+are kept in the ring's own index type, the smallest that holds n - 1.  Scalars, rows and whole-ring
 scans (in row blocks, so memory stays linear in n) are all read from that
 one operation.
 
@@ -690,9 +691,10 @@ def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> 
 
     Consecutive factors are grouped while a group has at most TABLE_LIMIT
     elements.  Each factor law is evaluated once on its own s x s grid, and a
-    group's table is laid out mixed-radix from them by broadcasting.  A product
-    of at most TABLE_LIMIT elements is one group, whose tables the ring takes;
-    a larger one looks each pair up once per group.
+    group's table is laid out mixed-radix from them by broadcasting, in the
+    group's own index type.  A product of at most TABLE_LIMIT elements is one
+    group, whose tables the ring takes; a larger one looks each pair up once per
+    group and accumulates the parts in the product's index type.
     A factor above TABLE_LIMIT is a group of its own and keeps its own law, so
     no table above TABLE_LIMIT elements is made.
     """
@@ -712,20 +714,26 @@ def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> 
             groups.append([r])
             group_sizes.append(r.size)
 
-    def table(group: list[RingTable], law: str) -> np.ndarray:
-        """The group's law as a table: out[a, b] * s + t[c, d] at row a * s + c, column b * s + d."""
-        out = np.zeros((1, 1), dtype=np.intp)
+    def table(group: list[RingTable], size: int, law: str) -> np.ndarray:
+        """The group's law as a table in its own index type: out[a, b] * s + t[c, d] at row
+        a * s + c, column b * s + d.  It starts from the first factor's table, so each s that
+        scales it is at most half the group's size and fits that type."""
+        dtype = np.min_scalar_type(size - 1)
+        out = None
         for r in group:
-            s, t = r.size, getattr(r, law)(r._idx[:, None], r._idx)
-            out = (out[:, None, :, None] * s + t[None, :, None, :]).reshape(len(out) * s, -1)
+            s, t = r.size, getattr(r, law)(r._idx[:, None], r._idx).astype(dtype, copy=False)
+            if out is not None:
+                t = (out[:, None, :, None] * s + t[None, :, None, :]).reshape(len(out) * s, -1)
+            out = t
         return out
 
     # digits[i][a] is group i's component of element a.
     digits = np.unravel_index(np.arange(total), group_sizes)
+    dtype = np.min_scalar_type(total - 1)
 
     def mixed_radix(law: str) -> Op:
         ops = [
-            getattr(g[0], law) if size > TABLE_LIMIT else _lookup(table(g, law), size, law)
+            getattr(g[0], law) if size > TABLE_LIMIT else _lookup(table(g, size, law), size, law)
             for g, size in zip(groups, group_sizes)
         ]
 
@@ -734,16 +742,16 @@ def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> 
             for s, f, d in zip(group_sizes, ops, digits):
                 part = f(d[a], d[b])
                 if out is None:
-                    out = part.astype(np.int64)  # widened: a group's table may hold uint8
+                    out = part.astype(dtype)  # a copy of its own, scaled in place below
                 else:  # in place: each whole-block temporary costs fresh pages
                     out *= s
-                    out += part
+                    out += part.astype(dtype, copy=False)  # a factor's own law (Z/n) gives intp
             return out
 
         return op
 
     if len(groups) == 1:
-        add, mul = table(rings, "add_op"), table(rings, "mul_op")
+        add, mul = table(rings, total, "add_op"), table(rings, total, "mul_op")
     else:
         add, mul = mixed_radix("add_op"), mixed_radix("mul_op")
     ring = RingTable(

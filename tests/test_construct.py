@@ -382,3 +382,37 @@ class TestTableFiles:
         with pytest.raises(RingAxiomError) as err:
             load_table_ring(str(path))
         assert len(err.value.witness) >= 2
+
+
+class TestBaseFactorMemo:
+    """The base factors of a product are built once per process and cap; each ring is fresh."""
+
+    @pytest.mark.parametrize("text", ["GF(4)", "Z/2 x GF(4)", "Z/2 x Z/2"])
+    def test_each_call_gives_a_fresh_ring(self, text):
+        first, second = ring_from_text(text), ring_from_text(text)
+        assert first is not second
+        before = set(vars(second))
+        first.unit_flags, first.labels, first.negatives
+        assert {"unit_flags", "maximal_ideals", "labels", "negatives"} <= set(vars(first))
+        assert set(vars(second)) == before
+        assert second.unit_count == first.unit_count and second.labels == first.labels
+
+    def test_table_factor_read_again_after_its_file_changes(self, tmp_path):
+        path = tmp_path / "ring.json"
+        text = f"table:{path} x Z/2"
+        save_table_ring(ring_from_text("Z/3"), str(path))
+        assert ring_from_text(text).size == 6
+        save_table_ring(ring_from_text("GF(4)"), str(path))
+        r = ring_from_text(text)
+        assert r.size == 8 and r.unit_count == 3
+        data = json.loads(path.read_text())
+        data["mul"][2 * 4 + 3] = data["mul"][3 * 4 + 2] = 2  # x * (x + 1) = x breaks distributivity
+        path.write_text(json.dumps(data))
+        with pytest.raises(RingAxiomError):
+            ring_from_text(text)
+
+    @pytest.mark.parametrize("factor", ["Z/64", "SQZ(2,5)", "Z/2[x]/(x^6)"])
+    def test_factor_over_a_smaller_cap_raises_after_a_larger_one(self, factor):
+        assert ring_from_text(f"{factor} x Z/2", max_size=128).size == 128
+        with pytest.raises(CapacityError, match=r"ring of size 64 exceeds the size cap \(32\)"):
+            ring_from_text(f"{factor} x Z/2", max_size=32)

@@ -411,6 +411,15 @@ class TestDirectProduct:
         assert r.mul_op(idx[:, None], idx).dtype == np.uint8
         assert zn(16).add_op(3, 15) == 2
 
+    @pytest.mark.parametrize("text", [" x ".join(["Z/2"] * 12), "Z/2 x Z/2048", "Z/256 x Z/2"])
+    def test_mixed_radix_laws_use_the_products_index_type(self, text):
+        # Above TABLE_LIMIT the groups' parts accumulate in the product's index type, uint16 up
+        # to 65,536 elements, whether a part is a uint8 group lookup or a factor's intp law.
+        r = ring_from_text(text)
+        rows = r._idx[:4, None]
+        assert r.size > TABLE_LIMIT
+        assert r.add_op(rows, r._idx).dtype == r.mul_op(rows, r._idx).dtype == np.uint16
+
     @pytest.mark.parametrize("text", ["Z/8 x Z/25", "Z/16 x Z/16", "Z/255", "Z/256", "Z/257"])
     def test_ops_index_in_intp_whatever_the_input_type(self, text):
         # A flat index a * n computed in uint8 wraps at n = 200 and raises OverflowError at
@@ -460,11 +469,15 @@ class TestDirectProduct:
                 assert np.array_equal(op(a, b), ft[x[a], x[b]] * 32 + gt[y[a], y[b]]), text
 
     # Factor groups split across TABLE_LIMIT ((Z/16)^2 | Z/16, GF(8) x Z/9 | Z/7 x Z/5,
-    # (Z/2)^8 | (Z/2)^4), or a factor above it keeps its own law.
+    # (Z/2)^8 | (Z/2)^4), or a factor above it keeps its own law.  A group of exactly
+    # TABLE_LIMIT elements holding one factor (Z/256 | Z/2, GF(256) | Z/3) or two
+    # (Z/2 x Z/128) is composed in uint8, where scaling by 256 would overflow; in Z/2 x Z/2
+    # both positions get the same built factor.
     @pytest.mark.parametrize(
         "text",
         ["Z/16 x Z/16 x Z/16", "GF(8) x Z/9 x Z/7 x Z/5", " x ".join(["Z/2"] * 12),
-         "Z/2048 x Z/2", "Z/2 x Z/2048"],
+         "Z/2048 x Z/2", "Z/2 x Z/2048", "Z/256 x Z/2", "GF(256) x Z/3", "Z/2 x Z/128",
+         "Z/2 x Z/2"],
     )
     def test_grouped_laws_match_factors(self, text):
         factors = [ring_from_text(t) for t in text.split(" x ")]
@@ -497,6 +510,17 @@ class TestDirectProduct:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024
+
+    def test_product_tables_composed_in_their_index_type(self):
+        # Composed through intp, the 256 x 256 tables of Z/4 x Z/8 x Z/8 peak at about 1.2 MB;
+        # in uint8, at about 0.26 MB.
+        tracemalloc.start()
+        try:
+            ring_from_text("Z/4 x Z/8 x Z/8")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 1024
 
 
 class TestClean:
