@@ -14,10 +14,10 @@ independently of the signature path the checkers share.
 The graph claims decide on each graph's classes and class quotient Q
 (see `graphs`), never on its per-vertex rows: L2.1a, L2.1b and T4.4 read the
 class degrees, P4.7a/b the edge counts between radical cosets, N Q N^T, and
-JOIN and P4.7c compare two graphs class by class.  The classes come from the
-graph as built, not from the signatures, so a tampered graph is checked as
-it is.  Where the classes do not show that JOIN's or P4.7c's graphs are
-equal, the row blocks compare them and word the witness.
+JOIN and P4.7c find the first pair where two graphs differ from their
+classes and Q (`graphs._difference`), which also words the witness.  The
+classes come from the graph as built, not from the signatures, so a
+tampered graph is checked as it is.
 
 `_run_claims`, behind `verify_ring` and `verify_pair`, is the one place
 where an exception from a checker becomes an outcome: a CapacityError
@@ -46,9 +46,8 @@ from .errors import (
 from .graphs import (
     SimpleGraph,
     _class_degrees,
-    _first_difference,
+    _difference,
     _label_edges,
-    _same_by_classes,
     build_comaximal_graph,
     chromatic_number,
     clique_number,
@@ -256,11 +255,8 @@ def _audit_join(witness: dict, ring: RingTable) -> bool:
 def _check_join(a: RingAnalysis):
     full = a.graph("full")
     joined = join(a.graph("units"), a.graph("nonunits"))
-    # Both graphs read on ring elements: the vertex of element x is at position x.  Equal classes
-    # and Q show equal graphs; otherwise the row blocks find the first difference, if any.
-    order = [np.argsort(g._keys) for g in (full, joined)]
-    same = _same_by_classes(full, joined, *order)
-    diff = None if same else _first_difference(full, joined, *order)
+    # Both graphs read on ring elements: the vertex of element x is at position x.
+    diff = _difference(full, joined, *(np.argsort(g._keys) for g in (full, joined)))
     if diff is not None:
         x, y, in_full = diff
         return _failed({"edge": [x, y], "in_full": in_full})
@@ -561,7 +557,7 @@ def _check_quotient_graph(a: RingAnalysis):
     if [proj(r) for r in reps] != list(range(len(reps))):
         raise InternalConsistencyError("representative order must match quotient element order")
     g, h = a.graph("full"), build_comaximal_graph(quotient, "full")
-    diff = None if _same_by_classes(g, h, reps) else _first_difference(g, h, reps)
+    diff = _difference(g, h, reps)
     if diff is not None:
         i, j, ring_adjacent = diff
         return _failed(

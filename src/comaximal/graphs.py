@@ -24,11 +24,11 @@ matrix `packed` (which every numpy reader reads, the n x n `adjacency()`
 among them) when first read.  What the claims read comes from the classes
 and Q alone: each class's degree (`_class_degrees`, with `edge_count`),
 `twin_classes` and `metrics`, the edge counts between labelled vertex sets,
-N Q N^T (`_label_edges`), and `_same_by_classes`, which shows two graphs
-equal, each on a list of its vertices, when their classes pair off and Q
-agrees, in O(m + k^2).  It may fail to show equal graphs equal (their
-classes can differ), so `_first_difference` then compares them in row
-blocks and finds the first difference.  `SimpleGraph(n, rows)` packs the
+N Q N^T (`_label_edges`), and `_difference`, which finds the first pair
+where two graphs differ, each on a list of its vertices, or shows them
+equal: positions that share a pair of classes, one in each graph, are
+interchangeable in both, so Q is compared on the two lowest positions of
+each pair, in O(m log m + p^2) for p pairs.  `SimpleGraph(n, rows)` packs the
 rows it is given, checks the whole matrix in row blocks and raises
 ValueError (only a failed check loops over the rows, to word its message),
 then groups equal rows in one dict pass and reads Q off the first members'
@@ -320,58 +320,36 @@ def _defect(packed: np.ndarray, n: int) -> tuple[int, int] | None:
     return None
 
 
-def _first_difference(
+def _difference(
     g: SimpleGraph, h: SimpleGraph, gv: Sequence[int] | None = None,
     hv: Sequence[int] | None = None,
 ) -> tuple[int, int, bool] | None:
     """The first (i, j), row by row, where g induced on `gv` differs from h induced on `hv`, and
-    g's bit there; None when they are equal.  Both sides have as many vertices, and a side with
-    no vertex list is read in vertex order.
+    g's bit there; None when they are equal.  Each list holds distinct vertices, as many on both
+    sides, and a side with no list is read in vertex order.
 
-    Both graphs are symmetric and loop-free, so the first difference has j > i.  Reads blocks of
-    rows of about _BLOCK entries."""
-    sides = [(x.packed, x.n, v if v is None else np.asarray(v, dtype=np.int64))
-             for x, v in ((g, gv), (h, hv))]
-    m = g.n if gv is None else len(gv)
-    for part in _blocks(m, max(g.n, h.n)):
-        g_bits, h_bits = (
-            _unpack(packed[part], n) if v is None else _unpack(packed[v[part]], n)[:, v]
-            for packed, n, v in sides
-        )
-        differ = g_bits != h_bits
-        if differ.any():
-            i, j = divmod(int(differ.argmax()), m)
-            return part.start + i, j, bool(g_bits[i, j])
-    return None
-
-
-def _same_by_classes(
-    g: SimpleGraph, h: SimpleGraph, gv: Sequence[int] | None = None,
-    hv: Sequence[int] | None = None,
-) -> bool:
-    """True when the classes and Q alone show that g induced on `gv` equals h induced on `hv`
-    (as in `_first_difference`): at the positions where `gv` meets a class of g, `hv` meets one
-    class of h, and Q agrees on the classes so paired, on the diagonal only for a class met
-    twice.  Then A_g = Q_g[c(i)][c(j)] = Q_h[c'(i)][c'(j)] = A_h at all positions i != j.
-
-    False says only that the classes do not show it: equal graphs may keep different classes,
-    such as universal vertices kept as one clique class or each as its own."""
+    Reads the classes and Q alone.  For i != j, A[i][j] = Q[c(i)][c(j)], so the positions that
+    share a pair of classes (c_g(i), c_h(i)) are interchangeable on both sides.  So A is compared
+    on the two lowest positions of each pair, which meet every pair and each pair's own diagonal
+    where it holds two positions, in blocks of about _BLOCK entries: the first difference there
+    is the first of all."""
     cg, ch = (x._class_of if v is None else x._class_of[np.asarray(v, dtype=np.intp)]
               for x, v in ((g, gv), (h, hv)))
-    kg, kh = len(g._quotient), len(h._quotient)
-    image = np.full(kg, -1)
-    image[cg] = ch  # the h class of some position of each listed g class
-    if (image[cg] != ch).any():
-        return False
-    a = np.flatnonzero(image >= 0)
-    b, twice = image[a], np.bincount(cg, minlength=kg)[a] > 1
-    for part in _blocks(len(a), max(kg, kh)):
-        differ = _unpack(g._quotient[a[part]], kg)[:, a] != _unpack(h._quotient[b[part]], kh)[:, b]
-        r = np.arange(len(differ))
-        differ[r, part.start + r] &= twice[part.start + r]
+    key = cg * len(h._quotient) + ch
+    order = key.argsort(kind="stable")  # each pair's positions together, ascending
+    ordered = key[order]
+    kept = np.ones(len(key), dtype=bool)
+    kept[order[2:][ordered[2:] == ordered[:-2]]] = False  # all but each pair's first two
+    r = kept.nonzero()[0]
+    a, b, qg, qh = cg[r], ch[r], g._quotient, h._quotient
+    for part in _blocks(len(r), max(g.n, h.n)):
+        g_bits = _unpack(qg[a[part]], len(qg))[:, a]
+        differ = g_bits != _unpack(qh[b[part]], len(qh))[:, b]
+        np.fill_diagonal(differ[:, part.start :], False)  # A has no loop
         if differ.any():
-            return False
-    return True
+            i, j = divmod(int(differ.argmax()), len(r))
+            return int(r[part.start + i]), int(r[j]), bool(g_bits[i, j])
+    return None
 
 
 def _label_edges(g: SimpleGraph, label: np.ndarray, m: int) -> np.ndarray:

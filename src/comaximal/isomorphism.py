@@ -12,9 +12,9 @@ ids from globally sorted keys, so the ids are comparable across graphs.
 first, then by colour and index, on one stack of candidate iterators, and
 pairs a class's members in ascending order and the i-th universal vertex of
 G with the i-th of H.  `verify_isomorphism` checks the lifted mapping on
-every vertex pair, independently of the twin quotient and the search: on the
-graphs' own classes and class quotients when they pair off, and else one row
-block at a time.  `canonical_certificate` orders the quotient's classes by
+every vertex pair, independently of the twin quotient and the search, with
+the exact comparison `graphs._difference` reads off the graphs' own classes
+and class quotients.  `canonical_certificate` orders the quotient's classes by
 branch and bound; its vertex order is U first, then each class's members
 together, classes in the best order found.
 """
@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, InternalConsistencyError
-from .graphs import SimpleGraph, _first_difference, _same_by_classes, twin_classes
+from .graphs import SimpleGraph, _difference, twin_classes
 from .limits import DEFAULT_CERTIFICATE_CAP, DEFAULT_GRAPH_ISO_CAP
 from .rings import _iter_bits
 
@@ -62,32 +62,22 @@ def _refine_rounds(
         ]
 
 
-def _colours(rows: list[int], seeds: list[int] | None = None) -> list[int]:
-    """Stable colours of one graph's rows, canonical across isomorphic graphs."""
-    result = _refine_rounds([rows], None if seeds is None else [seeds])
-    if result is None:
-        raise InternalConsistencyError("refining a single graph cannot split its histogram")
-    return result[0]
-
-
 def refined_colors(g: SimpleGraph) -> tuple[int, ...]:
     """Stable vertex colours, canonical across isomorphic graphs."""
-    return tuple(_colours(g.rows))
+    return tuple(_refine_rounds([g.rows])[0])
 
 
 def verify_isomorphism(g1: SimpleGraph, g2: SimpleGraph, mapping: tuple[int, ...]) -> bool:
     """Independent check that `mapping` (vertex v of g1 to mapping[v]) is an isomorphism.
 
     g2 induced on the mapping, its rows and columns permuted by it, must equal
-    g1: shown by `graphs._same_by_classes`, or else compared by
-    `graphs._first_difference` in blocks of about _BLOCK entries.
+    g1, as `graphs._difference` compares them on the graphs' own classes and
+    class quotients.
     """
     n = g1.n
     if g2.n != n or len(mapping) != n or sorted(mapping) != list(range(n)):
         return False
-    if _same_by_classes(g1, g2, None, mapping):
-        return True
-    return _first_difference(g1, g2, None, mapping) is None
+    return _difference(g1, g2, None, mapping) is None
 
 
 def are_isomorphic(
@@ -193,7 +183,7 @@ def canonical_certificate(g: SimpleGraph, cap: int = DEFAULT_CERTIFICATE_CAP) ->
     if n > cap:
         raise CapacityError(f"certificates capped at {cap} vertices (graph has {n})")
     members, universal, rows = twin_classes(g)
-    colours = _colours(rows, [len(c) for c in members])
+    colours = _refine_rounds([rows], [[len(c) for c in members]])[0]
     by_colour: dict[int, list[int]] = {}
     for v, c in enumerate(colours):
         by_colour.setdefault(c, []).append(v)

@@ -269,6 +269,21 @@ def join_witness(full: SimpleGraph, joined: SimpleGraph) -> tuple[str, dict]:
     return "fail", {"edge": list(diff), "in_full": diff in full_edges}
 
 
+def first_difference_by_rows(
+    g: SimpleGraph, h: SimpleGraph, gv: list[int] | None = None, hv: list[int] | None = None
+) -> tuple[int, int, bool] | None:
+    """The first (i, j), row by row, where g induced on `gv` differs from h induced on `hv`, and
+    g's bit there, pair by pair over `adjacency()`; None when they are equal."""
+    a, b = g.adjacency().tolist(), h.adjacency().tolist()
+    gv = range(g.n) if gv is None else list(gv)
+    hv = range(h.n) if hv is None else list(hv)
+    for i in range(len(gv)):
+        for j in range(len(gv)):
+            if a[gv[i]][gv[j]] != b[hv[i]][hv[j]]:
+                return i, j, a[gv[i]][gv[j]]
+    return None
+
+
 def coset_lifting_witness(g: SimpleGraph, rep_of: list[int]) -> dict | None:
     """P4.7a by member pairs: the first coset pair with mixed adjacency."""
     reps = sorted(set(rep_of))

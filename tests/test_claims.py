@@ -25,6 +25,7 @@ from comaximal import (
     save_report,
     sweep,
     verify_pair,
+    verify_isomorphism,
     verify_ring,
     zn_family,
 )
@@ -36,6 +37,7 @@ from oracles import (
     coset_lifting_witness,
     coset_units_witness,
     distinct_primes,
+    first_difference_by_rows,
     join_witness,
     quotient_graph_witness,
     residue_match_witness,
@@ -361,30 +363,27 @@ def test_passing_claims_read_no_rows(monkeypatch):
     assert reads == []
 
 
-def test_tampered_graphs_take_the_row_path(monkeypatch):
-    """A full graph with flipped pairs keeps the classes of its rows; JOIN and P4.7c fall back to
-    the row blocks, which word every fail, while the graphs as built never reach them."""
-    calls = []
-    real = comaximal.claims._first_difference
-
-    def counted(*args):
-        calls.append(len(args))
-        return real(*args)
-
-    monkeypatch.setattr(comaximal.claims, "_first_difference", counted)
-    texts = ["Z/12", "SQZ(2,3)", "Z/8 x Z/9"]
-    for text in texts:
-        reports = verify_ring(ring_from_text(text), ["JOIN", "P4.7c"])
-        assert [r.outcome for r in reports] == ["pass", "pass"]
-    assert calls == []
+def test_tampered_graphs_read_no_rows(monkeypatch):
+    """A full graph with flipped pairs keeps the classes of its rows; JOIN, P4.7c and
+    `verify_isomorphism` still read only classes and Q, and decide as the pair-by-pair
+    references do, with the same witnesses."""
+    reads = counted_reads(monkeypatch)
     fails = 0
-    for text in texts:
-        for a, _ in tampered_analyses(text):
-            before = len(calls)
-            reports = verify_ring(a, ["JOIN", "P4.7c"])
-            failed = sum(r.outcome == "fail" for r in reports)
-            assert len(calls) - before >= failed
-            fails += failed
+    for text in ["Z/12", "SQZ(2,3)", "Z/8 x Z/9"]:
+        for a, rep_of in tampered_analyses(text):
+            before = len(reads)
+            join_report, quotient_report = verify_ring(a, ["JOIN", "P4.7c"])
+            full, built = a.graph("full"), build_comaximal_graph(a.ring)
+            same = verify_isomorphism(full, built, tuple(range(full.n)))
+            assert reads[before:] == []
+            assert same == (first_difference_by_rows(full, built) is None)
+            joined = join(a.graph("units"), a.graph("nonunits"))
+            assert (join_report.outcome, join_report.witness) == join_witness(full, joined)
+            reps = sorted(set(rep_of))
+            quotient = build_comaximal_graph(a.ring.quotient(a.ring.jacobson_radical)[0])
+            expected = quotient_graph_witness(full, reps, quotient) or {"quotient_size": len(reps)}
+            assert quotient_report.witness == expected
+            fails += (join_report.outcome, quotient_report.outcome).count("fail")
     assert fails > 0
 
 
@@ -785,6 +784,36 @@ class TestRecomputedAudit:
         blind = dataclasses.replace(SINGLE_CLAIMS["L2.1a"], audit=None)
         monkeypatch.setitem(SINGLE_CLAIMS, "L2.1a", blind)
         assert revalidate_report(entry) is True
+
+    @pytest.mark.parametrize("text", ["Z/12", "Z/8 x Z/9", "SQZ(2,3)"])
+    def test_graph_audits_reject_reproducible_fails(self, text, monkeypatch):
+        """JOIN's and P4.7c's audits on a full graph with element 0 cut off: each fail is
+        reproduced, the closure oracle rejects it, and one that agrees with the broken graph
+        accepts it."""
+        runs = []
+        for cid in ("JOIN", "P4.7c"):
+            audit = SINGLE_CLAIMS[cid].audit
+
+            def counted(witness, ring, audit=audit, cid=cid):
+                runs.append(cid)
+                return audit(witness, ring)
+
+            monkeypatch.setitem(
+                SINGLE_CLAIMS, cid, dataclasses.replace(SINGLE_CLAIMS[cid], audit=counted)
+            )
+        break_graph(monkeypatch, "full")
+        entries = _sweep_one(text, ["JOIN", "P4.7c"], Caps())
+        assert [e["outcome"] for e in entries] == ["fail", "fail"]
+        assert _sweep_one(text, ["JOIN", "P4.7c"], Caps()) == entries
+        assert [revalidate_report(e) for e in entries] == [False, False]
+        size, closure = ring_from_text(text).size, RingTable.is_comaximal_via_closure
+
+        def agrees(ring, x, y):  # element 0 of the ring, not of its quotient, meets nothing
+            return closure(ring, x, y) and not (ring.size == size and 0 in (x, y))
+
+        monkeypatch.setattr(RingTable, "is_comaximal_via_closure", agrees)
+        assert [revalidate_report(e) for e in entries] == [True, True]
+        assert runs == ["JOIN", "P4.7c"] * 2
 
     def test_element_audits_registered_next_to_checkers(self):
         audited = {cid for cid, spec in {**SINGLE_CLAIMS, **PAIR_CLAIMS}.items() if spec.audit}
