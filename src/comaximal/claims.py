@@ -12,12 +12,12 @@ the witness through the ideal-closure oracle or scalar ring operations,
 independently of the signature path the checkers share.
 
 The graph claims decide on each graph's classes and class quotient Q
-(see `graphs`), never on its per-vertex rows: L2.1a, L2.1b and T4.4 read the
-class degrees, P4.7a/b the edge counts between radical cosets, N Q N^T, and
-JOIN and P4.7c find the first pair where two graphs differ from their
-classes and Q (`graphs._difference`), which also words the witness.  The
-classes come from the graph as built, not from the signatures, so a
-tampered graph is checked as it is.
+(see `graphs`), never on its per-vertex rows, passing or failing: L2.1a,
+L2.1b and T4.4 read the class degrees, P4.7a/b the edge counts between
+radical cosets, N Q N^T, and JOIN and P4.7c compare two graphs
+(`graphs._difference`).  Every vertex pair a witness names is read through
+`graphs._adjacent`.  The classes come from the graph as built, not from the
+signatures, so a tampered graph is checked as it is.
 
 `_run_claims`, behind `verify_ring` and `verify_pair`, is the one place
 where an exception from a checker becomes an outcome: a CapacityError
@@ -45,6 +45,7 @@ from .errors import (
 )
 from .graphs import (
     SimpleGraph,
+    _adjacent,
     _class_degrees,
     _difference,
     _label_edges,
@@ -63,7 +64,7 @@ from .limits import (
     DEFAULT_MAX_RING_SIZE,
     DEFAULT_RING_ISO_CAP,
 )
-from .rings import RingTable, _distinct, _unpack, ring_isomorphic
+from .rings import RingTable, _distinct, ring_isomorphic
 from .version import __version__
 
 
@@ -216,14 +217,12 @@ def _audit_units_complete(witness: dict, ring: RingTable) -> bool:
 @_claim("L2.1a", "the subgraph induced by the units is complete", audit=_audit_units_complete)
 def _check_units_complete(a: RingAnalysis):
     g = a.graph("units")
-    short = np.flatnonzero(_class_degrees(g) != g.n - 1)
+    short = np.flatnonzero(_class_degrees(g)[g._class_of] != g.n - 1)
     if not len(short):
         return _passed({"unit_count": g.n, "edges": g.edge_count})
-    # Classes are numbered by first member, so the first vertex short of a neighbour heads the
-    # first short class, c; it misses every other vertex whose class Q[c] lacks.
-    c = short[0]
-    i = int((g._class_of == c).argmax())
-    missing = ~_unpack(g._quotient[c : c + 1], len(g._quotient))[0][g._class_of]
+    # The first vertex short of a neighbour, and the first other vertex it misses.
+    i = int(short[0])
+    missing = ~_adjacent(g, [i], np.arange(g.n))[0]
     missing[i] = False
     return _failed({"non_adjacent_units": [int(g._keys[i]), int(g._keys[missing.argmax()])]})
 
@@ -462,17 +461,14 @@ def _check_coset_lifting(a: RingAnalysis):
     if not len(bad):
         return _passed({"cosets": len(reps)})
     i, j = divmod(int(bad[0]), len(reps))
-    g = a.graph("full")
-    pairs = [
-        [u, v]
-        for u in np.flatnonzero(coset == i).tolist()
-        for v in np.flatnonzero(coset == j).tolist()
-    ]
+    us, vs = np.flatnonzero(coset == i), np.flatnonzero(coset == j)
+    adjacent = _adjacent(a.graph("full"), us, vs)  # i != j: every entry is a vertex pair
+    (u, v), (p, q) = (divmod(int(bits.argmax()), len(vs)) for bits in (adjacent, ~adjacent))
     return _failed(
         {
             "coset_pair": [int(reps[i]), int(reps[j])],
-            "adjacent_pair": next(p for p in pairs if g.has_edge(*p)),
-            "non_adjacent_pair": next(p for p in pairs if not g.has_edge(*p)),
+            "adjacent_pair": [int(us[u]), int(vs[v])],
+            "non_adjacent_pair": [int(us[p]), int(vs[q])],
         }
     )
 
@@ -515,21 +511,16 @@ def _check_coset_units(a: RingAnalysis):
     if not bad.any():
         return _passed({"cosets": len(reps), "unit_cosets": int(unit_coset.sum())})
     c = int(np.argmax(bad))
-    r = int(reps[c])
-    mem = np.flatnonzero(coset == c).tolist()
-    g = a.graph("full")
-    pairs = [[u, v] for u in mem for v in mem if u < v]
-    if unit_coset[c]:
-        if unit_counts[c] != sizes[c]:
-            x = next(x for x in mem if not units[x])
-            return _failed({"kind": "nonunit_in_unit_coset", "coset_rep": r, "element": x})
-        pair = next(p for p in pairs if not g.has_edge(*p))
-        return _failed({"kind": "missing_internal_edge", "coset_rep": r, "pair": pair})
-    if unit_counts[c]:
-        x = next(x for x in mem if units[x])
-        return _failed({"kind": "unit_in_nonunit_coset", "coset_rep": r, "element": x})
-    pair = next(p for p in pairs if g.has_edge(*p))
-    return _failed({"kind": "unexpected_internal_edge", "coset_rep": r, "pair": pair})
+    r, unit, mem = int(reps[c]), bool(unit_coset[c]), np.flatnonzero(coset == c)
+    wrong = mem[units[mem] != unit]
+    if len(wrong):
+        kind = "nonunit_in_unit_coset" if unit else "unit_in_nonunit_coset"
+        return _failed({"kind": kind, "coset_rep": r, "element": int(wrong[0])})
+    # The first member pair u < v, row by row, whose adjacency is not the coset's unit flag.
+    odd = np.triu(_adjacent(a.graph("full"), mem, mem) != unit, 1)
+    u, v = divmod(int(odd.argmax()), len(mem))
+    kind = "missing_internal_edge" if unit else "unexpected_internal_edge"
+    return _failed({"kind": kind, "coset_rep": r, "pair": [int(mem[u]), int(mem[v])]})
 
 
 def _audit_quotient_graph(witness: dict, ring: RingTable) -> bool:
@@ -607,7 +598,7 @@ def _check_residue_match(a1: RingAnalysis, a2: RingAnalysis, graph_iso: Callable
             if 1 << i not in ring.signatures:
                 raise InternalConsistencyError("a maximal ideal is covered by the others")
             x = ring.signatures.index(1 << i)  # the first element in ideal i alone
-            non_neighbours = g.n - 1 - int(_class_degrees(g)[g._class_of[x]])
+            non_neighbours = g.n - 1 - g.degree(x)
             if non_neighbours != len(ideal) - 1:
                 return _failed(
                     {

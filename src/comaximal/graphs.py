@@ -20,19 +20,17 @@ signature, so `build_comaximal_graph` makes one class per signature and Q
 straight from the signatures: Q[a][b] = (sig_a & sig_b) == 0, with a
 diagonal bit on the units' class alone (signature 0).  `join` takes its
 inputs' classes and Q.  Such a graph makes `rows` and the read-only packed
-matrix `packed` (which every numpy reader reads, the n x n `adjacency()`
-among them) when first read.  What the claims read comes from the classes
-and Q alone: each class's degree (`_class_degrees`, with `edge_count`),
-`twin_classes` and `metrics`, the edge counts between labelled vertex sets,
-N Q N^T (`_label_edges`), and `_difference`, which finds the first pair
-where two graphs differ, each on a list of its vertices, or shows them
-equal: positions that share a pair of classes, one in each graph, are
-interchangeable in both, so Q is compared on the two lowest positions of
-each pair, in O(m log m + p^2) for p pairs.  `SimpleGraph(n, rows)` packs the
-rows it is given, checks the whole matrix in row blocks and raises
-ValueError (only a failed check loops over the rows, to word its message),
-then groups equal rows in one dict pass and reads Q off the first members'
-rows.
+matrix `packed` when first read, and only `has_edge`, `edges`, `adjacency`,
+`distance` and the row-built combinators below `join` read them.  The rest
+reads the classes and Q: `_class_degrees` (with `edge_count`, `degree` and
+`degrees`), `twin_classes`, `metrics`, `_label_edges` (N Q N^T, the edges
+between labelled vertex sets) and `_adjacent` (with `neighbors`), Q at the
+classes of two vertex lists, the one class-level reader of vertex pairs.
+`_difference` compares two graphs through it on the two lowest positions of
+each pair of classes, in O(m log m + p^2) for p pairs.  `SimpleGraph(n, rows)` packs the rows it is
+given, checks the whole matrix in row blocks and raises ValueError (only a
+failed check loops over the rows, to word its message), then groups equal
+rows in one dict pass and reads Q off the first members' rows.
 
 The invariants read `twin_classes`, made from the classes and Q once per
 graph: the universal vertices U (adjacent to every other vertex; read off
@@ -73,9 +71,7 @@ import numpy as np
 
 from .errors import CapacityError, InternalConsistencyError
 from .limits import DEFAULT_EXACT_VERTEX_CAP
-from .rings import (
-    RingTable, _blocks, _iter_bits, _lowest, _masks, _pack, _unpack
-)
+from .rings import RingTable, _blocks, _iter_bits, _lowest, _masks, _pack, _unpack
 
 
 class SimpleGraph:
@@ -244,14 +240,20 @@ class SimpleGraph:
         """The n x n boolean adjacency matrix; entry [i, j] is bit j of row i."""
         return _unpack(self.packed, self.n)
 
+    def _vertex(self, i: int) -> int:
+        """i, or ValueError when it is no vertex: numpy would read a negative i from the end."""
+        if not 0 <= i < self.n:
+            raise ValueError("vertex out of range")
+        return i
+
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
+        return bool(self.rows[self._vertex(i)] >> self._vertex(j) & 1)
 
     def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
+        return int(_class_degrees(self)[self._class_of[self._vertex(i)]])
 
     def degrees(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
+        return _class_degrees(self)[self._class_of].tolist()
 
     @property
     def edge_count(self) -> int:
@@ -262,7 +264,9 @@ class SimpleGraph:
         return [(i, j) for i, r in enumerate(self.rows) for j in _iter_bits(r >> i + 1 << i + 1)]
 
     def neighbors(self, i: int) -> list[int]:
-        return list(_iter_bits(self.rows[i]))
+        row = _adjacent(self, [self._vertex(i)], np.arange(self.n))[0]
+        row[i] = False  # the diagonal bit of a clique class
+        return row.nonzero()[0].tolist()
 
     def induced_subgraph(self, vertices: Sequence[int]) -> "SimpleGraph":
         vs = list(vertices)
@@ -320,6 +324,14 @@ def _defect(packed: np.ndarray, n: int) -> tuple[int, int] | None:
     return None
 
 
+def _adjacent(g: SimpleGraph, us: Sequence[int], vs: Sequence[int]) -> np.ndarray:
+    """Q at the classes of two vertex lists, as a bool matrix: entry [i, j] is A[us[i]][vs[j]]
+    where us[i] != vs[j], and the class's diagonal bit where they are equal, which every caller
+    skips.  `take` gathers these rows and columns faster than fancy indexing does."""
+    rows = _unpack(g._quotient.take(g._class_of[us], axis=0), len(g._quotient))
+    return rows.take(g._class_of[vs], axis=1)
+
+
 def _difference(
     g: SimpleGraph, h: SimpleGraph, gv: Sequence[int] | None = None,
     hv: Sequence[int] | None = None,
@@ -328,23 +340,22 @@ def _difference(
     g's bit there; None when they are equal.  Each list holds distinct vertices, as many on both
     sides, and a side with no list is read in vertex order.
 
-    Reads the classes and Q alone.  For i != j, A[i][j] = Q[c(i)][c(j)], so the positions that
-    share a pair of classes (c_g(i), c_h(i)) are interchangeable on both sides.  So A is compared
-    on the two lowest positions of each pair, which meet every pair and each pair's own diagonal
-    where it holds two positions, in blocks of about _BLOCK entries: the first difference there
-    is the first of all."""
-    cg, ch = (x._class_of if v is None else x._class_of[np.asarray(v, dtype=np.intp)]
+    For i != j, A[i][j] = Q[c(i)][c(j)], so the positions that share a pair of classes
+    (c_g(i), c_h(i)) are interchangeable on both sides.  So `_adjacent` compares the two lowest
+    positions of each pair, which meet every pair and each pair's own diagonal where it holds two
+    positions, in blocks of about _BLOCK entries: the first difference there is the first of all."""
+    gv, hv = (np.arange(x.n) if v is None else np.asarray(v, dtype=np.intp)
               for x, v in ((g, gv), (h, hv)))
-    key = cg * len(h._quotient) + ch
+    key = g._class_of[gv] * len(h._quotient) + h._class_of[hv]
     order = key.argsort(kind="stable")  # each pair's positions together, ascending
     ordered = key[order]
     kept = np.ones(len(key), dtype=bool)
     kept[order[2:][ordered[2:] == ordered[:-2]]] = False  # all but each pair's first two
     r = kept.nonzero()[0]
-    a, b, qg, qh = cg[r], ch[r], g._quotient, h._quotient
+    gr, hr = gv[r], hv[r]
     for part in _blocks(len(r), max(g.n, h.n)):
-        g_bits = _unpack(qg[a[part]], len(qg))[:, a]
-        differ = g_bits != _unpack(qh[b[part]], len(qh))[:, b]
+        g_bits = _adjacent(g, gr[part], gr)
+        differ = g_bits != _adjacent(h, hr[part], hr)
         np.fill_diagonal(differ[:, part.start :], False)  # A has no loop
         if differ.any():
             i, j = divmod(int(differ.argmax()), len(r))
@@ -629,9 +640,7 @@ def metrics(g: SimpleGraph) -> GraphMetrics:
 
 def distance(g: SimpleGraph, u: int, v: int) -> int | None:
     """Length of a shortest path, or None when unreachable."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex out of range")
-    if u == v:
+    if g._vertex(u) == g._vertex(v):
         return 0
     return next((d for d, layer in enumerate(_layers(g.rows, u), 1) if layer >> v & 1), None)
 
@@ -826,11 +835,11 @@ def multipartite_structure(g: SimpleGraph) -> PartitionStructure:
         return PartitionStructure(((), ()), ())
     classes, universal, rows = twin_classes(g)
     if universal:  # then G's classes, by first member, and the graph on those first members,
-        # read off Q at their classes; a clique class's diagonal bit is no loop, so it is cleared
+        # less the diagonal bits `_adjacent` reads there
         classes = sorted(classes + [[u] for u in universal], key=lambda c: c[0])
-        heads = g._class_of[[c[0] for c in classes]]
-        rows = _induced_rows(g._quotient, len(g._quotient), heads)
-        rows = [r & ~(1 << i) for i, r in enumerate(rows)]
+        heads = [c[0] for c in classes]
+        bits = _adjacent(g, heads, heads) & ~np.eye(len(heads), dtype=bool)
+        rows = _masks(np.packbits(bits, axis=1, bitorder="little"))
     colour = _two_colouring(rows)
     bipartition = None
     if colour is not None:

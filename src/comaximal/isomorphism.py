@@ -13,10 +13,10 @@ first, then by colour and index, on one stack of candidate iterators, and
 pairs a class's members in ascending order and the i-th universal vertex of
 G with the i-th of H.  `verify_isomorphism` checks the lifted mapping on
 every vertex pair, independently of the twin quotient and the search, with
-the exact comparison `graphs._difference` reads off the graphs' own classes
-and class quotients.  `canonical_certificate` orders the quotient's classes by
-branch and bound; its vertex order is U first, then each class's members
-together, classes in the best order found.
+`graphs._difference`.  `canonical_certificate` orders the quotient's classes
+by branch and bound, U first, then each class's members together, classes in
+the best order found, and reads that order's adjacency through
+`graphs._adjacent`.  All three read classes and Q, never `rows` or `packed`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, InternalConsistencyError
-from .graphs import SimpleGraph, _difference, twin_classes
+from .graphs import SimpleGraph, _adjacent, _difference, twin_classes
 from .limits import DEFAULT_CERTIFICATE_CAP, DEFAULT_GRAPH_ISO_CAP
 from .rings import _iter_bits
 
@@ -230,7 +230,7 @@ def canonical_certificate(g: SimpleGraph, cap: int = DEFAULT_CERTIFICATE_CAP) ->
             patterns.pop()
 
     rec(0)
-    perm = universal + [u for c in best_order for u in members[c]]
+    perm = np.array(universal + [u for c in best_order for u in members[c]], dtype=np.intp)
     # The upper triangle of the permuted adjacency, row by row, 8 bits to a byte, low bit first.
-    bits = g.adjacency()[np.ix_(perm, perm)][np.triu_indices(n, 1)]
+    bits = _adjacent(g, perm, perm)[np.triu_indices(n, 1)]
     return b"CG" + n.to_bytes(2, "big") + np.packbits(bits, bitorder="little").tobytes()

@@ -873,32 +873,25 @@ def _additive_generators(ring: RingTable, within: np.ndarray | None = None) -> l
     u (that + 2g), ..., until the next translate 2^j g is spanned.  The cosets S + kg,
     k < 2^j, are distinct until ord(g mod S) of them are spanned, and 2^j g lies among
     them exactly then, so the walk stops at S + <g>: O(n log n) operations in all.
-    The span's members are kept as an array too, grown by the new members of each
-    translate: only the last translate of a walk may meet the span, when ord(g mod S) is
-    not a power of 2.  A table that is not a group (the axiom check calls this walk before
-    it checks associativity) may repeat a new member within a translate.  Repeats leave the
-    span as it is, and once the array holds more than n entries it is re-read from the
-    flags, so it never holds more than 2n.
+    Each translate is read off the span's flags, so it has at most n entries, also on a
+    table that is not a group (the axiom check calls this walk before it checks
+    associativity), where a translate may repeat a member.
     With `within` (membership flags), generators are its lowest unspanned members, and None
     is returned once a step leaves it, which happens exactly when it is not an additive group.
     """
     span = np.zeros(ring.size, dtype=bool)
     span[0] = True
-    members = span.nonzero()[0]
     draw = ~span if within is None else within
     gens: list[int] = []
     while len(rest := (draw & ~span).nonzero()[0]):
         step = int(rest[0]) if gens or within is not None else ring.one
         gens.append(step)
         while not span[step]:
-            moved = ring.add_op(members, step)
+            moved = ring.add_op(span.nonzero()[0], step)
             if within is not None and not within[moved].all():
                 return None
-            members = np.concatenate([members, moved[~span[moved]]])
             span[moved] = True
             span[step] = True  # already set when 0 + step == step; a malformed table cannot loop
-            if len(members) > ring.size:
-                members = span.nonzero()[0]
             step = int(ring.add_op(step, step))
     return gens
 

@@ -284,6 +284,15 @@ def first_difference_by_rows(
     return None
 
 
+def units_complete_witness(g: SimpleGraph) -> dict | None:
+    """L2.1a pair by pair: the first vertex pair, row by row, that is not an edge."""
+    for i in range(g.n):
+        for j in range(g.n):
+            if i != j and not g.has_edge(i, j):
+                return {"non_adjacent_units": [g.vertex_keys[i], g.vertex_keys[j]]}
+    return None
+
+
 def coset_lifting_witness(g: SimpleGraph, rep_of: list[int]) -> dict | None:
     """P4.7a by member pairs: the first coset pair with mixed adjacency."""
     reps = sorted(set(rep_of))

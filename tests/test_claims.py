@@ -12,9 +12,11 @@ import comaximal
 from comaximal import (
     CapacityError,
     Caps,
+    CleanDecomposition,
     RingAnalysis,
     SimpleGraph,
     build_comaximal_graph,
+    canonical_certificate,
     claim_catalog,
     corpus_family,
     join,
@@ -41,6 +43,7 @@ from oracles import (
     join_witness,
     quotient_graph_witness,
     residue_match_witness,
+    units_complete_witness,
 )
 
 
@@ -360,31 +363,59 @@ def test_passing_claims_read_no_rows(monkeypatch):
     assert passed >= {"L2.1a", "L2.1b", "JOIN", "T2.2", "P2.4a", "P4.7a", "P4.7b", "P4.7c"}
     (report,) = verify_pair(ring_from_text("Z/30"), ring_from_text("Z/2 x Z/3 x Z/5"), ["T4.4"])
     assert report.outcome == "pass"
+    # Above the default ring cap, where `packed` alone would take n^2/8 bytes (112 MB here).
+    report = sweep(["Z/30030"], caps=Caps(max_ring_size=70000))
+    assert report["summary"] == {"pass": 13, "fail": 0, "skip": 4}
     assert reads == []
 
 
 def test_tampered_graphs_read_no_rows(monkeypatch):
-    """A full graph with flipped pairs keeps the classes of its rows; JOIN, P4.7c and
-    `verify_isomorphism` still read only classes and Q, and decide as the pair-by-pair
-    references do, with the same witnesses."""
+    """A full graph with flipped pairs keeps the classes of its rows; JOIN, P4.7a-c,
+    `verify_isomorphism`, `canonical_certificate`, and L2.1a on a units graph with flipped pairs
+    still read only classes and Q, and the claims decide as the pair-by-pair references do, with
+    the same witnesses."""
     reads = counted_reads(monkeypatch)
-    fails = 0
+    fails: set[str] = set()
     for text in ["Z/12", "SQZ(2,3)", "Z/8 x Z/9"]:
+        rng = random.Random(text)
         for a, rep_of in tampered_analyses(text):
-            before = len(reads)
-            join_report, quotient_report = verify_ring(a, ["JOIN", "P4.7c"])
             full, built = a.graph("full"), build_comaximal_graph(a.ring)
-            same = verify_isomorphism(full, built, tuple(range(full.n)))
-            assert reads[before:] == []
-            assert same == (first_difference_by_rows(full, built) is None)
+            units = a.graph("units")
+            pairs = [(i, j) for i in range(units.n) for j in range(i + 1, units.n)]
+            units = toggled(units, rng.sample(pairs, rng.randrange(3)))
+            before = len(reads)
+            reports = verify_ring(a, ["JOIN", "P4.7a", "P4.7b", "P4.7c"])
             joined = join(a.graph("units"), a.graph("nonunits"))
+            same = verify_isomorphism(full, built, tuple(range(full.n)))
+            certificate = canonical_certificate(full, full.n)
+            a._graphs["units"] = units
+            (units_report,) = verify_ring(a, ["L2.1a"])
+            assert reads[before:] == []
+            fails.update(r.claim for r in [*reports, units_report] if r.outcome == "fail")
+            join_report, lifting, coset_units, quotient_report = reports
+            assert same == (first_difference_by_rows(full, built) is None)
+            assert certificate == canonical_certificate(
+                full.induced_subgraph(range(full.n - 1, -1, -1)), full.n
+            )
             assert (join_report.outcome, join_report.witness) == join_witness(full, joined)
             reps = sorted(set(rep_of))
+            expected = coset_lifting_witness(full, rep_of) or {"cosets": len(reps)}
+            assert lifting.witness == expected
+            unit_flags = a.ring.unit_flags.tolist()
+            expected = coset_units_witness(full, rep_of, unit_flags) or {
+                "cosets": len(reps),
+                "unit_cosets": sum(unit_flags[r] for r in reps),
+            }
+            assert coset_units.witness == expected
             quotient = build_comaximal_graph(a.ring.quotient(a.ring.jacobson_radical)[0])
             expected = quotient_graph_witness(full, reps, quotient) or {"quotient_size": len(reps)}
             assert quotient_report.witness == expected
-            fails += (join_report.outcome, quotient_report.outcome).count("fail")
-    assert fails > 0
+            expected = units_complete_witness(units) or {
+                "unit_count": units.n,
+                "edges": units.edge_count,
+            }
+            assert units_report.witness == expected
+    assert set(fails) == {"L2.1a", "JOIN", "P4.7a", "P4.7b", "P4.7c"}
 
 
 class TestPairClaims:
@@ -688,6 +719,33 @@ def edited(entry: dict, **fields) -> dict:
     return out
 
 
+def counted_audits(monkeypatch, audited: set[str], *claims: str) -> list[str]:
+    """Log each run of the audits of `claims`: its claim id in the list returned and in
+    `audited`."""
+    runs: list[str] = []
+    for cid in claims:
+        spec = SINGLE_CLAIMS[cid]
+
+        def counted(witness, ring, audit=spec.audit, cid=cid):
+            runs.append(cid)
+            audited.add(cid)
+            return audit(witness, ring)
+
+        monkeypatch.setitem(SINGLE_CLAIMS, cid, dataclasses.replace(spec, audit=counted))
+    return runs
+
+
+def cut_off(ring_size: int, victim: int):
+    """The closure oracle, except that element `victim` of a ring of `ring_size` elements (not
+    of its quotient) meets nothing: it agrees with `break_graph(..., victim)`."""
+    closure = RingTable.is_comaximal_via_closure
+
+    def agrees(ring, x, y):
+        return closure(ring, x, y) and not (ring.size == ring_size and victim in (x, y))
+
+    return agrees
+
+
 def break_graph(monkeypatch, selector: str, victim: int = 0) -> None:
     """Make every RingAnalysis drop all edges at one vertex of one graph."""
     original = RingAnalysis.graph
@@ -704,6 +762,11 @@ def break_graph(monkeypatch, selector: str, victim: int = 0) -> None:
 
 
 class TestRecomputedAudit:
+    @pytest.fixture(scope="class")
+    def audited(self) -> set[str]:
+        """The claim ids whose audits ran in this class, as `counted_audits` logs them."""
+        return set()
+
     def test_forged_pass_rejected(self):
         entry = sweep_entry("Z/30", "T3.1")
         assert entry["outcome"] == "pass" and revalidate_report(entry)
@@ -770,54 +833,95 @@ class TestRecomputedAudit:
         assert capped
         assert not any(revalidate_report(e) for e in capped)
 
-    def test_closure_audit_rejects_reproducible_fail(self, monkeypatch):
+    def test_closure_audit_rejects_reproducible_fail(self, monkeypatch, audited):
         break_graph(monkeypatch, "units")
         (entry,) = _sweep_one("Z/30", ["L2.1a"], Caps())
         assert entry["outcome"] == "fail"
         assert _sweep_one("Z/30", ["L2.1a"], Caps()) == [entry]
+        runs = counted_audits(monkeypatch, audited, "L2.1a")
         assert revalidate_report(entry) is False
         # The audit is what rejects it: without the audit, or with an oracle
         # that agrees with the broken graph, the entry is accepted.
         with monkeypatch.context() as m:
             m.setattr(RingTable, "is_comaximal_via_closure", lambda *_: False)
             assert revalidate_report(entry) is True
+        assert runs == ["L2.1a"] * 2
         blind = dataclasses.replace(SINGLE_CLAIMS["L2.1a"], audit=None)
         monkeypatch.setitem(SINGLE_CLAIMS, "L2.1a", blind)
         assert revalidate_report(entry) is True
 
     @pytest.mark.parametrize("text", ["Z/12", "Z/8 x Z/9", "SQZ(2,3)"])
-    def test_graph_audits_reject_reproducible_fails(self, text, monkeypatch):
-        """JOIN's and P4.7c's audits on a full graph with element 0 cut off: each fail is
-        reproduced, the closure oracle rejects it, and one that agrees with the broken graph
-        accepts it."""
-        runs = []
-        for cid in ("JOIN", "P4.7c"):
-            audit = SINGLE_CLAIMS[cid].audit
-
-            def counted(witness, ring, audit=audit, cid=cid):
-                runs.append(cid)
-                return audit(witness, ring)
-
-            monkeypatch.setitem(
-                SINGLE_CLAIMS, cid, dataclasses.replace(SINGLE_CLAIMS[cid], audit=counted)
-            )
+    def test_graph_audits_reject_reproducible_fails(self, text, monkeypatch, audited):
+        """JOIN's, P4.7a's and P4.7c's audits on a full graph with element 0 cut off: each fail
+        is reproduced, P4.7a's witness is the pair-by-pair one, the closure oracle rejects each
+        fail, and one that agrees with the broken graph accepts it."""
+        claims = ["JOIN", "P4.7a", "P4.7c"]
+        runs = counted_audits(monkeypatch, audited, *claims)
         break_graph(monkeypatch, "full")
-        entries = _sweep_one(text, ["JOIN", "P4.7c"], Caps())
-        assert [e["outcome"] for e in entries] == ["fail", "fail"]
-        assert _sweep_one(text, ["JOIN", "P4.7c"], Caps()) == entries
-        assert [revalidate_report(e) for e in entries] == [False, False]
-        size, closure = ring_from_text(text).size, RingTable.is_comaximal_via_closure
+        entries = _sweep_one(text, claims, Caps())
+        assert [e["outcome"] for e in entries] == ["fail"] * 3
+        assert _sweep_one(text, claims, Caps()) == entries
+        a = RingAnalysis(ring_from_text(text), text=text)
+        _, rep_of = a.ring.coset_representatives(a.ring.jacobson_radical)
+        assert entries[1]["witness"] == coset_lifting_witness(a.graph("full"), rep_of.tolist())
+        if text == "Z/8 x Z/9":
+            assert entries[1]["witness"] == {
+                "coset_pair": [0, 10], "adjacent_pair": [3, 10], "non_adjacent_pair": [0, 10]
+            }
+        assert [revalidate_report(e) for e in entries] == [False] * 3
+        monkeypatch.setattr(RingTable, "is_comaximal_via_closure", cut_off(a.ring.size, 0))
+        assert [revalidate_report(e) for e in entries] == [True] * 3
+        assert runs == claims * 2
 
-        def agrees(ring, x, y):  # element 0 of the ring, not of its quotient, meets nothing
-            return closure(ring, x, y) and not (ring.size == size and 0 in (x, y))
+    @pytest.mark.parametrize("text, one", [("Z/12", 1), ("Z/8 x Z/9", 10), ("SQZ(2,3)", 8)])
+    def test_coset_units_audit_rejects_reproducible_fail(self, text, one, monkeypatch, audited):
+        """P4.7b's audit on a full graph with the ring's one cut off, which leaves the unit coset
+        1 + J without its inner edges at 1: as JOIN's, P4.7a's and P4.7c's above."""
+        ring = ring_from_text(text)
+        assert ring.one == one
+        runs = counted_audits(monkeypatch, audited, "P4.7b")
+        break_graph(monkeypatch, "full", victim=one)
+        (entry,) = _sweep_one(text, ["P4.7b"], Caps())
+        assert entry["outcome"] == "fail"
+        assert _sweep_one(text, ["P4.7b"], Caps()) == [entry]
+        a = RingAnalysis(ring, text=text)
+        _, rep_of = ring.coset_representatives(ring.jacobson_radical)
+        units = ring.unit_flags.tolist()
+        assert entry["witness"] == coset_units_witness(a.graph("full"), rep_of.tolist(), units)
+        if text == "Z/8 x Z/9":
+            assert entry["witness"] == {
+                "kind": "missing_internal_edge", "coset_rep": 10, "pair": [10, 13]
+            }
+        assert revalidate_report(entry) is False
+        monkeypatch.setattr(RingTable, "is_comaximal_via_closure", cut_off(ring.size, one))
+        assert revalidate_report(entry) is True
+        assert runs == ["P4.7b"] * 2
 
-        monkeypatch.setattr(RingTable, "is_comaximal_via_closure", agrees)
-        assert [revalidate_report(e) for e in entries] == [True, True]
-        assert runs == ["JOIN", "P4.7c"] * 2
+    @pytest.mark.parametrize("text", ["Z/12", "Z/8 x Z/9", "SQZ(2,3)"])
+    def test_clean_audit_rejects_planted_fail(self, text, monkeypatch, audited):
+        """Every finite commutative ring is clean, so T2.5's not_clean witness needs a planted
+        fault: a clean decomposition that names element 1 not clean.  The audit's scalar check
+        finds 1 = 0 + 1 clean and rejects it; a unit oracle that finds no unit accepts it."""
+        runs = counted_audits(monkeypatch, audited, "T2.5")
+        planted = CleanDecomposition(False, None, 1)
+        monkeypatch.setattr(RingTable, "clean_decomposition", lambda ring: planted)
+        (entry,) = _sweep_one(text, ["T2.5"], Caps())
+        assert (entry["outcome"], entry["witness"]) == ("fail", {"kind": "not_clean", "element": 1})
+        assert _sweep_one(text, ["T2.5"], Caps()) == [entry]
+        assert revalidate_report(entry) is False
+        monkeypatch.setattr(RingTable, "is_unit", lambda ring, a: False)
+        assert revalidate_report(entry) is True
+        assert runs == ["T2.5"] * 2
 
     def test_element_audits_registered_next_to_checkers(self):
         audited = {cid for cid, spec in {**SINGLE_CLAIMS, **PAIR_CLAIMS}.items() if spec.audit}
         assert audited == {"L2.1a", "JOIN", "T2.5", "P4.7a", "P4.7b", "P4.7c"}
+
+    def test_every_registered_audit_ran(self, audited):
+        """Reads the audits the tests above ran, so it runs last in this class (pytest keeps the
+        order of definition): a newly registered audit must get a planted fail above."""
+        registered = {cid for cid, spec in {**SINGLE_CLAIMS, **PAIR_CLAIMS}.items() if spec.audit}
+        assert audited == registered
 
 
 def toggled(g, pairs):

@@ -220,6 +220,25 @@ class TestSimpleGraph:
         g = path_graph(3)
         assert g.neighbors(1) == [0, 2]
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda g: g.has_edge(1, 99),
+            lambda g: g.has_edge(0, -1),
+            lambda g: g.has_edge(-1, 0),
+            lambda g: g.degree(-1),
+            lambda g: g.degree(6),
+            lambda g: g.neighbors(-1),
+            lambda g: g.neighbors(6),
+            lambda g: distance(g, 0, -1),
+        ],
+    )
+    def test_vertex_out_of_range_rejected(self, read):
+        """No vertex is read by wrapping or shifting: numpy would read -1 as the last vertex."""
+        g = build_comaximal_graph(ring_from_text("Z/6"))
+        with pytest.raises(ValueError, match="^vertex out of range$"):
+            read(g)
+
 
 class TestCombinators:
     def test_join_edge_count(self):

@@ -425,6 +425,19 @@ class TestClassLevelChecks:
         assert _label_edges(g, np.array(label, dtype=np.intp), m).tolist() == expected.tolist()
 
     @settings(max_examples=300)
+    @given(class_built_graphs())
+    def test_degrees_and_neighbours_match_the_rows(self, g):
+        """`degree`, `degrees` and `neighbors` read the classes and Q, on g and on the graph
+        built from g's rows alike, and give what g's rows give."""
+        rows = g.rows
+        for h in (g, SimpleGraph(g.n, rows)):
+            assert h.degrees() == [r.bit_count() for r in rows]
+            assert [h.degree(i) for i in range(g.n)] == h.degrees()
+            assert [h.neighbors(i) for i in range(g.n)] == [
+                [j for j in range(g.n) if r >> j & 1] for r in rows
+            ]
+
+    @settings(max_examples=300)
     @given(class_built_graphs(max_n=24), st.data())
     def test_equal_classes_never_hide_a_difference(self, g, data):
         """`_difference` against the pair-by-pair oracle, in both argument orders, with and
