@@ -467,8 +467,9 @@ def build_ring(expr: RingExpr, *, max_size: int = DEFAULT_MAX_RING_SIZE) -> Ring
 @lru_cache(maxsize=16)
 def _base_factor(expr: RingExpr, max_size: int) -> RingTable:
     """A base factor of a product, built once per process and cap.  Only `direct_product` reads
-    it, and only its size, identity, name, labels and laws, none of which changes; the product
-    it makes is a fresh ring.  `build_ring` never keeps a table file, which may change."""
+    it, and only its size, identity, name, labels, laws and law grids, none of which changes
+    (the grids are made once, kept on the factor and read-only); the product it makes is a fresh
+    ring with tables of its own.  `build_ring` never keeps a table file, which may change."""
     return build_ring(expr, max_size=max_size)
 
 

@@ -9,12 +9,13 @@ are a flat Cayley-table lookup up to `TABLE_LIMIT` elements, where a lookup
 beats evaluating the law, and the construction's own broadcasting function
 above it; a table given as such is always kept.  A product is its factors'
 tables: consecutive factors are grouped up to `TABLE_LIMIT` elements, each
-group's table is laid out from the factors' own s x s tables by
-broadcasting, and a larger product looks each pair up once per group (a
-factor above the limit keeps its own law).  Tables and mixed-radix results
-are kept in the ring's own index type, the smallest that holds n - 1.  Scalars, rows and whole-ring
-scans (in row blocks, so memory stays linear in n) are all read from that
-one operation.
+group's table is composed by broadcasting from its factors' s x s grids,
+last factor first, and a larger product looks each pair up once per group (a
+factor above the limit keeps its own law).  A factor ring makes its grids
+once and keeps them, read-only.  Tables and mixed-radix results are kept in
+the ring's own index type, the smallest that holds n - 1.  Scalars, rows and
+whole-ring scans (in row blocks, so memory stays linear in n) are all read
+from that one operation.
 
 The ring structure is read from one array, a**N for every a, with N the
 bit length of the size (`_nth_powers` proves N enough).  A finite ring is
@@ -23,9 +24,10 @@ local rings eR over its primitive idempotents e, so its maximal ideals are
 M_e = {a : e * a**N == 0}, ordered by min(e + J).  That m x n membership
 matrix is evaluated once: the ideals' masks, the units (the elements in no
 M_e) and the signatures are all read from it.  The primitive idempotents
-refine the atom 1 until there are m atoms for 2**m idempotents: atoms
-certified orthogonal with sum 1 have 2**m distinct subset sums, which are
-then every idempotent, so none splits an atom.
+refine the start atoms, a product's factor identities or else 1, until there
+are m atoms for 2**m idempotents: atoms certified orthogonal with sum 1 have
+2**m distinct subset sums, which are then every idempotent, so none splits
+an atom.
 
 A mask is a Python int whose bit j marks index j.  `_pack` lays masks out
 as the rows of a uint8 matrix, bit j of mask i at bit j % 8 of byte j // 8
@@ -260,6 +262,22 @@ class RingTable:
     # Makes the labels when none were given: set by `direct_product`, `_image` and the digit rings.
     _make_labels: Callable[[], Iterable[str]] | None = None
 
+    # Orthogonal idempotents with sum 1 that `primitive_idempotents` refines, else {1}: set by
+    # `direct_product` to its factors' identities.
+    _start_atoms: tuple[int, ...] | None = None
+
+    @cached_property
+    def _grids(self) -> dict[str, np.ndarray]:
+        """Each law on the whole s x s grid, read-only and in this ring's own index type: what
+        `direct_product` composes a factor group's tables from, made once per factor ring."""
+        dtype = np.min_scalar_type(self.size - 1)
+        grids = {}
+        for law in ("add_op", "mul_op"):
+            grid = getattr(self, law)(self._idx[:, None], self._idx).astype(dtype, copy=False)
+            grid.setflags(write=False)
+            grids[law] = grid
+        return grids
+
     @cached_property
     def labels(self) -> tuple[str, ...]:
         """One label per element: those given, or else made when first read, from the digits,
@@ -457,18 +475,20 @@ class RingTable:
     def primitive_idempotents(self) -> tuple[int, ...]:
         """Nonzero idempotents e with no other nonzero idempotent f = e*f below them.
 
-        Refines the atoms {1}: each atom a split by an idempotent f (a*f not in
-        {0, a}) becomes a*f and a + (-1)*(a*f).  It stops at m atoms once the ring
-        has 2**m idempotents.  The atoms are orthogonal with sum 1, which
-        `maximal_ideals` certifies, so their 2**m subset sums are distinct
-        idempotents, and then they are all of them: an idempotent f = a*f below an
-        atom a is a subset sum that a fixes, so 0 or a itself.  That saves the
-        round that would only confirm that no atom splits, and a local ring needs
-        none.  A refinement that stalls before 2**m idempotents or passes them
-        raises InternalConsistencyError.
+        Refines the start atoms, a product's factor identities or else {1}: each
+        atom a split by an idempotent f (a*f not in {0, a}) becomes a*f and
+        a + (-1)*(a*f).  It stops at m atoms once the ring has 2**m idempotents.
+        The atoms are orthogonal with sum 1, which `maximal_ideals` certifies, so
+        their 2**m subset sums are distinct idempotents, and then they are all of
+        them: an idempotent f = a*f below an atom a is a subset sum that a fixes,
+        so 0 or a itself.  That saves the round that would only confirm that no
+        atom splits, so a local ring, and a product of local factors, runs none;
+        a non-local factor such as Z/6 is split by the rounds.  A refinement that
+        stalls before 2**m idempotents or passes them raises
+        InternalConsistencyError.
         """
         idems = np.array(self.idempotent_elements)
-        atoms = np.array([self.one])
+        atoms = np.array(self._start_atoms or (self.one,))
         while 1 << len(atoms) < len(idems):
             products = self.mul_op(atoms[:, None], idems)
             split = (products != 0) & (products != atoms[:, None])
@@ -568,12 +588,14 @@ class RingTable:
     # -- quotients and cosets ------------------------------------------------
 
     def coset_representatives(self, ideal: IdealSet) -> tuple[np.ndarray, np.ndarray]:
-        """Minimum-index representative of each coset of `ideal`.
+        """Minimum-index representative of each coset of `ideal`, which must be an additive
+        subgroup of this ring (an ideal is one).
 
         Returns (reps, rep_of), both read-only: the sorted distinct
         representatives and, for every element x, the representative of
         x + ideal.  Each ideal's cosets are scanned once per ring and kept, so
-        the radical's serve P4.7a-c and `quotient` alike.
+        the radical's serve P4.7a-c and `quotient` alike.  A member set whose
+        translates overlap or miss an element raises InternalConsistencyError.
         """
         if ideal.ring_size != self.size:
             raise ValueError("ideal belongs to a ring of different size")
@@ -587,9 +609,29 @@ class RingTable:
         return {}
 
     def _scan_cosets(self, ideal: IdealSet) -> tuple[np.ndarray, np.ndarray]:
-        """The scan behind `coset_representatives`: the least of j + x over the members j."""
-        blocks = self._row_blocks(ideal.member_flags().nonzero()[0])
-        rep_of = reduce(np.minimum, (self.add_op(j, self._idx).min(axis=0) for j in blocks))
+        """The scan behind `coset_representatives`.
+
+        With |I|**2 <= n, the least of j + x over the members j: |I| row calls.  Else one
+        ascending sweep: the cosets partition the ring, so the lowest unlabelled x is the least
+        of x + I, and all of x + I is labelled x by one call, n / |I| calls in all.  The sweep
+        checks that each coset lands on unlabelled elements only and that none is left over.
+        """
+        members = ideal.member_flags().nonzero()[0]
+        if len(members) ** 2 <= self.size:
+            blocks = self._row_blocks(members)
+            rep_of = reduce(np.minimum, (self.add_op(j, self._idx).min(axis=0) for j in blocks))
+        else:
+            labels = np.full(self.size, -1)
+            x = 0
+            while x < self.size:
+                coset = self.add_op(x, members)
+                if (labels[coset] >= 0).any():
+                    raise InternalConsistencyError("cosets overlap: the members are not a subgroup")
+                labels[coset] = x
+                x += int((labels[x:] < 0).argmax()) or self.size - x  # argmax is 0 once none is left
+            if (labels < 0).any():
+                raise InternalConsistencyError("cosets miss an element: the members are not a subgroup")
+            rep_of = labels.astype(coset.dtype)
         reps = (rep_of == self._idx).nonzero()[0]
         for kept in (reps, rep_of):
             kept.setflags(write=False)
@@ -690,13 +732,17 @@ def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> 
     """Componentwise product ring; index = mixed-radix over factor indices.
 
     Consecutive factors are grouped while a group has at most TABLE_LIMIT
-    elements.  Each factor law is evaluated once on its own s x s grid, and a
-    group's table is laid out mixed-radix from them by broadcasting, in the
-    group's own index type.  A product of at most TABLE_LIMIT elements is one
-    group, whose tables the ring takes; a larger one looks each pair up once per
-    group and accumulates the parts in the product's index type.
+    elements.  A group's table is composed mixed-radix from its factors' s x s
+    law grids by broadcasting, in the group's own index type; each factor ring
+    evaluates its grids once and keeps them (`_grids`), so a kept base factor
+    serves every product it is in.  A product of at most TABLE_LIMIT elements
+    is one group, whose tables the ring takes; a larger one looks each pair up
+    once per group and accumulates the parts in the product's index type.
     A factor above TABLE_LIMIT is a group of its own and keeps its own law, so
-    no table above TABLE_LIMIT elements is made.
+    no table above TABLE_LIMIT elements is made.  The product's start atoms,
+    which `primitive_idempotents` refines, are its factors' identities (a
+    nested product's own start atoms) at their digits: orthogonal idempotents
+    with sum 1.
     """
     if len(rings) < 2:
         raise ValueError("direct product needs at least two factors")
@@ -715,23 +761,24 @@ def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> 
             group_sizes.append(r.size)
 
     def table(group: list[RingTable], size: int, law: str) -> np.ndarray:
-        """The group's law as a table in its own index type: out[a, b] * s + t[c, d] at row
-        a * s + c, column b * s + d.  It starts from the first factor's table, so each s that
-        scales it is at most half the group's size and fits that type."""
+        """The group's law as a table in its own index type: t[a, b] * w + out[c, d] at row
+        a * w + c, column b * w + d, for a factor's grid t and the table out of the w elements
+        of the factors after it.  Composed from the last factor to the first, so that the
+        broadcast's inner axes are the accumulated table; t * w is below the group's size, so
+        it fits that type."""
         dtype = np.min_scalar_type(size - 1)
         out = None
-        for r in group:
-            s, t = r.size, getattr(r, law)(r._idx[:, None], r._idx).astype(dtype, copy=False)
+        for r in reversed(group):
+            t = r._grids[law].astype(dtype, copy=False)
             if out is not None:
-                t = (out[:, None, :, None] * s + t[None, :, None, :]).reshape(len(out) * s, -1)
+                w = len(out)
+                t = (t[:, None, :, None] * w + out[None, :, None, :]).reshape(r.size * w, -1)
             out = t
         return out
 
-    # digits[i][a] is group i's component of element a.
-    digits = np.unravel_index(np.arange(total), group_sizes)
-    dtype = np.min_scalar_type(total - 1)
-
-    def mixed_radix(law: str) -> Op:
+    def mixed_radix(law: str, digits: tuple[np.ndarray, ...]) -> Op:
+        """The law on group digits: digits[i][a] is group i's component of element a."""
+        dtype = np.min_scalar_type(total - 1)
         ops = [
             getattr(g[0], law) if size > TABLE_LIMIT else _lookup(table(g, size, law), size, law)
             for g, size in zip(groups, group_sizes)
@@ -753,14 +800,19 @@ def direct_product(*rings: RingTable, max_size: int = DEFAULT_MAX_RING_SIZE) -> 
     if len(groups) == 1:
         add, mul = table(rings, total, "add_op"), table(rings, total, "mul_op")
     else:
-        add, mul = mixed_radix("add_op"), mixed_radix("mul_op")
+        digits = np.unravel_index(np.arange(total), group_sizes)
+        add, mul = mixed_radix("add_op", digits), mixed_radix("mul_op", digits)
+    # Factor i's digit weighs the product of the sizes after it.
+    weights = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
     ring = RingTable(
         total,
-        int(np.ravel_multi_index([r.one for r in rings], sizes)),
+        sum(r.one * w for r, w in zip(rings, weights)),
         add,
         mul,
         name=" x ".join(r.name for r in rings),
     )
+    # Each factor's start atoms (its identity, or a nested product's own) at its digit.
+    ring._start_atoms = tuple(a * w for r, w in zip(rings, weights) for a in r._start_atoms or (r.one,))
     ring._make_labels = lambda: (
         "(" + ",".join(r.labels[d] for r, d in zip(rings, parts)) + ")"
         for parts in zip(*(d.tolist() for d in np.unravel_index(np.arange(total), sizes)))

@@ -452,6 +452,23 @@ def sqz_product(p: int, k: int, a: int, b: int) -> int:
     return sum(x * p ** (k - i) for i, x in enumerate(digits))
 
 
+def product_law(factors, law: str, a: int, b: int) -> int:
+    """a + b (law "add") or a * b (law "mul") in the direct product of `factors`, for one pair.
+
+    Indices are mixed-radix, the first factor's digit most significant: each digit pair is
+    combined by its factor's own scalar law, and the results are read back in the same radix.
+    """
+    parts = []
+    for f in reversed(factors):
+        a, x = divmod(a, f.size)
+        b, y = divmod(b, f.size)
+        parts.append(getattr(f, law)(x, y))
+    out = 0
+    for f, part in zip(factors, reversed(parts)):
+        out = out * f.size + part
+    return out
+
+
 def additive_generators_bfs(ring) -> list[int]:
     """Greedy additive generating set: the identity, then each element not yet spanned.
 
@@ -499,6 +516,12 @@ def is_ideal_by_definition(ring, members) -> bool:
         if any(sums[b] not in inside for b in inside) or not inside.issuperset(products):
             return False
     return True
+
+
+def coset_minima(ring, members) -> list[int]:
+    """For every x, the least of x + j over the members j: its coset's least element when the
+    members are an additive subgroup.  One scalar sum per pair."""
+    return [min(ring.add(x, j) for j in members) for x in range(ring.size)]
 
 
 def _cayley(ring) -> tuple[list[list[int]], list[list[int]]]:

@@ -455,6 +455,19 @@ class TestPairClaims:
         assert by_id["C4.6"].outcome == "skip"
         assert "reduced" in by_id["C4.6"].skip_reason
 
+    def test_t44_reports_a_residue_mismatch(self):
+        # Z/6 and Z/2 x Z/3 have isomorphic full graphs, so only the residue fields can differ.
+        z6, product = ring_from_text("Z/6"), ring_from_text("Z/2 x Z/3")
+        vars(product)["residue_field_sizes"] = (2, 5)
+        (report,) = verify_pair(z6, product, ["T4.4"])
+        assert report.outcome == "fail"
+        assert report.witness == {"kind": "residue_mismatch", "residues": [[2, 3], [2, 5]]}
+
+    def test_c46_skips_above_the_ring_isomorphism_cap(self):
+        caps = Caps(max_ringiso_size=4)
+        (report,) = verify_pair(ring_from_text("Z/6"), ring_from_text("Z/2 x Z/3"), ["C4.6"], caps=caps)
+        assert (report.outcome, report.skip_reason) == ("skip", "ring isomorphism capped at size 4")
+
 
 PAIR_ORDERS = [("T4.4", "C4.6"), ("C4.6", "T4.4")]
 

@@ -1,6 +1,8 @@
 """Ring kernel tests against hand-derived and brute-force values."""
 
 import json
+import math
+import random
 import time
 import tracemalloc
 from dataclasses import replace
@@ -24,6 +26,7 @@ from comaximal import (
     parse_expression,
     ring_from_text,
     ring_isomorphic,
+    save_table_ring,
     validate_ring_axioms,
     verify_ring,
 )
@@ -33,9 +36,11 @@ from comaximal.rings import RingTable, _additive_generators
 from oracles import (
     additive_generators_bfs,
     brute_ring_isomorphic,
+    coset_minima,
     is_ring_isomorphism,
     polyquot_product,
     primitive_idempotents_by_definition,
+    product_law,
     relabelled,
     sqz_product,
     structure_by_definition,
@@ -44,7 +49,7 @@ from oracles import (
     zn_unit,
 )
 from conftest import run_python
-from test_acceptance import corpus_specs
+from test_acceptance import PRODUCT_BASES, corpus_specs
 
 
 def zn(n: int) -> RingTable:
@@ -523,6 +528,111 @@ class TestDirectProduct:
         assert peak < 400 * 1024
 
 
+# Bases of the seeded products: the corpus's local bases and four non-local Z/n, whose factor
+# identities the refinement still has to split.
+PRODUCT_POOL = (*PRODUCT_BASES, "Z/6", "Z/10", "Z/12", "Z/30")
+
+
+def _seeded_products(count: int, seed: int) -> list[str]:
+    """`count` distinct products of 2 to 4 bases from PRODUCT_POOL, of at most 4,096 elements."""
+    rng = random.Random(seed)
+    sizes = {t: expression_size(parse_expression(t)) for t in PRODUCT_POOL}
+    found: dict[str, None] = {}
+    while len(found) < count:
+        texts = rng.choices(PRODUCT_POOL, k=rng.randint(2, 4))
+        if math.prod(sizes[t] for t in texts) <= 4096:
+            found[" x ".join(texts)] = None
+    return list(found)
+
+
+PRODUCT_CASES = [*_seeded_products(12, seed=5), "nested", "table"]
+
+
+@pytest.fixture(params=PRODUCT_CASES, scope="module")
+def product(request, tmp_path_factory):
+    """A product ring and its direct factors: a seeded product of bases, a product of two
+    products (`direct_product` on products), or one with a `table:` factor (Z/12 from a file)."""
+    if request.param == "nested":
+        factors = [ring_from_text("Z/2 x Z/6"), ring_from_text("GF(4) x Z/5 x Z/9")]
+        return direct_product(*factors), factors
+    if request.param == "table":
+        path = tmp_path_factory.mktemp("tables") / "z12.json"
+        save_table_ring(zn(12), str(path))
+        factors = [load_table_ring(str(path)), zn(9), ring_from_text("SQZ(2,2)")]
+        return ring_from_text(f"table:{path} x Z/9 x SQZ(2,2)"), factors
+    return ring_from_text(request.param), [ring_from_text(t) for t in request.param.split(" x ")]
+
+
+# Start atoms planted in Z/4 x Z/3 x Z/7, whose factor identities are 21, 7 and 1, with the
+# message each raises.  Its 84 elements are above CROSSCHECK_LIMIT, so the brute-force
+# comparison cannot catch them first.
+PLANTED_STARTS = {
+    "overlapping": ((21, 28, 1), "not orthogonal idempotents that sum to 1"),
+    "missing_a_factor": ((21, 7), "idempotent refinement ends at 2 atoms"),
+    "not_idempotent": ((21, 7, 2), "not orthogonal idempotents that sum to 1"),
+}
+
+
+class TestProductsFromFactors:
+    """A product's laws composed from its factors' kept grids, and its structure refined from its
+    factors' identities, equal those of the naive references."""
+
+    def test_laws_match_the_mixed_radix_reference(self, product):
+        ring, factors = product
+        rng = np.random.default_rng(ring.size)
+        ends = [0, ring.one, ring.size - 1]
+        a = np.concatenate([ends, rng.integers(0, ring.size, 397)])
+        b = np.concatenate([ends[::-1], rng.integers(0, ring.size, 397)])
+        for law in ("add", "mul"):
+            expected = [product_law(factors, law, x, y) for x, y in zip(a.tolist(), b.tolist())]
+            assert getattr(ring, law + "_op")(a, b).tolist() == expected, law
+
+    def test_structure_matches_the_ring_rebuilt_from_its_laws(self, product):
+        ring, factors = product
+        plain = RingTable(ring.size, ring.one, ring.add_op, ring.mul_op)  # refines from {1}
+        assert plain._start_atoms is None
+        assert ring.primitive_idempotents == plain.primitive_idempotents
+        assert [m.mask for m in ring.maximal_ideals] == [m.mask for m in plain.maximal_ideals]
+        assert np.array_equal(ring.signature_array, plain.signature_array)
+        assert np.array_equal(ring.unit_flags, plain.unit_flags)
+        assert ring.jacobson_radical == plain.jacobson_radical
+        if all(f.maximal_ideal_count == 1 for f in factors):  # no refinement round splits an atom
+            assert ring.primitive_idempotents == tuple(sorted(ring._start_atoms))
+
+    def test_factor_grids_made_once_and_kept(self):
+        # 432 elements: Z/12 x GF(4) is one table group and Z/9 another.
+        factors = [zn(12), ring_from_text("GF(4)"), zn(9)]
+        first = direct_product(*factors)
+        kept = [f._grids for f in factors]
+        for f, grids in zip(factors, kept):
+            for grid in grids.values():
+                assert grid.shape == (f.size, f.size) and grid.dtype == np.uint8
+                assert not grid.flags.writeable
+            f.add_op = f.mul_op = None  # a second product may not evaluate a factor's law
+        second = direct_product(*factors)
+        assert all(f._grids is grids for f, grids in zip(factors, kept))
+        rows = first._idx[:, None]
+        for law in ("add_op", "mul_op"):
+            assert np.array_equal(getattr(first, law)(rows, first._idx), getattr(second, law)(rows, first._idx))
+
+    @pytest.mark.parametrize("plant", list(PLANTED_STARTS))
+    def test_planted_start_atoms_raise(self, plant):
+        atoms, message = PLANTED_STARTS[plant]
+        ring = ring_from_text("Z/4 x Z/3 x Z/7")
+        assert ring._start_atoms == (21, 7, 1)
+        ring._start_atoms = atoms
+        with pytest.raises(InternalConsistencyError, match=message):
+            ring.maximal_ideals
+
+    @pytest.mark.parametrize("plant", list(PLANTED_STARTS))
+    def test_planted_start_atoms_survive_python_O(self, plant, python_O):
+        atoms, message = PLANTED_STARTS[plant]
+        plant_code = RING_PLANT + f"ring = ring_from_text('Z/4 x Z/3 x Z/7')\nring._start_atoms = {atoms!r}\n"
+        out = python_O(plant_code, "ring.maximal_ideals")
+        assert out.startswith("raised 1 "), out
+        assert message in out
+
+
 class TestClean:
     def test_z6_witness(self):
         cd = zn(6).clean_decomposition()
@@ -714,6 +824,40 @@ class TestCosetRepresentatives:
         reps, rep_of = r.coset_representatives(j)
         assert len(reps) * len(j) == r.size
         assert len(np.unique(rep_of)) == len(reps)
+
+    # Ideals with |I|**2 > n take the ascending sweep, the others the scan; a relabelled copy
+    # puts each coset's least element anywhere.
+    @pytest.mark.parametrize("text", ["Z/2[x]/(x^6)", "SQZ(2,5)", "Z/8 x Z/9", "Z/4 x Z/4 x Z/4", "Z/243"])
+    def test_sweep_and_scan_match_the_coset_minima(self, text):
+        ring = ring_from_text(text)
+        for r in (ring, relabelled(ring, np.random.default_rng(2))):
+            smallest = min((r.principal_ideal(x) for x in r.nilpotent_elements[1:]), key=len)
+            ideals = [r.jacobson_radical, *r.maximal_ideals, r.principal_ideal(2), smallest]
+            assert any(len(i) ** 2 > r.size for i in ideals) and any(len(i) ** 2 <= r.size for i in ideals)
+            for ideal in ideals:
+                reps, rep_of = r.coset_representatives(ideal)
+                expected = coset_minima(r, ideal.members())
+                assert rep_of.tolist() == expected, (text, len(ideal))
+                assert reps.tolist() == sorted(set(expected))
+                assert not rep_of.flags.writeable and not reps.flags.writeable
+
+    # Member sets of Z/12 that are no subgroup, with |S|**2 > 12 so that the sweep runs: 4 + S
+    # meets S at 8, and S without 0 leaves 0 unlabelled.
+    NOT_SUBGROUPS = {"overlapping": ((0, 4, 6, 8), "cosets overlap"), "without_zero": ((1, 2, 3, 4), "cosets miss")}
+
+    @pytest.mark.parametrize("case", list(NOT_SUBGROUPS))
+    def test_sweep_rejects_a_set_that_is_no_subgroup(self, case):
+        members, message = self.NOT_SUBGROUPS[case]
+        with pytest.raises(InternalConsistencyError, match=message):
+            zn(12).coset_representatives(IdealSet(12, sum(1 << m for m in members)))
+
+    @pytest.mark.parametrize("case", list(NOT_SUBGROUPS))
+    def test_sweep_rejection_survives_python_O(self, case, python_O):
+        members, message = self.NOT_SUBGROUPS[case]
+        plant = RING_PLANT + "ring = ring_from_text('Z/12')\n"
+        out = python_O(plant, f"ring.coset_representatives(rings.IdealSet(12, {sum(1 << m for m in members)}))")
+        assert out.startswith("raised 1 "), out
+        assert message in out
 
 
 def _quotient_by_radical(text: str) -> RingTable:
