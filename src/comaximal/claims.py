@@ -46,7 +46,6 @@ from .errors import (
 from .graphs import (
     SimpleGraph,
     _adjacent,
-    _class_degrees,
     _difference,
     _label_edges,
     build_comaximal_graph,
@@ -217,7 +216,7 @@ def _audit_units_complete(witness: dict, ring: RingTable) -> bool:
 @_claim("L2.1a", "the subgraph induced by the units is complete", audit=_audit_units_complete)
 def _check_units_complete(a: RingAnalysis):
     g = a.graph("units")
-    short = np.flatnonzero(_class_degrees(g)[g._class_of] != g.n - 1)
+    short = np.flatnonzero(g.class_degrees[g._class_of] != g.n - 1)
     if not len(short):
         return _passed({"unit_count": g.n, "edges": g.edge_count})
     # The first vertex short of a neighbour, and the first other vertex it misses.
@@ -231,7 +230,7 @@ def _check_units_complete(a: RingAnalysis):
 def _check_radical_isolated(a: RingAnalysis):
     g = a.graph("nonunits")
     radical = a.ring.jacobson_radical
-    degree = _class_degrees(g)[g._class_of]  # the isolated vertices fill the classes of degree 0
+    degree = g.class_degrees[g._class_of]  # the isolated vertices fill the classes of degree 0
     isolated = degree == 0
     wrong = isolated != radical.member_flags()[g._keys]
     if wrong.any():

@@ -19,22 +19,25 @@ A comaximal graph's rows depend only on each element's maximal-ideal
 signature, so `build_comaximal_graph` makes one class per signature and Q
 straight from the signatures: Q[a][b] = (sig_a & sig_b) == 0, with a
 diagonal bit on the units' class alone (signature 0).  `join` takes its
-inputs' classes and Q.  Such a graph makes `rows` and the read-only packed
-matrix `packed` when first read, and only `has_edge`, `edges`, `adjacency`,
-`distance` and the row-built combinators below `join` read them.  The rest
-reads the classes and Q: `_class_degrees` (with `edge_count`, `degree` and
-`degrees`), `twin_classes`, `metrics`, `_label_edges` (N Q N^T, the edges
-between labelled vertex sets) and `_adjacent` (with `neighbors`), Q at the
-classes of two vertex lists, the one class-level reader of vertex pairs.
-`_difference` compares two graphs through it on the two lowest positions of
-each pair of classes, in O(m log m + p^2) for p pairs.  `SimpleGraph(n, rows)` packs the rows it is
-given, checks the whole matrix in row blocks and raises ValueError (only a
-failed check loops over the rows, to word its message), then groups equal
-rows in one dict pass and reads Q off the first members' rows.
+inputs' classes and Q.  A graph keeps n, its key array, its classes and Q;
+every other form is a `functools.cached_property`, made when first read
+and carried by a pickled copy, as on `RingTable`.  `rows` and the read-only
+packed matrix `packed` are read only by `has_edge`, `edges`, `adjacency`,
+`distance` and the row-built combinators below `join`.  The rest reads the
+classes and Q: `class_degrees` (with `edge_count`, `degree` and
+`degrees`), `twins`, `metrics`, `_label_edges` (N Q N^T, the edges between
+labelled vertex sets) and `_adjacent` (with `neighbors`), Q at the classes
+of two vertex lists, the one class-level reader of vertex pairs.
+`_difference` compares two graphs through it on the two lowest positions
+of each pair of classes, in O(m log m + p^2) for p pairs.
+`SimpleGraph(n, rows)` packs the rows it is given, checks the whole matrix
+in row blocks and raises ValueError (only a failed check loops over the
+rows, to word its message), then groups equal rows in one dict pass and
+reads Q off the first members' rows.
 
-The invariants read `twin_classes`, made from the classes and Q once per
-graph: the universal vertices U (adjacent to every other vertex; read off
-degrees, since a field's 0 is one outside the units' class), and the twin
+The invariants read `twin_classes`, the cached `twins`, made from the
+classes and Q: the universal vertices U (adjacent to every other vertex;
+read off degrees, since a field's 0 is one outside the units' class), and the twin
 quotient of G - U: the classes of equal open rows (false twins: independent
 sets of interchangeable vertices) and the graph on one vertex per class.
 G is K_U joined with G - U, and lifting is exact:
@@ -62,7 +65,7 @@ Results keep vertex indices and per-vertex tie-breaks (see `metrics`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain
 from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -77,16 +80,19 @@ from .rings import RingTable, _blocks, _iter_bits, _lowest, _masks, _pack, _unpa
 class SimpleGraph:
     """Loop-free undirected graph with bitset adjacency rows.
 
-    Every graph is kept as its classes: the class of each vertex, classes
-    numbered by first member, and the packed class quotient Q, whose diagonal
-    bit marks a clique of universal vertices.  `SimpleGraph(n, rows)` checks
-    the rows it is given, then groups equal rows; `build_comaximal_graph` and
-    `join` give the classes and Q directly, and then `rows` and `packed` are
-    made when first read.  Labels not given are made when first read too.
+    Every graph keeps n, its vertex keys, its classes (the class of each
+    vertex, classes numbered by first member) and the packed class quotient
+    Q, whose diagonal bit marks a clique of universal vertices.
+    `SimpleGraph(n, rows)` checks the rows it is given, keeps them with their
+    packed matrix, then groups equal rows; `build_comaximal_graph` and `join`
+    give the classes and Q directly.  Every other form is a cached property,
+    made when first read: `vertex_keys`, `labels`, `rows`, `packed`,
+    `class_degrees`, `edge_count` and `twins`.  Labels not given come from
+    `_make_labels`, and a pickled graph carries every form already made.
     """
 
-    __slots__ = ("n", "_keys", "_vertex_keys", "_labels", "_class_of", "_quotient", "_rows",
-                 "_packed", "_degrees", "_twins", "_edges")
+    # Makes the labels not given: set by `build_comaximal_graph`, `join` and `disjoint_union`.
+    _make_labels: Callable[[], Iterable[str]] | None = None
 
     def __init__(
         self,
@@ -98,10 +104,9 @@ class SimpleGraph:
         if len(rows) != n:
             raise ValueError("need one adjacency row per vertex")
         rows = list(rows)
-        self._labels: tuple[str, ...] | Callable[[], Iterable[str]] | None = None
         if labels is not None:
-            self._labels = tuple(labels)
-            if len(self._labels) != n:
+            self.labels = tuple(labels)
+            if len(self.labels) != n:
                 raise ValueError("need one label per vertex")
         keys = np.arange(n) if vertex_keys is None else np.fromiter(vertex_keys, np.intp)
         if len(keys) != n:
@@ -121,15 +126,13 @@ class SimpleGraph:
         reps = np.full(len(number), n)
         np.minimum.at(reps, class_of, np.arange(n))  # each class's first member
         self._adopt(n, keys, class_of, _pack(_induced_rows(packed, n, reps), len(reps)))
-        self._rows, self._packed = rows, packed
+        packed.flags.writeable = False
+        vars(self).update(rows=rows, packed=packed)  # the cached forms, given
 
     def _adopt(self, n: int, keys: np.ndarray, class_of: np.ndarray, quotient: np.ndarray) -> None:
-        """Keep the vertex keys (read-only intp), the classes and Q that both constructors make;
-        the rest is made when first read."""
+        """Keep what both constructors make: n, the keys (read-only intp), the classes and Q."""
         keys.flags.writeable = False
         self.n, self._keys, self._class_of, self._quotient = n, keys, class_of, quotient
-        self._vertex_keys = self._rows = self._packed = self._degrees = self._twins = None
-        self._edges = None
 
     @classmethod
     def _from_classes(
@@ -147,55 +150,80 @@ class SimpleGraph:
                 f"class {a} has a loop" if a == b else f"class quotient is not symmetric at {a}-{b}"
             )
         g = cls.__new__(cls)
-        g._labels = None
         g._adopt(len(class_of), keys, class_of, quotient)
         return g
 
-    @property
+    @cached_property
     def vertex_keys(self) -> tuple[int, ...]:
-        """Each vertex's ring element (or given key), made from the key array when first read."""
-        if self._vertex_keys is None:
-            self._vertex_keys = tuple(self._keys.tolist())
-        return self._vertex_keys
+        """Each vertex's ring element (or given key)."""
+        return tuple(self._keys.tolist())
 
-    @property
-    def rows(self) -> list[int]:
-        """One adjacency mask per vertex, made when first read."""
-        if self._rows is None:
-            self._rows = _masks(self.packed)
-        return self._rows
-
-    @property
-    def packed(self) -> np.ndarray:
-        """The rows packed as by `rings._pack`, read-only, made when first read."""
-        if self._packed is None:
-            k, n = len(self._quotient), self.n
-            class_rows = np.empty((k, (n + 7) // 8), dtype=np.uint8)  # bit j of row a: Q[a][c(j)]
-            for part in _blocks(k, n):
-                bits = _unpack(self._quotient[part], k)[:, self._class_of]
-                class_rows[part] = np.packbits(bits, axis=1, bitorder="little")
-            self._packed = class_rows[self._class_of]
-            v = np.arange(n)  # a clique class's members read its diagonal bit as their own
-            self._packed[v, v >> 3] &= ~(np.uint8(1) << (v & 7).astype(np.uint8))
-            self._packed.flags.writeable = False
-        return self._packed
-
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
-        """One label per vertex: those given, or else made when first read."""
-        if not isinstance(self._labels, tuple):
-            make = self._labels
-            self._labels = tuple(make()) if make is not None else tuple(map(str, range(self.n)))
-        return self._labels
+        """One label per vertex: those given, or else made by `_make_labels`, or the indices."""
+        make = self._make_labels
+        return tuple(make()) if make is not None else tuple(map(str, range(self.n)))
+
+    @cached_property
+    def rows(self) -> list[int]:
+        """One adjacency mask per vertex."""
+        return _masks(self.packed)
+
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """The rows packed as by `rings._pack`, read-only."""
+        k, n = len(self._quotient), self.n
+        class_rows = np.empty((k, (n + 7) // 8), dtype=np.uint8)  # bit j of row a: Q[a][c(j)]
+        for part in _blocks(k, n):
+            bits = _unpack(self._quotient[part], k)[:, self._class_of]
+            class_rows[part] = np.packbits(bits, axis=1, bitorder="little")
+        packed = class_rows[self._class_of]
+        v = np.arange(n)  # a clique class's members read its diagonal bit as their own
+        packed[v, v >> 3] &= ~(np.uint8(1) << (v & 7).astype(np.uint8))
+        packed.flags.writeable = False
+        return packed
+
+    @cached_property
+    def class_degrees(self) -> np.ndarray:
+        """Each class's degree: d_a = sum of |b| over the classes b with Q[a][b], less Q[a][a].
+
+        Q[a][a] is set on a full row only, so exactly the rows whose sum is n lose one, and the
+        diagonal is never read."""
+        k = len(self._quotient)
+        counts = np.bincount(self._class_of, minlength=k)
+        degree = np.zeros(k, dtype=np.int64)
+        for part in _blocks(k, k):
+            degree[part] = _unpack(self._quotient[part], k) @ counts
+        degree -= degree == self.n
+        return degree
+
+    @cached_property
+    def edge_count(self) -> int:
+        """|E|, half the sum of the vertices' degrees."""
+        return int(self.class_degrees[self._class_of].sum()) // 2
+
+    @cached_property
+    def twins(self) -> TwinClasses:
+        """The twin quotient of G - U, from the classes and Q: U is every member of a class of
+        degree n - 1, a universal singleton or a clique class."""
+        n, class_of, quotient = self.n, self._class_of, self._quotient
+        k = len(quotient)
+        degree = self.class_degrees.tolist()
+        sizes = np.bincount(class_of, minlength=k).tolist()
+        members = np.argsort(class_of, kind="stable").tolist()
+        by_class = [members[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
+        keep = [c for c, d in enumerate(degree) if d != n - 1]
+        universal = chain.from_iterable(by_class[c] for c, d in enumerate(degree) if d == n - 1)
+        rows = _masks(quotient) if len(keep) == k else _induced_rows(quotient, k, keep)
+        return TwinClasses([by_class[c] for c in keep], sorted(universal), rows)
 
     def __getstate__(self):
         self.labels  # made before pickling: what makes them may not pickle
-        return None, {name: getattr(self, name) for name in self.__slots__}
+        return {name: value for name, value in vars(self).items() if name != "_make_labels"}
 
     def __setstate__(self, state):
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        for kept in (self._keys, self._packed):  # pickled arrays come back writeable
+        vars(self).update(state)
+        for kept in (self._keys, state.get("packed")):  # pickled arrays come back writeable
             if kept is not None:
                 kept.flags.writeable = False
 
@@ -250,15 +278,10 @@ class SimpleGraph:
         return bool(self.rows[self._vertex(i)] >> self._vertex(j) & 1)
 
     def degree(self, i: int) -> int:
-        return int(_class_degrees(self)[self._class_of[self._vertex(i)]])
+        return int(self.class_degrees[self._class_of[self._vertex(i)]])
 
     def degrees(self) -> list[int]:
-        return _class_degrees(self)[self._class_of].tolist()
-
-    @property
-    def edge_count(self) -> int:
-        _class_degrees(self)
-        return self._edges
+        return self.class_degrees[self._class_of].tolist()
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, r in enumerate(self.rows) for j in _iter_bits(r >> i + 1 << i + 1)]
@@ -395,40 +418,9 @@ class TwinClasses(NamedTuple):
     rows: list[int]
 
 
-def _class_degrees(g: SimpleGraph) -> np.ndarray:
-    """Each class's degree, made when first read with the edge count: d_a = sum of |b| over the
-    classes b with Q[a][b], less Q[a][a], and 2|E| = sum of |a| d_a.
-
-    Q[a][a] is set on a full row only, so exactly the rows whose sum is n lose one, and the
-    diagonal is never read."""
-    if g._degrees is None:
-        k = len(g._quotient)
-        counts = np.bincount(g._class_of, minlength=k)
-        degree = np.zeros(k, dtype=np.int64)
-        for part in _blocks(k, k):
-            degree[part] = _unpack(g._quotient[part], k) @ counts
-        degree -= degree == g.n
-        g._degrees, g._edges = degree, int(counts @ degree) // 2
-    return g._degrees
-
-
 def twin_classes(g: SimpleGraph) -> TwinClasses:
-    """The twin quotient of G - U, made when first read from the graph's classes and Q: U is
-    every member of a class of degree n - 1 (`_class_degrees`).
-    """
-    if g._twins is None:
-        n, class_of, quotient = g.n, g._class_of, g._quotient
-        k = len(quotient)
-        degree = _class_degrees(g).tolist()
-        sizes = np.bincount(class_of, minlength=k).tolist()
-        members = np.argsort(class_of, kind="stable").tolist()
-        by_class = [members[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
-        keep = [c for c, d in enumerate(degree) if d != n - 1]
-        # Degree n - 1: a universal singleton, or a clique class.
-        universal = chain.from_iterable(by_class[c] for c, d in enumerate(degree) if d == n - 1)
-        rows = _masks(quotient) if len(keep) == k else _induced_rows(quotient, k, keep)
-        g._twins = TwinClasses([by_class[c] for c in keep], sorted(universal), rows)
-    return g._twins
+    """The twin quotient of G - U, U the universal vertices: the cached `g.twins`."""
+    return g.twins
 
 
 def build_comaximal_graph(ring: RingTable, selector: str = "full") -> SimpleGraph:
@@ -460,7 +452,7 @@ def build_comaximal_graph(ring: RingTable, selector: str = "full") -> SimpleGrap
     # The quotient's k x k `&` reads the signatures in the fewest bytes.
     quotient = _comaximal_quotient(class_sig.astype(np.min_scalar_type(all_ideals)))
     g = SimpleGraph._from_classes(class_of, quotient, keys)
-    g._labels = lambda: (ring.labels[k] for k in keys.tolist())  # made when first read
+    g._make_labels = lambda: (ring.labels[k] for k in keys.tolist())
     return g
 
 
@@ -509,14 +501,14 @@ def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
             quotient[lo : lo + len(block)] = np.packbits(bits, axis=1, bitorder="little")
     class_of = np.concatenate([g1._class_of, g2._class_of + k1])
     g = SimpleGraph._from_classes(class_of, quotient, np.concatenate([g1._keys, g2._keys]))
-    g._labels = lambda: g1.labels + g2.labels
+    g._make_labels = lambda: g1.labels + g2.labels
     return g
 
 
 def disjoint_union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     rows = list(g1.rows) + [r << g1.n for r in g2.rows]
     g = SimpleGraph(g1.n + g2.n, rows, vertex_keys=np.concatenate([g1._keys, g2._keys]))
-    g._labels = lambda: g1.labels + g2.labels
+    g._make_labels = lambda: g1.labels + g2.labels
     return g
 
 

@@ -594,8 +594,8 @@ class RingTable:
         Returns (reps, rep_of), both read-only: the sorted distinct
         representatives and, for every element x, the representative of
         x + ideal.  Each ideal's cosets are scanned once per ring and kept, so
-        the radical's serve P4.7a-c and `quotient` alike.  A member set whose
-        translates overlap or miss an element raises InternalConsistencyError.
+        the radical's serve P4.7a-c and `quotient` alike.  A member set that is
+        not an additive subgroup raises InternalConsistencyError.
         """
         if ideal.ring_size != self.size:
             raise ValueError("ideal belongs to a ring of different size")
@@ -615,6 +615,8 @@ class RingTable:
         ascending sweep: the cosets partition the ring, so the lowest unlabelled x is the least
         of x + I, and all of x + I is labelled x by one call, n / |I| calls in all.  The sweep
         checks that each coset lands on unlabelled elements only and that none is left over.
+        Then the additive walk of `is_ideal` checks that the members are a subgroup (on the radical,
+        `jacobson_radical` has).
         """
         members = ideal.member_flags().nonzero()[0]
         if len(members) ** 2 <= self.size:
@@ -632,6 +634,9 @@ class RingTable:
             if (labels < 0).any():
                 raise InternalConsistencyError("cosets miss an element: the members are not a subgroup")
             rep_of = labels.astype(coset.dtype)
+        walk = vars(self).get("jacobson_radical") != ideal  # `jacobson_radical` walked the radical
+        if walk and (0 not in ideal or _additive_generators(self, ideal.member_flags()) is None):
+            raise InternalConsistencyError("the members are not an additive subgroup")
         reps = (rep_of == self._idx).nonzero()[0]
         for kept in (reps, rep_of):
             kept.setflags(write=False)

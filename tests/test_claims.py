@@ -282,6 +282,61 @@ class TestSingleClaims:
         assert second[0].outcome == "pass"
 
 
+def _with_rows(g: SimpleGraph, rows: list[int]) -> SimpleGraph:
+    return SimpleGraph(g.n, rows, labels=g.labels, vertex_keys=g.vertex_keys)
+
+
+def _isolated(g: SimpleGraph, v: int) -> SimpleGraph:
+    """`g` with every edge at vertex v removed."""
+    return _with_rows(g, [0 if u == v else row & ~(1 << v) for u, row in enumerate(g.rows)])
+
+
+def _universal(g: SimpleGraph, v: int) -> SimpleGraph:
+    """`g` with vertex v adjacent to every other vertex."""
+    full = (1 << g.n) - 1
+    rows = [full ^ 1 << v if u == v else row | 1 << v for u, row in enumerate(g.rows)]
+    return _with_rows(g, rows)
+
+
+def _path(g: SimpleGraph) -> SimpleGraph:
+    """`g` with its edges replaced by the path 0 - 1 - ... - (n - 1)."""
+    n = g.n
+    rows = [(1 << v - 1 if v else 0) | (1 << v + 1 if v + 1 < n else 0) for v in range(n)]
+    return _with_rows(g, rows)
+
+
+# claim: (ring, selector, the graph planted for the selector's, the fail's witness).
+PLANTED_FAILS = {
+    "L2.1b": ("Z/12", "nonunits", lambda g: _isolated(g, 1),
+              {"element": 2, "degree": 0, "in_radical": False}),
+    "P2.4b radical_nonzero": ("Z/12", "core", lambda g: _universal(g, 0),
+                              {"kind": "radical_nonzero", "radical_size": 2}),
+    "P2.4b max_ideal_count": ("Z/30", "core", lambda g: _universal(g, 0),
+                              {"kind": "max_ideal_count", "count": 3}),
+    "P2.4b pair_ideal_missing": ("Z/3 x Z/5", "core", lambda g: _universal(g, 0),
+                                 {"kind": "pair_ideal_missing", "vertex": 1}),
+    "T2.5 local_core_nonempty": ("Z/8", "core", lambda g: SimpleGraph(1, [0], vertex_keys=[2]),
+                                 {"kind": "local_core_nonempty", "core_vertices": 1}),
+    "T2.5 clique_mismatch": ("Z/30", "core", lambda g: _with_rows(g, [0] * g.n),
+                             {"kind": "clique_mismatch", "clique": 1, "expected": 3}),
+    "T3.1 diameter": ("Z/30", "core", lambda g: _path(g),
+                      {"kind": "diameter", "pair": [2, 28], "distance": 20}),
+}
+
+
+@pytest.mark.parametrize("case", list(PLANTED_FAILS))
+def test_planted_graph_takes_the_fail_branch(case):
+    """A graph planted in `RingAnalysis._graphs`, as `tampered_analyses` plants one, makes the
+    claim take the fail branch that no ring reaches, with its exact witness."""
+    text, selector, plant, witness = PLANTED_FAILS[case]
+    claim = case.split()[0]
+    assert [r.outcome for r in verify_ring(ring_from_text(text), [claim], text=text)] == ["pass"]
+    a = RingAnalysis(ring_from_text(text), text=text)
+    a._graphs[selector] = plant(a.graph(selector))
+    (report,) = verify_ring(a, [claim])
+    assert (report.outcome, report.witness) == ("fail", witness)
+
+
 # The single-ring claims that apply to every ring, as the corpus benchmark runs them.
 STRUCTURE_CLAIMS = [
     "L2.1a", "L2.1b", "JOIN", "T2.2", "P2.3", "P2.4a", "T2.5",
@@ -343,13 +398,28 @@ def test_claims_build_no_graph_from_rows(monkeypatch):
 
 
 def counted_reads(monkeypatch) -> list[str]:
-    """Log every read of `SimpleGraph.rows` and `SimpleGraph.packed`, the per-vertex forms."""
+    """Log every read of `SimpleGraph.rows` and `SimpleGraph.packed`, the per-vertex forms: each
+    read goes through the cached property, which makes the form once and keeps it."""
     reads: list[str] = []
     for name in ("rows", "packed"):
-        get = getattr(SimpleGraph, name).fget
+        get = vars(SimpleGraph)[name].__get__
         logged = property(lambda g, get=get, name=name: reads.append(name) or get(g))
         monkeypatch.setattr(SimpleGraph, name, logged)
     return reads
+
+
+def test_counted_reads_count_every_read(monkeypatch):
+    """Each read is logged, the first one and those of the form already made; a class-built
+    graph makes its rows from `packed`, and a row-built one keeps the rows it was given."""
+    reads = counted_reads(monkeypatch)
+    g = build_comaximal_graph(ring_from_text("Z/12"), "core")
+    rows = g.rows
+    assert reads == ["rows", "packed"] and "rows" in vars(g)
+    assert g.rows is rows and g.packed is g.packed
+    h = SimpleGraph(g.n, rows)
+    assert reads == ["rows", "packed", "rows", "packed", "packed"]
+    assert h.rows == rows and h.packed.tobytes() == g.packed.tobytes()
+    assert reads[5:] == ["rows", "packed", "packed"]
 
 
 def test_passing_claims_read_no_rows(monkeypatch):

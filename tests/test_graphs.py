@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -378,6 +379,123 @@ class TestClassCore:
         assert (copy.rows, copy.packed.tobytes()) == (g.rows, g.packed.tobytes())
         assert (copy.labels, copy.vertex_keys, copy.edge_count) == (g.labels, g.vertex_keys, g.edge_count)
         assert twin_classes(copy) == twin_classes(g) and metrics(copy) == metrics(g)
+
+
+# Every form a graph makes when first read, as the cached properties of `SimpleGraph`.
+CACHED_FORMS = ("vertex_keys", "labels", "rows", "packed", "class_degrees", "edge_count", "twins")
+
+
+def _naive_forms(rows: list[int], keys, labels) -> dict:
+    """Each cached form of the graph with these rows, keys and labels, read pair by pair, in the
+    shape `_read_form` gives: degrees per vertex and the twin quotient as `brute_twin_classes`
+    finds it."""
+    n = len(rows)
+    bits = np.array([[row >> j & 1 for j in range(n)] for row in rows], dtype=bool).reshape(n, n)
+    twins = brute_twin_classes(SimpleNamespace(n=n, has_edge=lambda u, v: bool(rows[u] >> v & 1)))
+    return {
+        "vertex_keys": tuple(keys),
+        "labels": tuple(labels),
+        "rows": list(rows),
+        "packed": np.packbits(bits, axis=1, bitorder="little").tobytes(),
+        "class_degrees": [row.bit_count() for row in rows],
+        "edge_count": sum(row.bit_count() for row in rows) // 2,
+        "twins": twins[:3],
+    }
+
+
+def _read_form(g: SimpleGraph, form: str):
+    value = getattr(g, form)
+    if form == "packed":
+        return value.tobytes()
+    if form == "class_degrees":
+        return value[g._class_of].tolist()
+    return tuple(value) if form == "twins" else value
+
+
+def _comaximal_case(text: str, selector: str):
+    ring = ring_from_text(text)
+    keys, rows = comaximal_rows(list(ring.signatures), ring.maximal_ideal_count, selector)
+    labels = [ring.labels[k] for k in keys]
+    return (lambda: build_comaximal_graph(ring, selector)), (rows, keys, labels)
+
+
+def _joined_rows(rows1: list[int], rows2: list[int], cross: bool) -> list[int]:
+    n1, n2 = len(rows1), len(rows2)
+    other1, other2 = ((1 << n2) - 1) << n1 if cross else 0, (1 << n1) - 1 if cross else 0
+    return [r | other1 for r in rows1] + [r << n1 | other2 for r in rows2]
+
+
+def _cached_form_cases() -> dict:
+    """name: (a maker of fresh graphs, their (rows, keys, labels), the forms the maker gives)."""
+    cases = {}
+    for text in ("Z/12", "Z/2 x GF(4)", "Z/8 x Z/9"):
+        for selector in ("full", "units", "nonunits", "core"):
+            cases[f"{text} {selector}"] = (*_comaximal_case(text, selector), ())
+    path = [0b10, 0b101, 0b1010, 0b10100, 0b101000, 0b10000]
+    cases["rows"] = (lambda: path_graph(6), (path, range(6), "012345"), ("rows", "packed"))
+    cases["rows, labels and keys"] = (
+        lambda: SimpleGraph(3, [0b010, 0b101, 0b010], labels="abc", vertex_keys=[5, 7, 9]),
+        ([0b010, 0b101, 0b010], [5, 7, 9], "abc"), ("rows", "packed", "labels"),
+    )
+    core_of, (core, core_keys, core_labels) = _comaximal_case("Z/30", "core")
+    units_of, (units, units_keys, units_labels) = _comaximal_case("Z/2 x GF(4)", "units")
+    n = len(core)
+    cases["join"] = (
+        lambda: join(units_of(), core_of()),
+        (_joined_rows(units, core, True), units_keys + core_keys, units_labels + core_labels), (),
+    )
+    cases["disjoint_union"] = (
+        lambda: disjoint_union(core_of(), units_of()),
+        (_joined_rows(core, units, False), core_keys + units_keys, core_labels + units_labels),
+        ("rows", "packed"),
+    )
+    cases["complement"] = (
+        lambda: complement(core_of()),
+        ([(1 << n) - 1 & ~r & ~(1 << i) for i, r in enumerate(core)], core_keys, core_labels),
+        ("rows", "packed", "labels"),
+    )
+    keep = [20, 3, 4, 11, 0, 7]
+    cases["induced_subgraph"] = (
+        lambda: core_of().induced_subgraph(keep),
+        ([sum(1 << j for j, w in enumerate(keep) if core[v] >> w & 1) for v in keep],
+         [core_keys[v] for v in keep], [core_labels[v] for v in keep]),
+        ("rows", "packed", "labels"),
+    )
+    return cases
+
+
+CACHED_FORM_CASES = _cached_form_cases()
+
+
+class TestCachedForms:
+    """Every form but n, the keys, the classes and Q is a cached property: absent until first
+    read, then equal to the form read pair by pair, and carried by a pickled copy."""
+
+    @pytest.mark.parametrize("case", list(CACHED_FORM_CASES))
+    def test_made_when_first_read(self, case):
+        make, naive, given = CACHED_FORM_CASES[case]
+        expected = _naive_forms(*naive)
+        for form in CACHED_FORMS:
+            g = make()
+            assert {f for f in CACHED_FORMS if f in vars(g)} == set(given), form
+            assert _read_form(g, form) == expected[form], form
+            assert form in vars(g)
+
+    @pytest.mark.parametrize("case", list(CACHED_FORM_CASES))
+    def test_pickled_copy_carries_every_form(self, case):
+        make, naive, _ = CACHED_FORM_CASES[case]
+        expected = _naive_forms(*naive)
+        for form in CACHED_FORMS:
+            g = make()
+            before = pickle.loads(pickle.dumps(g))
+            _read_form(g, form)
+            after = pickle.loads(pickle.dumps(g))
+            assert form in vars(after) and "labels" in vars(after)
+            assert "_make_labels" not in vars(after)
+            for copy in (before, after):
+                assert {f: _read_form(copy, f) for f in CACHED_FORMS} == expected, form
+                assert not copy._keys.flags.writeable and not copy.packed.flags.writeable
+            assert {f: _read_form(g, f) for f in CACHED_FORMS} == expected, form
 
 
 def test_one_class_per_signature_on_the_corpus():

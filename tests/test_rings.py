@@ -859,6 +859,36 @@ class TestCosetRepresentatives:
         assert out.startswith("raised 1 "), out
         assert message in out
 
+    # {0, 1, 2} is no subgroup, yet neither coset check sees it: its translates tile Z/6 (the
+    # sweep, 9 > 6), and the scan, which Z/12 takes (9 <= 12), checks no coset.
+    TILING_SETS = {"sweep": 6, "scan": 12}
+
+    @pytest.mark.parametrize("case", list(TILING_SETS))
+    def test_walk_rejects_a_set_no_coset_check_sees(self, case):
+        n = self.TILING_SETS[case]
+        message = "^the members are not an additive subgroup$"
+        with pytest.raises(InternalConsistencyError, match=message):
+            zn(n).coset_representatives(IdealSet(n, 0b111))
+
+    @pytest.mark.parametrize("case", list(TILING_SETS))
+    def test_walk_rejection_survives_python_O(self, case, python_O):
+        n = self.TILING_SETS[case]
+        plant = RING_PLANT + f"ring = ring_from_text('Z/{n}')\n"
+        out = python_O(plant, f"ring.coset_representatives(rings.IdealSet({n}, 0b111))")
+        assert out == "raised 1 the members are not an additive subgroup\n"
+
+    def test_radical_cosets_skip_the_walk(self, monkeypatch):
+        """`jacobson_radical` has walked the radical, so its cosets run no second walk; another
+        ideal's do."""
+        ring = ring_from_text("Z/8 x Z/9")
+        radical, walks = ring.jacobson_radical, []
+        counted = lambda *a: walks.append(a) or _additive_generators(*a)  # noqa: E731
+        monkeypatch.setattr("comaximal.rings._additive_generators", counted)
+        ring.coset_representatives(radical)
+        assert walks == []
+        ring.coset_representatives(ring.maximal_ideals[0])
+        assert len(walks) == 1
+
 
 def _quotient_by_radical(text: str) -> RingTable:
     r = ring_from_text(text)
